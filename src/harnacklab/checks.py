@@ -26,6 +26,7 @@ import numpy as np
 
 from . import fields, geometry as geo, harnack as hk
 from .geometry import field_data
+from .jet import JetOrderError
 from .solitons import CATALOG, build_context, catalog_get
 
 DEFAULT_TOLERANCE = 1e-8
@@ -657,7 +658,11 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
         return CheckReport(check_id, soliton, seed, n_points, tol,
                            STATUS_SKIPPED, None, None, 0.0)
     t0 = time.perf_counter()
-    parts = spec.runner(soliton, seed, n_points, order)
+    try:
+        parts = spec.runner(soliton, seed, n_points, order)
+    except JetOrderError as e:
+        raise JetOrderError(
+            f"jet order {order} is too low for {check_id} on {soliton} ({e})") from e
     millis = 1000.0 * (time.perf_counter() - t0)
     worst = np.max(np.stack([np.broadcast_to(p, (n_points,)) for p in
                              parts.values()]), axis=0)

@@ -8,17 +8,21 @@ Subcommands:
 
 Exit status: 0 when everything passed or was skipped as not applicable,
 1 when any check failed or a convergence run was inconclusive, 2 on usage
-errors. JSON output is emitted with sorted keys so two runs with the same
-arguments differ only in the timing fields.
+errors (a one-line ``error:`` message on stderr, never a traceback). JSON
+output is always valid JSON, emitted with sorted keys so two runs with the
+same arguments differ only in the timing fields; a non-finite number is
+written as null and marks its report as failed.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__, checks, gridlab
+from .jet import JetOrderError
 from .solitons import CATALOG, UnknownSolitonError
 
 _FORMATS = ("text", "json", "csv")
@@ -34,8 +38,40 @@ def _write(text: str, output: str | None):
             f.write(text)
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _finite(obj):
+    """(obj with non-finite floats as None, whether it held any); a dict that
+    held one and has a ``status`` gets status "fail"."""
+    if isinstance(obj, float):
+        return (obj, False) if math.isfinite(obj) else (None, True)
+    if isinstance(obj, dict):
+        pairs = {k: _finite(v) for k, v in obj.items()}
+        out = {k: v for k, (v, _) in pairs.items()}
+        bad = any(b for _, b in pairs.values())
+        if bad and "status" in out:
+            out["status"] = "fail"
+        return out, bad
+    if isinstance(obj, (list, tuple)):
+        pairs = [_finite(v) for v in obj]
+        return [v for v, _ in pairs], any(b for _, b in pairs)
+    return obj, False
+
+
 def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps(_finite(payload)[0], sort_keys=True, indent=2,
+                      allow_nan=False)
+
+
+def _args_error(args) -> str | None:
+    for name, least in (("seed", 0), ("points", 1), ("order", 0)):
+        value = getattr(args, name, least)
+        if value < least:
+            return f"--{name} must be at least {least}, got {value}"
+    return None
 
 
 def _config_dict(args, keys) -> dict:
@@ -133,13 +169,14 @@ def _cmd_check(args) -> int:
     if args.suite:
         check_ids = None
     solitons = args.soliton or None
+    if (bad := _args_error(args)):
+        return _usage_error(bad)
     try:
         reports = checks.run_suite(
             checks=check_ids, solitons=solitons, seed=args.seed,
             n_points=args.points, order=args.order, tolerance=args.tolerance)
-    except (checks.UnknownCheckError, UnknownSolitonError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (checks.UnknownCheckError, UnknownSolitonError, JetOrderError) as e:
+        return _usage_error(str(e))
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -158,12 +195,13 @@ def _cmd_check(args) -> int:
 def _cmd_grid(args) -> int:
     check_ids = args.checks or list(gridlab.GRID_CHECKS)
     sizes = tuple(args.sizes)
+    if (bad := _args_error(args)):
+        return _usage_error(bad)
     try:
         reports = [gridlab.run_grid_check(c, seed=args.seed, grid_sizes=sizes)
                    for c in check_ids]
     except (KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _usage_error(str(e))
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -180,8 +218,13 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    srep = checks.run_suite(seed=args.seed, n_points=args.points,
-                            order=args.order)
+    if (bad := _args_error(args)):
+        return _usage_error(bad)
+    try:
+        srep = checks.run_suite(seed=args.seed, n_points=args.points,
+                                order=args.order)
+    except JetOrderError as e:
+        return _usage_error(str(e))
     grep = gridlab.run_grid_suite(seed=args.seed)
     ran = [r for r in srep if r.status != checks.STATUS_SKIPPED]
     n_fail = (sum(r.status == checks.STATUS_FAIL for r in srep)

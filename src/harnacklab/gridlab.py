@@ -177,6 +177,11 @@ def _metric_guard(state: dict):
             raise GridStabilityError("metric lost positive definiteness")
 
 
+def _min_slice_grid(t_center: float) -> int:
+    """Smallest n whose slice window 4 tau = 0.4 * 2 pi / n fits after t = 0."""
+    return math.floor(4.0 * SLICE_SPACING_FACTOR * np.pi / t_center) + 1
+
+
 def evolve_slices(grid: TorusGrid, state: dict, deriv, t_center: float,
                   positive: tuple = ()) -> tuple:
     """March the state from t = 0 and return (5 slice states, slice times, tau).
@@ -187,10 +192,9 @@ def evolve_slices(grid: TorusGrid, state: dict, deriv, t_center: float,
     tau = SLICE_SPACING_FACTOR * grid.dx
     t_first = t_center - 2.0 * tau
     if t_first <= 0.0:
-        n_min = math.floor(4.0 * SLICE_SPACING_FACTOR * np.pi / t_center) + 1
         raise ValueError(
-            f"slice window 4 tau = {4 * tau:.4g} does not fit around "
-            f"t = {t_center}; need n >= {n_min}, got {grid.n}")
+            f"slice window 4 tau = {4 * tau:.4g} does not fit around t = "
+            f"{t_center}; need n >= {_min_slice_grid(t_center)}, got {grid.n}")
     dt_cfl = CFL_FACTOR * grid.dx ** 2
 
     def march(st, span):
@@ -401,6 +405,16 @@ def run_grid_check(check_id: str, seed: int = 0,
     if check_id not in _SCENARIOS:
         raise KeyError(
             f"no grid scenario for {check_id!r}; available: {sorted(_SCENARIOS)}")
+    problems = []
+    n_min = _min_slice_grid(T_STAR)
+    if min(grid_sizes, default=n_min) < n_min:
+        problems.append(f"slice window around t = {T_STAR}: need n >= {n_min}")
+    if len(grid_sizes) < 2 or any(n2 <= n1 for n1, n2 in
+                                  zip(grid_sizes, grid_sizes[1:])):
+        problems.append("an order fit needs at least 2 distinct sizes "
+                        "in increasing order")
+    if problems:
+        raise ValueError(f"grid sizes {list(grid_sizes)}: " + "; ".join(problems))
     soliton, scenario, band = _SCENARIOS[check_id]
     t0 = time.perf_counter()
     residuals, t_star = [], T_STAR

@@ -17,6 +17,13 @@ the true coefficients of the composite up to the propagated validity order.
 Validity shrinks only under differentiation (by one) and is tracked on each
 value; reading a coefficient beyond it raises :class:`JetOrderError` instead
 of returning a number that merely looks plausible.
+
+Products and the analytic functions are truncated at the validity order
+(Griewank & Walther, *Evaluating Derivatives*, ch. 13): a product of jets
+valid to order d forms only the coefficient pairs whose target degree is
+<= d, and its rows past d are zero. Graded storage makes this a prefix: the
+rows of degree <= d are ``[0, n_upto[d])`` and the pairs that feed them are
+``[0, pairs_upto[d])`` of the target-sorted multiplication table.
 """
 
 import functools
@@ -95,6 +102,15 @@ class JetSpace:
             raise JetError("multiplication table misses target indices")
         self._mul_seg = seg
 
+        # Rows are graded and pairs sorted by target, so validity d is a prefix
+        # of both: rows [0, n_upto[d]) and pairs [0, pairs_upto[d]).
+        n_upto = np.searchsorted(self.degrees, np.arange(order + 1), side="right")
+        ends = np.append(seg, len(kk))
+        self.n_upto = tuple(int(n) for n in n_upto)
+        self.pairs_upto = tuple(int(ends[n]) for n in n_upto)
+        self._validity_of_rows = {n: d for d, n in enumerate(self.n_upto)}
+        self._scratch = np.empty((2, 0))
+
         self._d_src = []
         self._d_dst = []
         self._d_mul = []
@@ -128,8 +144,37 @@ class JetSpace:
         return int(self._key_sort[pos])
 
     def mul_raw(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        terms = a[self._mul_i] * b[self._mul_j]
-        return np.add.reduceat(terms, self._mul_seg, axis=0)
+        """Product of coefficient arrays holding the rows ``[0, n_upto[d])``.
+
+        The row count gives the validity d (all ``size`` rows for d = order);
+        a batch-1 operand broadcasts. Only the pairs feeding degree <= d are
+        formed, in two gather buffers kept on the space (so one space must not
+        multiply in two threads at once); the result is a fresh (size, batch)
+        array, zero past row ``n_upto[d]``.
+        """
+        n = a.shape[0]
+        d = self._validity_of_rows.get(n)
+        if d is None or b.shape[0] != n:
+            raise JetError(f"operands of {n} and {b.shape[0]} rows are not "
+                           "a validity prefix of this space")
+        p = self.pairs_upto[d]
+        batch = max(a.shape[1], b.shape[1])
+        if self._scratch.shape[1] < len(self._mul_i) * batch:
+            self._scratch = np.empty((2, len(self._mul_i) * batch))
+        ta = self._scratch[0, :p * batch].reshape(p, batch)
+        tb = self._scratch[1, :p * batch].reshape(p, batch)
+        if a.shape[1] != batch:
+            a = np.broadcast_to(a, (n, batch))
+        if b.shape[1] != batch:
+            b = np.broadcast_to(b, (n, batch))
+        # mode="clip" keeps np.take from buffering ``out``; indices are in range
+        np.take(a, self._mul_i[:p], axis=0, out=ta, mode="clip")
+        np.take(b, self._mul_j[:p], axis=0, out=tb, mode="clip")
+        np.multiply(ta, tb, out=ta)
+        out = np.empty((self.size, batch))
+        np.add.reduceat(ta, self._mul_seg[:n], axis=0, out=out[:n])
+        out[n:] = 0.0
+        return out
 
     def constant(self, value) -> "Jet":
         value = np.atleast_1d(np.asarray(value, dtype=float))
@@ -231,8 +276,9 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.space.mul_raw(self.coeffs, o.coeffs),
-                   min(self.order, o.order))
+        d = min(self.order, o.order)
+        n = self.space.n_upto[d]
+        return Jet(self.space, self.space.mul_raw(self.coeffs[:n], o.coeffs[:n]), d)
 
     __rmul__ = __mul__
 
@@ -268,29 +314,35 @@ class Jet:
         return self.pow_real(float(n))
 
     def _compose(self, series) -> "Jet":
-        """Evaluate sum_m a_m * (self - value)^m by Horner; ``series[m]`` is a_m."""
+        """Evaluate sum_m a_m * (self - value)^m by Horner; ``series[m]`` is a_m.
+
+        The loop starts at the validity order: (self - value)^m has no terms
+        below degree m, so higher terms only reach rows past it.
+        """
         sp = self.space
-        u = self.coeffs.copy()
+        d = self.order
+        n = sp.n_upto[d]
+        u = self.coeffs[:n].copy()
         u[0] = 0.0
         out = np.zeros_like(self.coeffs)
-        out[0] = series[-1]
-        for m in range(sp.order - 1, -1, -1):
-            out = sp.mul_raw(out, u)
+        out[0] = series[d]
+        for m in range(d - 1, -1, -1):
+            out = sp.mul_raw(out[:n], u)
             out[0] += series[m]
-        return Jet(sp, out, self.order)
+        return Jet(sp, out, d)
 
     def reciprocal(self) -> "Jet":
         c0 = self.coeffs[0]
         if np.any(c0 == 0.0):
             raise SingularPointError("reciprocal of a jet with zero value")
         series = [1.0 / c0]
-        for _ in range(self.space.order):
+        for _ in range(self.order):
             series.append(-series[-1] / c0)
         return self._compose(series)
 
     def exp(self) -> "Jet":
         e0 = np.exp(self.coeffs[0])
-        series = [e0 / math.factorial(m) for m in range(self.space.order + 1)]
+        series = [e0 / math.factorial(m) for m in range(self.order + 1)]
         return self._compose(series)
 
     def log(self) -> "Jet":
@@ -298,7 +350,7 @@ class Jet:
         if np.any(c0 <= 0.0):
             raise SingularPointError("log of a jet with non-positive value")
         series = [np.log(c0)]
-        for m in range(1, self.space.order + 1):
+        for m in range(1, self.order + 1):
             series.append((-1.0) ** (m - 1) / (m * c0 ** m))
         return self._compose(series)
 
@@ -307,7 +359,7 @@ class Jet:
         if np.any(c0 <= 0.0):
             raise SingularPointError("real power of a jet with non-positive value")
         series = [c0 ** a]
-        for m in range(1, self.space.order + 1):
+        for m in range(1, self.order + 1):
             series.append(series[-1] * (a - m + 1) / (m * c0))
         return self._compose(series)
 
@@ -318,14 +370,14 @@ class Jet:
         c0 = self.coeffs[0]
         cyc = [np.sin(c0), np.cos(c0), -np.sin(c0), -np.cos(c0)]
         series = [cyc[m % 4] / math.factorial(m)
-                  for m in range(self.space.order + 1)]
+                  for m in range(self.order + 1)]
         return self._compose(series)
 
     def cos(self) -> "Jet":
         c0 = self.coeffs[0]
         cyc = [np.cos(c0), -np.sin(c0), -np.cos(c0), np.sin(c0)]
         series = [cyc[m % 4] / math.factorial(m)
-                  for m in range(self.space.order + 1)]
+                  for m in range(self.order + 1)]
         return self._compose(series)
 
     def __repr__(self):

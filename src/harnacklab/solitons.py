@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import geometry as geo
 from .jet import jet_space
@@ -165,6 +164,8 @@ def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
     isolated critical points (|grad f| on the cigar at the origin) stay
     generic at every sample.
     """
+    from scipy.stats import qmc  # ~1 s to import; only the sampler needs it
+
     sampler = qmc.Halton(d=3, scramble=True, seed=stream(seed, "pts:" + spec.name))
     raw = sampler.random(n)
     lo = np.array([b[0] for b in spec.sample_box])

@@ -1,12 +1,18 @@
 import csv
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from harnacklab import __version__
-from harnacklab.cli import build_parser, main
+import harnacklab
+from harnacklab import __version__, gridlab
+from harnacklab.checks import CheckReport
+from harnacklab.cli import _json_doc, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +124,67 @@ def test_grid_bad_sizes_exit_two(capsys):
 def test_grid_unknown_scenario_exit_two(capsys):
     code, _, err = run_cli(capsys, "grid", "CHK-H4")
     assert code == 2 and "CHK-H4" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--points", "0"),
+    ("check", "--order", "1"),
+    ("check", "CHK-EQ1", "--order", "3"),
+    ("check", "CHK-S1", "--seed", "-1"),
+    ("report", "--order", "-1"),
+    ("grid", "--sizes", "64"),
+    ("grid", "--sizes", "64", "32"),
+    ("grid", "--sizes", "32", "32"),
+    ("grid", "CHK-B2", "--sizes", "32", "32", "--format", "json"),
+])
+def test_bad_input_exit_two_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_too_low_order_names_the_check(capsys):
+    _, _, err = run_cli(capsys, "check", "CHK-EQ1", "--order", "3")
+    assert "CHK-EQ1" in err and "order 3" in err
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"invalid JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_doc_writes_non_finite_as_null_and_fails_the_report():
+    nan = float("nan")
+    grid = gridlab.ConvergenceReport(
+        "CHK-B2", "cigar_static", 0, (32, 64), (1e-3, nan), (nan,), nan,
+        (3.5, None), gridlab.STATUS_PASS, 0.05, 1.0)
+    check = CheckReport("CHK-S1", "cigar_static", 0, 4, 1e-10, "pass", nan,
+                        math.inf, 1.0, parts={"a": -math.inf})
+    fine = CheckReport("CHK-S1", "flat_torus", 0, 4, 1e-10, "pass", 0.0,
+                       0.0, 1.0)
+    doc = _strict_json(_json_doc({"grid": [grid.to_dict()], "checks": [
+        check.to_dict(), fine.to_dict()]}))
+    g = doc["grid"][0]
+    assert g["residuals"] == [1e-3, None] and g["pairwise_orders"] == [None]
+    assert g["fitted_order"] is None and g["order_band"] == [3.5, None]
+    assert g["status"] == "fail"
+    c = doc["checks"][0]
+    assert c["max_rel_residual"] is None and c["parts"] == {"a": None}
+    assert c["status"] == "fail"
+    assert doc["checks"][1]["status"] == "pass"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(harnacklab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, harnacklab; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_version_flag(capsys):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harnacklab.jet import (Jet, JetOrderError, SingularPointError, jet_space)
+from harnacklab.jet import (Jet, JetError, JetOrderError, SingularPointError,
+                            jet_space)
 
 
 def test_geometric_series_coefficients():
@@ -205,3 +206,118 @@ def test_scalar_fast_paths():
     assert np.max(np.abs((x / 2.0 - 0.5 * x).coeffs)) == 0.0
     r = 2.0 / (1.0 + x)
     assert r.value()[0] == pytest.approx(4.0 / 3.0)
+
+
+# -- truncated product kernel -------------------------------------------------
+
+KERNEL_SPACES = [(2, 4), (3, 6), (3, 8)]
+
+
+def _full_product(sp, a, b):
+    """Untruncated reference: every pair of the table, whatever the validity."""
+    return np.add.reduceat(a[sp._mul_i] * b[sp._mul_j], sp._mul_seg, axis=0)
+
+
+def _noisy_coeffs(sp, rng, batch=3):
+    # rows past a jet's validity hold noise: truncation must never read them
+    c = rng.standard_normal((sp.size, batch))
+    c[0] = rng.uniform(0.5, 2.0, batch)
+    return c
+
+
+@pytest.mark.parametrize("n_vars,order", KERNEL_SPACES)
+def test_truncated_product_matches_full_table(n_vars, order):
+    sp = jet_space(n_vars, order)
+    rng = np.random.default_rng(11)
+    ca, cb = _noisy_coeffs(sp, rng), _noisy_coeffs(sp, rng)
+    ref = _full_product(sp, ca, cb)
+    for d1, d2 in itertools.product(range(order + 1), repeat=2):
+        got = Jet(sp, ca, d1) * Jet(sp, cb, d2)
+        n = sp.n_upto[min(d1, d2)]
+        assert got.order == min(d1, d2)
+        assert got.coeffs.shape == (sp.size, 3)
+        assert np.array_equal(got.coeffs[:n], ref[:n]), (d1, d2)
+        assert not got.coeffs[n:].any(), (d1, d2)
+
+
+COMPOSED = {
+    "exp": Jet.exp,
+    "log": Jet.log,
+    "reciprocal": Jet.reciprocal,
+    "pow_real": lambda u: u.pow_real(1.7),
+    "sin": Jet.sin,
+    "cos": Jet.cos,
+}
+
+
+def _full_horner(x, fn):
+    """``fn(x)`` by a Horner loop to the space order over the full product."""
+    series = []
+    full = Jet(x.space, x.coeffs, x.space.order)
+    full._compose = series.extend   # capture the series fn would compose
+    fn(full)
+    u = x.coeffs.copy()
+    u[0] = 0.0
+    out = np.zeros_like(u)
+    out[0] = series[-1]
+    for m in range(x.space.order - 1, -1, -1):
+        out = _full_product(x.space, out, u)
+        out[0] += series[m]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSED))
+@pytest.mark.parametrize("n_vars,order", KERNEL_SPACES)
+def test_truncated_compose_matches_full_horner(n_vars, order, name):
+    sp = jet_space(n_vars, order)
+    coeffs = _noisy_coeffs(sp, np.random.default_rng(5))
+    for d in range(order + 1):
+        x = Jet(sp, coeffs, d)
+        got = COMPOSED[name](x)
+        n = sp.n_upto[d]
+        assert got.order == d
+        assert np.array_equal(got.coeffs[:n], _full_horner(x, COMPOSED[name])[:n]), d
+        assert not got.coeffs[n:].any(), d
+
+
+@pytest.mark.parametrize("n_vars,order", KERNEL_SPACES)
+def test_prefix_tables_count_independently(n_vars, order):
+    sp = jet_space(n_vars, order)
+    degrees = [int(sum(e)) for e in sp.exponents]
+    for d in range(order + 1):
+        assert sp.n_upto[d] == sum(g <= d for g in degrees)
+        assert sp.pairs_upto[d] == sum(g1 + g2 <= d
+                                       for g1 in degrees for g2 in degrees)
+    assert sp.pairs_upto[order] == len(sp._mul_i)
+
+
+def test_batch_one_constant_broadcasts():
+    sp = jet_space(2, 4)
+    x, y = sp.variables(np.array([[0.2, 1.1, -0.4], [0.9, -0.3, 0.6]]))
+    u = x * y + x.exp()
+    c = sp.constant(2.5)
+    assert c.batch == 1
+    for got in (c * u, u * c):
+        assert got.coeffs.shape == (sp.size, 3)
+        assert np.array_equal(got.coeffs, 2.5 * u.coeffs)
+
+
+def test_products_do_not_alias_the_shared_scratch():
+    sp = jet_space(3, 6)
+    rng = np.random.default_rng(2)
+    a, b, c, d = (Jet(sp, _noisy_coeffs(sp, rng, 4), sp.order) for _ in range(4))
+    first = a * b
+    kept = first.coeffs.copy()
+    second = c * d
+    assert not np.shares_memory(first.coeffs, second.coeffs)
+    assert np.array_equal(first.coeffs, kept)
+    assert not np.shares_memory(second.coeffs, sp._scratch)
+
+
+def test_mul_raw_rejects_rows_off_the_validity_prefix():
+    sp = jet_space(2, 4)
+    a = np.ones((sp.size, 1))
+    with pytest.raises(JetError):
+        sp.mul_raw(a[:4], a[:4])
+    with pytest.raises(JetError):
+        sp.mul_raw(a[:sp.n_upto[2]], a[:sp.n_upto[3]])
