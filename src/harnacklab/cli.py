@@ -71,6 +71,9 @@ def _args_error(args) -> str | None:
         value = getattr(args, name, least)
         if value < least:
             return f"--{name} must be at least {least}, got {value}"
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
+        return f"--tolerance must be a finite number > 0, got {tolerance}"
     return None
 
 
@@ -129,9 +132,10 @@ def _grid_rows_csv(reports) -> str:
     w = csv.writer(buf)
     w.writerow(["check_id", "n", "residual", "observed_order"])
     for r in reports:
-        for n, res in zip(r.grid_sizes, r.residuals):
-            w.writerow([r.check_id, n, repr(float(res)),
-                        repr(float(r.fitted_order))])
+        # the order observed between a row's n and the previous size
+        orders = [""] + [repr(float(p)) for p in r.pairwise_orders]
+        for n, res, order in zip(r.grid_sizes, r.residuals, orders):
+            w.writerow([r.check_id, n, repr(float(res)), order])
     return buf.getvalue()
 
 

@@ -90,6 +90,7 @@ class MetricChart:
     ``g`` is an (n, n) nested sequence of field elements, symmetric in its
     indices. ``partial_map`` maps spatial axis i to the element variable index
     to differentiate; identity when the elements carry only spatial variables.
+    A component may be a plain number, a constant whose partials are 0.0.
     Curvature data is computed lazily and cached on the chart.
     """
 
@@ -106,6 +107,8 @@ class MetricChart:
             raise MetricError("partial_map length must equal the dimension")
 
     def d(self, elem, i: int):
+        if isinstance(elem, (int, float)):
+            return 0.0
         return elem.partial(self.partial_map[i])
 
     @cached_property
@@ -223,13 +226,21 @@ def _det_obj(m: np.ndarray):
 
 
 def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
-    """Levi-Civita covariant derivative; the new covariant axis comes first."""
+    """Levi-Civita covariant derivative; the new covariant axis comes first.
+
+    A component object stored at several indices (a symmetric tensor keeps one
+    object at [i, j] and [j, i]) is differentiated once per axis.
+    """
     n = chart.n
     gam = chart.christoffels
     comps = np.empty((n,) + t.comps.shape, dtype=object)
     for i in range(n):
+        partials = {}  # id(component) -> its partial along i
         for idx in np.ndindex(*t.comps.shape):
-            val = chart.d(t.comps[idx], i)
+            elem = t.comps[idx]
+            val = partials.get(id(elem))
+            if val is None:
+                val = partials[id(elem)] = chart.d(elem, i)
             for a in range(t.cov):
                 val = val - _acc(gam[p, i, idx[a]]
                                  * t.comps[idx[:a] + (p,) + idx[a + 1:]]

@@ -15,6 +15,16 @@ the time-sampling error ~ tau^4 * d^5Z/dt^5; with tau ~ dx that term scales as
 dx^4 and the observed order lands at the design order instead of ~8 and then
 collapsing into roundoff. The RK4 substep divides tau evenly and respects
 dt <= 0.2 dx^2, so slices land on exact step boundaries.
+
+Constants are numbers, not fields. The flat chart's metric is the floats 1.0
+and 0.0, so its Christoffel symbols and curvature come out as exact 0.0
+(``MetricChart.d`` of a number is 0.0), and ``GridField`` arithmetic folds the
+scalar identities: ``x * 0.0`` is 0.0, and ``x + 0.0``, ``x - 0.0``,
+``x * 1.0``, ``x / 1.0`` are ``x`` itself. The folds are exact up to the sign
+of a zero (and a non-finite ``x * 0.0``, which IEEE makes NaN, folds to 0.0),
+so residuals keep every bit. Folding returns shared objects: a field's
+``values`` is never modified in place. The stencil reads its four shifted
+operands as slices of one wrap-padded copy, in the order of the formula.
 """
 
 import math
@@ -46,9 +56,19 @@ class GridField:
         self.dx = dx
 
     def partial(self, axis: int) -> "GridField":
+        """((-v[i+2] + 8 v[i+1]) - 8 v[i-1]) + v[i-2], then / (12 dx), with
+        the shifted operands read as slices of one wrap-padded copy."""
         v = self.values
-        d = (-np.roll(v, -2, axis) + 8.0 * np.roll(v, -1, axis)
-             - 8.0 * np.roll(v, 1, axis) + np.roll(v, 2, axis)) / (12.0 * self.dx)
+        n = v.shape[axis]
+        lead = (slice(None),) * axis
+        w = np.concatenate((v[lead + (slice(-2, None),)], v,
+                            v[lead + (slice(2),)]), axis)
+        vm2, vm1, vp1, vp2 = (w[lead + (slice(k, k + n),)] for k in (0, 1, 3, 4))
+        d = np.multiply(vp1, 8.0)  # 8 v[i+1] - v[i+2] == -v[i+2] + 8 v[i+1]
+        d -= vp2
+        d -= np.multiply(vm1, 8.0)
+        d += vm2
+        d /= 12.0 * self.dx
         return GridField(d, self.dx)
 
     def _coerce(self, other):
@@ -62,6 +82,8 @@ class GridField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.__class__ is float and o == 0.0:
+            return self
         return GridField(self.values + o, self.dx)
 
     __radd__ = __add__
@@ -70,6 +92,8 @@ class GridField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.__class__ is float and o == 0.0:
+            return self
         return GridField(self.values - o, self.dx)
 
     def __rsub__(self, other):
@@ -82,6 +106,11 @@ class GridField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.__class__ is float:
+            if o == 0.0:
+                return 0.0
+            if o == 1.0:
+                return self
         return GridField(self.values * o, self.dx)
 
     __rmul__ = __mul__
@@ -90,6 +119,8 @@ class GridField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.__class__ is float and o == 1.0:
+            return self
         return GridField(self.values / o, self.dx)
 
     def __rtruediv__(self, other):
@@ -221,10 +252,10 @@ def time_derivative(slice_values: list, tau: float) -> np.ndarray:
     return (z0 - 8.0 * z1 + 8.0 * z3 - z4) / (12.0 * tau)
 
 
-def _flat_chart(grid: TorusGrid) -> geo.MetricChart:
-    one = grid.field(1.0)
-    zero = grid.zero()
-    return geo.MetricChart([[one, zero], [zero, one]])
+def _flat_chart() -> geo.MetricChart:
+    """The flat torus metric, its components plain numbers: its curvature
+    comes out as exact 0.0 and the arithmetic on it folds away."""
+    return geo.MetricChart([[1.0, 0.0], [0.0, 1.0]])
 
 
 def _chart_from_state(grid: TorusGrid, state: dict) -> geo.MetricChart:
@@ -255,7 +286,7 @@ def _scenario_l1(n: int, seed: int) -> tuple:
     """Flat torus, f = 0: Z(h, 0) = div div h + <Rc, h> must solve the heat
     equation while h evolves by the Lichnerowicz flow."""
     grid = TorusGrid(n)
-    chart = _flat_chart(grid)
+    chart = _flat_chart()
 
     def deriv(state):
         h = _sym2_from_state(grid, state, "h")
@@ -266,7 +297,7 @@ def _scenario_l1(n: int, seed: int) -> tuple:
     state0 = _perturbation_state(grid, seed, "h", 0.4)
     slices, _, tau = evolve_slices(grid, state0, deriv, T_STAR)
     zs = [hk.linear_trace(chart, _sym2_from_state(grid, s, "h"),
-                          geo.vector_from(lambda i: grid.zero(), 2, con=True))
+                          geo.vector_from(lambda i: 0.0, 2, con=True))
           for s in slices]
     dtz = time_derivative([z.values for z in zs], tau)
     lap = geo.laplacian(chart, zs[2]).values
@@ -278,8 +309,7 @@ def _scenario_b2(n: int, seed: int) -> tuple:
     """Flat torus: v = log u under du/dt = Lap u; the log nonlinearity breaks
     exact discrete commutation, so spatial truncation enters the residual."""
     grid = TorusGrid(n)
-    chart = _flat_chart(grid)
-    fzero = grid.zero()
+    chart = _flat_chart()
 
     def deriv(state):
         u = GridField(state["u"], grid.dx)
@@ -297,7 +327,7 @@ def _scenario_b2(n: int, seed: int) -> tuple:
     dq = geo.differential(chart, q_mid)
     lhs_spatial = (-0.5 * geo.laplacian(chart, q_mid)
                    - geo.inner_vec(chart, dv, dq)).values
-    rhs = sum(hk.lq_production_terms(chart, v, fzero)).values
+    rhs = sum(hk.lq_production_terms(chart, v, 0.0)).values
     resid = 0.5 * dtq + lhs_spatial - rhs
     scale = (np.abs(0.5 * dtq).max() + np.abs(lhs_spatial).max()
              + np.abs(rhs).max() + 1e-30)
@@ -356,7 +386,7 @@ def _scenario_eq1(n: int, seed: int) -> tuple:
 _SCENARIOS = {
     "CHK-L1": ("flat_torus", _scenario_l1, (3.3, 4.7)),
     "CHK-B2": ("flat_torus", _scenario_b2, (3.3, 4.7)),
-    "CHK-EQ1": ("torus_generic", _scenario_eq1, (1.8, None)),
+    "CHK-EQ1": ("torus_generic", _scenario_eq1, (3.3, 4.7)),
 }
 
 STATUS_PASS = "pass"
@@ -433,10 +463,9 @@ def run_grid_check(check_id: str, seed: int = 0,
 
     monotone = all(r1 > r2 for r1, r2 in zip(residuals, residuals[1:]))
     lo, hi = band
-    in_band = fitted >= lo and (hi is None or fitted <= hi)
     if not monotone:
         status = STATUS_INCONCLUSIVE
-    elif in_band:
+    elif lo <= fitted <= hi:
         status = STATUS_PASS
     else:
         status = STATUS_FAIL

@@ -166,7 +166,7 @@ def test_accept_10_grid_convergence_orders():
         assert 3.3 <= r.fitted_order <= 4.7, (cid, r.fitted_order)
     eq1 = reports["CHK-EQ1"]
     assert eq1.status == "pass", (eq1.status, eq1.residuals)
-    assert eq1.fitted_order >= 1.8, eq1.fitted_order
+    assert 3.3 <= eq1.fitted_order <= 4.7, eq1.fitted_order
     assert all(a > b for a, b in zip(eq1.residuals, eq1.residuals[1:]))
     assert elapsed <= 60.0, f"grid suite took {elapsed:.1f}s"
 

@@ -116,6 +116,17 @@ def test_grid_csv_and_exit(capsys):
     assert float(rows[1][2]) > float(rows[2][2])
 
 
+def test_grid_csv_observed_order_is_pairwise(capsys):
+    code, out, _ = run_cli(capsys, "grid", "CHK-L1", "--sizes", "32", "40",
+                           "48", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    want = gridlab.run_grid_check("CHK-L1", seed=0, grid_sizes=(32, 40, 48))
+    assert [r[3] for r in rows] == \
+        [""] + [repr(float(p)) for p in want.pairwise_orders]
+    assert rows[1][3] != rows[2][3]
+
+
 def test_grid_bad_sizes_exit_two(capsys):
     code, _, err = run_cli(capsys, "grid", "CHK-L1", "--sizes", "16")
     assert code == 2 and "need n >=" in err
@@ -141,6 +152,19 @@ def test_bad_input_exit_two_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "-0.0", "nan", "inf", "-inf"])
+def test_tolerance_not_finite_and_positive_exit_two(capsys, monkeypatch,
+                                                     tolerance):
+    def no_work(*args, **kwargs):
+        raise AssertionError("checks ran")
+    monkeypatch.setattr(harnacklab.checks, "run_suite", no_work)
+    code, out, err = run_cli(capsys, "check", "CHK-S1", "--points", "2",
+                             f"--tolerance={tolerance}")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: --tolerance")
 
 
 def test_too_low_order_names_the_check(capsys):

@@ -162,3 +162,88 @@ def test_convergence_smoke_and_determinism():
 
 def test_grid_checks_registry():
     assert gl.GRID_CHECKS == ("CHK-L1", "CHK-B2", "CHK-EQ1")
+
+
+# float.hex of each scenario's residuals at seed 0, sizes (32, 48), as the
+# grid route computed them before constants were folded and the stencil was
+# built from one padded copy; both changes must leave every bit in place.
+PINNED_RESIDUALS = {
+    "CHK-L1": ("0x1.d98493bd82161p-18", "0x1.76faa9e270826p-20"),
+    "CHK-B2": ("0x1.25388d50a7c37p-6", "0x1.112739030c511p-8"),
+    "CHK-EQ1": ("0x1.12751953c84c5p-8", "0x1.151cea81f0962p-10"),
+}
+
+
+@pytest.mark.parametrize("check_id", gl.GRID_CHECKS)
+def test_residuals_bit_identical_to_pinned(check_id):
+    r = run_grid_check(check_id, seed=0, grid_sizes=(32, 48))
+    assert tuple(float(x).hex() for x in r.residuals) == \
+        PINNED_RESIDUALS[check_id]
+
+
+def _roll_stencil(v, axis, dx):
+    return (-np.roll(v, -2, axis) + 8.0 * np.roll(v, -1, axis)
+            - 8.0 * np.roll(v, 1, axis) + np.roll(v, 2, axis)) / (12.0 * dx)
+
+
+@pytest.mark.parametrize("n", [8, 31, 64])
+def test_partial_bit_equal_to_roll_formula(n):
+    rng = np.random.default_rng(n)
+    grid = TorusGrid(n)
+    v = rng.standard_normal((n, n))
+    v[0, :3] = [0.0, -0.0, 1e-300]
+    f = GridField(v.copy(), grid.dx)
+    for axis in (0, 1):
+        got = f.partial(axis).values
+        want = _roll_stencil(v, axis, grid.dx)
+        assert got.shape == (n, n) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), axis
+    assert np.array_equal(f.values, v)  # the operand is not touched
+
+
+def test_scalar_identities_fold():
+    grid = TorusGrid(8)
+    x = eval_trig(grid, trig_params(0, "fold"))
+    for zero in (x * 0.0, 0.0 * x, x * 0):
+        assert type(zero) is float and zero == 0.0
+    for same in (x + 0.0, 0.0 + x, x - 0.0, x * 1.0, 1.0 * x, x / 1.0):
+        assert same is x
+    assert geo.MetricChart([[1.0, 0.0], [0.0, 1.0]]).d(2.5, 0) == 0.0
+    # other scalars still compute
+    assert np.array_equal((x * 2.0).values, x.values * 2.0)
+    assert np.array_equal((1.0 - x).values, 1.0 - x.values)
+    assert np.array_equal((0.0 - x).values, 0.0 - x.values)
+
+
+def test_flat_chart_curvature_is_numbers():
+    chart = gl._flat_chart()
+    assert all(type(g) is float and g == 0.0
+               for g in chart.christoffels.flat)
+    assert all(type(r) is float and r == 0.0 for r in chart.ricci.comps.flat)
+
+
+def test_covariant_derivative_one_partial_per_distinct_component(monkeypatch):
+    grid = TorusGrid(32)
+    g01 = eval_trig(grid, trig_params(1, "g01", amplitude=0.1))
+    chart = geo.MetricChart([[eval_trig(grid, trig_params(1, "g00"), 1.0), g01],
+                             [g01, eval_trig(grid, trig_params(1, "g11"), 1.0)]])
+    chart.christoffels  # built before counting
+    h = geo.sym2_from(lambda i, j: eval_trig(grid, trig_params(2, f"h{i}{j}")), 2)
+    calls = []
+    partial = GridField.partial
+
+    def counted(self, axis):
+        calls.append((id(self), axis))
+        return partial(self, axis)
+    monkeypatch.setattr(GridField, "partial", counted)
+    dh = geo.covariant_derivative(chart, h)
+    distinct = {id(c) for c in h.comps.flat}
+    assert len(distinct) == 3
+    assert sorted(calls) == sorted((c, axis) for c in distinct for axis in (0, 1))
+    monkeypatch.undo()
+    assert np.array_equal(dh[1, 0, 1].values,
+                          (h[0, 1].partial(1)
+                           - geo._acc(chart.christoffels[p, 1, 0] * h[p, 1]
+                                      for p in range(2))
+                           - geo._acc(chart.christoffels[p, 1, 1] * h[0, p]
+                                      for p in range(2))).values)
