@@ -8,7 +8,8 @@ Subcommands:
 
 Exit status: 0 when everything passed or was skipped as not applicable,
 1 when any check failed or a convergence run was inconclusive, 2 on usage
-errors (a one-line ``error:`` message on stderr, never a traceback). JSON
+errors (a one-line ``error:`` message on stderr, never a traceback), and 1
+without a traceback when the reader closes standard output early. JSON
 output is always valid JSON, emitted with sorted keys so two runs with the
 same arguments differ only in the timing fields; a non-finite number is
 written as null and marks its report as failed.
@@ -19,6 +20,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__, checks, gridlab
@@ -180,7 +182,7 @@ def _cmd_check(args) -> int:
             checks=check_ids, solitons=solitons, seed=args.seed,
             n_points=args.points, order=args.order, tolerance=args.tolerance)
     except (checks.UnknownCheckError, UnknownSolitonError, JetOrderError) as e:
-        return _usage_error(str(e))
+        return _usage_error(e.args[0])
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -205,7 +207,7 @@ def _cmd_grid(args) -> int:
         reports = [gridlab.run_grid_check(c, seed=args.seed, grid_sizes=sizes)
                    for c in check_ids]
     except (KeyError, ValueError) as e:
-        return _usage_error(str(e))
+        return _usage_error(e.args[0])
     if args.format == "json":
         payload = {
             "version": __version__,
@@ -228,7 +230,7 @@ def _cmd_report(args) -> int:
         srep = checks.run_suite(seed=args.seed, n_points=args.points,
                                 order=args.order)
     except JetOrderError as e:
-        return _usage_error(str(e))
+        return _usage_error(e.args[0])
     grep = gridlab.run_grid_suite(seed=args.seed)
     ran = [r for r in srep if r.status != checks.STATUS_SKIPPED]
     n_fail = (sum(r.status == checks.STATUS_FAIL for r in srep)
@@ -302,7 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows up here, not at exit
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -53,34 +53,26 @@ def trig_scalar(ctx: SolitonContext, seed: int, tag: str,
 def trig_sym2(ctx: SolitonContext, seed: int, tag: str,
               amplitude: float = 0.4) -> geo.TensorValue:
     return geo.sym2_from(
-        lambda i, j: trig_scalar(ctx, seed, f"{tag}[{i}{j}]", amplitude), 2)
+        lambda i, j: trig_scalar(ctx, seed, f"{tag}[{i}{j}]", amplitude),
+        ctx.chart.n)
 
 
 def trig_vector(ctx: SolitonContext, seed: int, tag: str,
                 amplitude: float = 0.5, time_linear: bool = False):
-    """Contravariant vector field X, optionally X = A(x,y) + t*B(x,y).
-
-    Returns (X, dX/dt) with the time derivative exact by construction; for a
-    static field dX/dt is the zero vector.
-    """
+    """Contravariant vector field X = A(x,y), or X = A(x,y) + t*B(x,y) when
+    ``time_linear`` (so dX/dt = B exactly)."""
+    n = ctx.chart.n
     a = geo.vector_from(
-        lambda i: trig_scalar(ctx, seed, f"{tag}.A[{i}]", amplitude), 2, con=True)
+        lambda i: trig_scalar(ctx, seed, f"{tag}.A[{i}]", amplitude), n, con=True)
     if not time_linear:
-        zero = 0.0 * ctx.x
-        return a, geo.vector_from(lambda i: zero, 2, con=True)
+        return a
     b = geo.vector_from(
-        lambda i: trig_scalar(ctx, seed, f"{tag}.B[{i}]", amplitude), 2, con=True)
-    x = geo.vector_from(lambda i: a[i] + ctx.t * b[i], 2, con=True)
-    return x, b
+        lambda i: trig_scalar(ctx, seed, f"{tag}.B[{i}]", amplitude), n, con=True)
+    return geo.vector_from(lambda i: a[i] + ctx.t * b[i], n, con=True)
 
 
 def rhs_heat(ctx: SolitonContext, u: Jet) -> Jet:
     return geo.laplacian(ctx.chart, u)
-
-
-def rhs_grad2(ctx: SolitonContext, u: Jet) -> Jet:
-    du = geo.differential(ctx.chart, u)
-    return geo.inner_vec(ctx.chart, du, du)
 
 
 def rhs_conjugate_potential(ctx: SolitonContext, u: Jet) -> Jet:
@@ -124,8 +116,7 @@ def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1,
         raise ValueError("need at least one time degree (q >= 1)")
     if m is None:
         m = ctx.space.order - q
-    u = strip_time(ctx, u0)
-    u = Jet(ctx.space, u.coeffs.copy(), u.order)
+    u = strip_time(ctx, u0)  # a fresh copy, filled in place below
     for r in range(q):
         rhs = rhs_fn(ctx, u)
         _fill_time_degree(ctx, u.coeffs, rhs.coeffs, r, m)
@@ -144,44 +135,19 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue, q: int = 1,
         raise ValueError("propagation requires a context with a time variable")
     if m is None:
         m = ctx.space.order - q
-    comps = np.empty((2, 2), dtype=object)
-    for i in range(2):
-        for j in range(i + 1):
-            hij = strip_time(ctx, h0[i, j])
-            comps[i, j] = comps[j, i] = Jet(ctx.space, hij.coeffs.copy(), hij.order)
-    h = geo.TensorValue(2, 0, comps)
+    n = ctx.chart.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1)]
+    h = geo.sym2_from(lambda i, j: strip_time(ctx, h0[i, j]), n)
     for r in range(q):
         rhs = geo.lichnerowicz_laplacian(ctx.chart, h)
-        order = min(min(rhs[i, j].order for i in range(2) for j in range(i + 1)) + 1,
-                    min(h[i, j].order for i in range(2) for j in range(i + 1)))
-        for i in range(2):
-            for j in range(i + 1):
-                _fill_time_degree(ctx, h[i, j].coeffs, rhs[i, j].coeffs, r, m)
-                h[i, j].order = order
+        order = min(min(rhs[ij].order for ij in upper) + 1,
+                    min(h[ij].order for ij in upper))
+        for ij in upper:
+            _fill_time_degree(ctx, h[ij].coeffs, rhs[ij].coeffs, r, m)
+            h[ij].order = order
     return h
-
-
-def make_perturbation(ctx: SolitonContext, kind: str, seed: int = 0,
-                      q: int = 1) -> geo.TensorValue:
-    """Symmetric 2-tensor h for the linear trace checks.
-
-    kind "ricci": the chart's own Ricci tensor (an exact linearized-flow
-    solution when the chart solves Ricci flow exactly). kind "metric": the
-    metric itself. kind "static": seeded trig data frozen in time.
-    kind "propagated": seeded trig data pushed forward by the Lichnerowicz
-    flow, the generic linearized-flow solution.
-    """
-    if kind == "ricci":
-        return ctx.chart.ricci
-    if kind == "metric":
-        return geo.TensorValue(2, 0, ctx.chart.g)
-    if kind == "static":
-        return trig_sym2(ctx, seed, "h")
-    if kind == "propagated":
-        return propagate_sym2(ctx, trig_sym2(ctx, seed, "h"), q=q)
-    raise ValueError(f"unknown perturbation kind {kind!r}")
 
 
 def neg_grad_potential(ctx: SolitonContext) -> geo.TensorValue:
     grad = geo.gradient(ctx.chart, ctx.f)
-    return geo.vector_from(lambda i: -grad[i], 2, con=True)
+    return geo.vector_from(lambda i: -grad[i], ctx.chart.n, con=True)

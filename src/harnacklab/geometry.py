@@ -1,8 +1,8 @@
 """Riemannian geometry of a coordinate chart over generic field elements.
 
 Every function here is written once against a small element protocol (ring
-arithmetic, ``.partial(i)``, the analytic functions in :mod:`.fieldmath`) and
-therefore runs unchanged on truncated jets and on grid-sampled fields. That
+arithmetic with plain numbers as constants, ``.partial(i)``) and therefore
+runs unchanged on truncated jets and on grid-sampled fields. That
 single code path is what makes the symbolic checks and the finite-difference
 checks share one set of sign conventions.
 
@@ -26,7 +26,6 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .fieldmath import fsqrt
 from .jet import Jet, JetError
 
 
@@ -210,7 +209,7 @@ class MetricChart:
 
     @cached_property
     def volume_density(self):
-        return fsqrt(self.det)
+        return self.det ** 0.5
 
 
 def _cofactor(m: np.ndarray, i: int, j: int):
@@ -269,14 +268,6 @@ def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
     for i in range(n):
         comps[i] = _acc(chart.ginv[i, j] * v[j] for j in range(n))
     return TensorValue(0, 1, comps)
-
-
-def lower_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
-    n = chart.n
-    comps = np.empty((n,), dtype=object)
-    for i in range(n):
-        comps[i] = _acc(chart.g[i, j] * v[j] for j in range(n))
-    return TensorValue(1, 0, comps)
 
 
 def gradient(chart: MetricChart, s) -> TensorValue:
@@ -371,10 +362,6 @@ def divergence_vec(chart: MetricChart, v: TensorValue):
     vc = v if v.con == 1 else raise_vector(chart, v)
     dv = covariant_derivative(chart, vc)  # dv[i][^j]
     return _acc(dv.comps[i, i] for i in range(n))
-
-
-def div_div(chart: MetricChart, h: TensorValue):
-    return divergence_vec(chart, divergence_sym2(chart, h))
 
 
 def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fieldmath, geometry as geo, harnack as hk
+from . import geometry as geo, harnack as hk
 from .solitons import stream
 
 CFL_FACTOR = 0.2
@@ -134,14 +134,6 @@ class GridField:
 
     def __repr__(self):
         return f"GridField(n={self.values.shape[0]}, mean={self.values.mean():.4g})"
-
-
-fieldmath.fexp.register(GridField, lambda x: GridField(np.exp(x.values), x.dx))
-fieldmath.flog.register(GridField, lambda x: GridField(np.log(x.values), x.dx))
-fieldmath.fsqrt.register(GridField, lambda x: GridField(np.sqrt(x.values), x.dx))
-fieldmath.fsin.register(GridField, lambda x: GridField(np.sin(x.values), x.dx))
-fieldmath.fcos.register(GridField, lambda x: GridField(np.cos(x.values), x.dx))
-fieldmath.fpowr.register(GridField, lambda x, a: GridField(x.values ** a, x.dx))
 
 
 class TorusGrid:
@@ -318,10 +310,10 @@ def _scenario_b2(n: int, seed: int) -> tuple:
     params = trig_params(seed, "b2.u0", amplitude=0.3)
     state0 = {"u": np.exp(eval_trig(grid, params).values)}
     slices, _, tau = evolve_slices(grid, state0, deriv, T_STAR, positive=("u",))
-    qs = [hk.log_q(chart, fieldmath.flog(GridField(s["u"], grid.dx)))
+    qs = [hk.log_q(chart, GridField(np.log(s["u"]), grid.dx))
           for s in slices]
     dtq = time_derivative([q.values for q in qs], tau)
-    v = fieldmath.flog(GridField(slices[2]["u"], grid.dx))
+    v = GridField(np.log(slices[2]["u"]), grid.dx)
     q_mid = qs[2]
     dv = geo.differential(chart, v)
     dq = geo.differential(chart, q_mid)

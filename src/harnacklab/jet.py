@@ -32,8 +32,6 @@ import math
 
 import numpy as np
 
-from . import fieldmath
-
 
 class JetError(ValueError):
     pass
@@ -383,11 +381,3 @@ class Jet:
     def __repr__(self):
         return (f"Jet(vars={self.space.n_vars}, order={self.order}, "
                 f"batch={self.batch}, value~{np.mean(self.coeffs[0]):.6g})")
-
-
-fieldmath.fexp.register(Jet, lambda x: x.exp())
-fieldmath.flog.register(Jet, lambda x: x.log())
-fieldmath.fsqrt.register(Jet, lambda x: x.sqrt())
-fieldmath.fsin.register(Jet, lambda x: x.sin())
-fieldmath.fcos.register(Jet, lambda x: x.cos())
-fieldmath.fpowr.register(Jet, lambda x, a: x.pow_real(a))

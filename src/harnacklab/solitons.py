@@ -29,12 +29,9 @@ class SolitonSpec:
     name: str
     kind: str                     # "steady" | "shrinking" | "none"
     description: str
-    dim: int = 2
-    time_dependent: bool = False
     ricci_flow_exact: bool = False
     normalized_steady: bool = False
     potential_time_rule: str = "none"   # "heat": df/dt = Lap f ; "grad2": df/dt = |grad f|^2
-    f_identically_zero: bool = False
     grid_only: bool = False
     sample_box: tuple = ((-3.0, 3.0), (-3.0, 3.0))
     time_interval: tuple = (0.0, 0.0)
@@ -100,39 +97,37 @@ CATALOG = {
         SolitonSpec(
             name="cigar_flow", kind="steady",
             description="cigar moving under its flow: g = 4 delta/(e^t+r^2), f = -log(e^t+r^2)",
-            time_dependent=True, ricci_flow_exact=True, normalized_steady=True,
+            ricci_flow_exact=True, normalized_steady=True,
             potential_time_rule="heat", time_interval=(-0.7, 0.7),
             builder=_build_cigar_flow),
         SolitonSpec(
             name="cigar_flow_v2", kind="steady",
             description="cigar flow with gauge-shifted potential f = t - log(e^t+r^2)",
-            time_dependent=True, ricci_flow_exact=True, normalized_steady=True,
+            ricci_flow_exact=True, normalized_steady=True,
             potential_time_rule="grad2", time_interval=(-0.7, 0.7),
             builder=_build_cigar_flow_v2),
         SolitonSpec(
             name="flat_steady_linear", kind="steady",
             description="flat plane with unit linear potential f = 0.6x + 0.8y + t",
-            time_dependent=True, ricci_flow_exact=True, normalized_steady=True,
+            ricci_flow_exact=True, normalized_steady=True,
             potential_time_rule="grad2", time_interval=(-0.7, 0.7),
             builder=_build_flat_linear),
         SolitonSpec(
             name="gaussian_shrinker", kind="shrinking",
             description="flat plane as a shrinker: f = |x|^2/(-4t) - 1, t < 0",
-            time_dependent=True, ricci_flow_exact=True,
-            potential_time_rule="grad2",
+            ricci_flow_exact=True, potential_time_rule="grad2",
             sample_box=((-2.0, 2.0), (-2.0, 2.0)), time_interval=(-2.0, -0.5),
             builder=_build_gaussian),
         SolitonSpec(
             name="sphere_shrinker", kind="shrinking",
             description="round 2-sphere shrinking to a point: g(t) = -2t g_unit, f = 0",
-            time_dependent=True, ricci_flow_exact=True, f_identically_zero=True,
+            ricci_flow_exact=True,
             sample_box=((-2.0, 2.0), (-2.0, 2.0)), time_interval=(-2.0, -0.5),
             builder=_build_sphere_shrinker),
         SolitonSpec(
             name="flat_torus", kind="steady",
             description="flat square torus, f = 0 (steady but not normalized)",
-            time_dependent=False, ricci_flow_exact=True,
-            potential_time_rule="grad2", f_identically_zero=True,
+            ricci_flow_exact=True, potential_time_rule="grad2",
             sample_box=((0.3, 2 * np.pi - 0.3), (0.3, 2 * np.pi - 0.3)),
             builder=_build_flat_torus),
         SolitonSpec(

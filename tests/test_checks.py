@@ -29,6 +29,35 @@ def test_registry_entries_well_formed():
             assert not CATALOG[name].grid_only
 
 
+_CIGARS = ("cigar_static", "cigar_flow", "cigar_flow_v2")
+_STEADY = _CIGARS + ("flat_steady_linear", "flat_torus")
+_ALL = _CIGARS + ("flat_steady_linear", "gaussian_shrinker",
+                  "sphere_shrinker", "flat_torus")
+_SHRINKING = ("gaussian_shrinker", "sphere_shrinker")
+_STEADY_SYSTEM = ("cigar_flow", "cigar_flow_v2", "flat_steady_linear",
+                  "flat_torus")
+_GRAD2 = ("cigar_flow_v2", "flat_steady_linear", "flat_torus")
+APPLIES_TO = {
+    "CHK-B1": _GRAD2, "CHK-B2": _GRAD2, "CHK-B3": _GRAD2, "CHK-B4": _GRAD2,
+    "CHK-B5": ("cigar_flow_v2",), "CHK-B6": _GRAD2, "CHK-B7": _ALL,
+    "CHK-B8": _GRAD2,
+    "CHK-EQ1": ("cigar_flow", "cigar_flow_v2", "flat_steady_linear",
+                "gaussian_shrinker", "sphere_shrinker", "flat_torus"),
+    "CHK-H1": _STEADY, "CHK-H1s": _SHRINKING, "CHK-H2": _ALL,
+    "CHK-H3": _STEADY, "CHK-H3s": _SHRINKING, "CHK-H4": _STEADY,
+    "CHK-H4s": _SHRINKING, "CHK-H4t": _ALL,
+    "CHK-L1": _STEADY_SYSTEM, "CHK-L2": _SHRINKING, "CHK-R1": _ALL,
+    "CHK-R2": _STEADY_SYSTEM, "CHK-S1": _ALL, "CHK-S2": _ALL,
+    "CHK-S3": _CIGARS + ("flat_steady_linear",),
+}
+
+
+def test_applies_to_pinned():
+    # derived from the soliton flags; the derivation must move no pair
+    assert {cid: spec.applies_to for cid, spec in REGISTRY.items()} == APPLIES_TO
+    assert sum(len(names) for names in APPLIES_TO.values()) == 102
+
+
 def test_rel_residual_conventions():
     one = np.ones(3)
     assert np.allclose(rel_residual([one, -one]), 0.0)

@@ -147,11 +147,16 @@ def test_grid_unknown_scenario_exit_two(capsys):
     ("grid", "--sizes", "64", "32"),
     ("grid", "--sizes", "32", "32"),
     ("grid", "CHK-B2", "--sizes", "32", "32", "--format", "json"),
+    ("check", "CHK-NOPE"),
+    ("check", "CHK-S1", "--soliton", "nope"),
+    ("grid", "CHK-S1"),
 ])
 def test_bad_input_exit_two_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    # the message itself: str() of a KeyError is its repr, in quotes
+    assert err[len("error: ")] != '"' and err.rstrip("\n")[-1] != '"', err
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "0", "-0.0", "nan", "inf", "-inf"])
@@ -216,3 +221,23 @@ def test_version_flag(capsys):
         main(["--version"])
     assert e.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    src = os.path.dirname(os.path.dirname(harnacklab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from harnacklab.cli import main; "
+             "sys.exit(main(['list']))"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr, \
+        proc.stderr

@@ -77,31 +77,26 @@ def test_trig_fields_deterministic_and_nonconstant():
 
 def test_trig_vector_time_linear():
     ctx = build_context("cigar_flow", n_points=5, order=4)
-    x, dxdt = fields.trig_vector(ctx, 2, "X", time_linear=True)
+    x = fields.trig_vector(ctx, 2, "X", time_linear=True)
     for i in range(2):
-        gap = ctx.dt(x[i]) - dxdt[i]
-        assert _maxabs(gap) < 1e-13
-        assert _maxabs(ctx.dt(dxdt[i])) == 0.0
+        # X = A + t B, so dX/dt is the B part and d^2X/dt^2 vanishes
+        b = fields.trig_scalar(ctx, 2, f"X.B[{i}]", amplitude=0.5)
+        assert _maxabs(ctx.dt(x[i]) - b) < 1e-13
+        assert _maxabs(ctx.dt(ctx.dt(x[i]))) == 0.0
+    static = fields.trig_vector(ctx, 2, "X")
+    assert all(_maxabs(ctx.dt(static[i])) == 0.0 for i in range(2))
 
 
-def test_make_perturbation_kinds():
+def test_propagate_sym2_solves_lichnerowicz_flow():
     ctx = build_context("cigar_flow", n_points=5, order=4)
-    ric = fields.make_perturbation(ctx, "ricci")
-    assert ric is ctx.chart.ricci
-    met = fields.make_perturbation(ctx, "metric")
-    for i in range(2):
-        for j in range(2):
-            assert met[i, j] is ctx.chart.g[i, j]
-    static = fields.make_perturbation(ctx, "static", seed=4)
+    static = fields.trig_sym2(ctx, 4, "h")
     assert all(_maxabs(ctx.dt(static[i, j])) == 0.0
                for i in range(2) for j in range(2))
-    prop = fields.make_perturbation(ctx, "propagated", seed=4)
+    prop = fields.propagate_sym2(ctx, static)
     lich = geo.lichnerowicz_laplacian(ctx.chart, prop)
     for i in range(2):
         for j in range(2):
             assert _maxabs(ctx.dt(prop[i, j]) - lich[i, j]) < 1e-10
-    with pytest.raises(ValueError):
-        fields.make_perturbation(ctx, "nope")
 
 
 def test_propagated_ricci_is_a_fixed_point():

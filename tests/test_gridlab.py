@@ -19,7 +19,7 @@ def test_partial_fourth_order():
     assert 12.0 < ratio < 20.0  # ~2^4 between halvings
 
 
-def test_gridfield_arithmetic_and_fieldmath():
+def test_gridfield_arithmetic():
     grid = TorusGrid(16)
     a = GridField(np.full((16, 16), 4.0), grid.dx)
     b = grid.field(2.0)
@@ -27,10 +27,6 @@ def test_gridfield_arithmetic_and_fieldmath():
     assert np.all((1.0 + a - 5.0).values == 0.0)
     assert np.all((2.0 / b).values == 1.0)
     assert np.all((-b).values == -2.0)
-    from harnacklab import fieldmath
-    assert np.allclose(fieldmath.fsqrt(a).values, 2.0)
-    assert np.allclose(fieldmath.flog(fieldmath.fexp(b)).values, 2.0)
-    assert np.allclose(fieldmath.fpowr(a, 0.5).values, 2.0)
 
 
 def test_geometry_runs_on_gridfields():
@@ -38,12 +34,11 @@ def test_geometry_runs_on_gridfields():
     # the closed form -2 e^{-2u} (flat laplacian of u) to stencil accuracy
     grid = TorusGrid(96)
     u = GridField(0.05 * np.sin(grid.x + 2.0 * grid.y), grid.dx)
-    from harnacklab import fieldmath
-    conf = fieldmath.fexp(2.0 * u)
+    conf = GridField(np.exp(2.0 * u.values), grid.dx)
     zero = grid.zero()
     ch = geo.MetricChart([[conf, zero], [zero, conf]])
     lap0 = u.partial(0).partial(0) + u.partial(1).partial(1)
-    want = -2.0 * fieldmath.fexp(-2.0 * u) * lap0
+    want = -2.0 * GridField(np.exp(-2.0 * u.values), grid.dx) * lap0
     gap = np.max(np.abs(ch.scalar_curvature.values - want.values))
     assert gap < 1e-5
 
