@@ -1,0 +1,7 @@
+"""``python -m harnacklab``: the command line front end (see ``cli``)."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

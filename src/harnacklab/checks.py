@@ -17,6 +17,12 @@ Identities whose terms vanish individually on the check's chart (the vanishing
 brackets of the evolution identity on a steady soliton) are normalized by the
 sums of |atomic factor products| instead, which stays bounded away from zero
 whenever the underlying curvature does.
+
+A ``CheckSpec`` states a check's identity, the predicate on ``SolitonSpec``
+that picks the jet charts it applies to, and ``context``: the keywords of
+``build_context`` it needs beyond (chart, seed, n_points, order), which only
+CHK-R1 uses. ``run_check`` builds that context, inside the timed region, and
+hands it to the runner, which returns {part name: per-point residual}.
 """
 
 import time
@@ -108,8 +114,10 @@ class CheckSpec:
     check_id: str
     statement: str
     applies: object = field(repr=False, compare=False)  # SolitonSpec -> bool
-    runner: object = field(repr=False, compare=False, default=None)
+    runner: object = field(repr=False, compare=False)  # SolitonContext -> parts
     tolerance: float = DEFAULT_TOLERANCE
+    # keyword arguments of build_context beyond (name, seed, n_points, order)
+    context: dict = field(default_factory=dict, compare=False)
     applies_to: tuple = field(init=False)
 
     def __post_init__(self):
@@ -134,17 +142,10 @@ class CheckReport:
     point_residuals: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "soliton": self.soliton,
-            "n_points": self.n_points,
-            "max_rel_residual": self.max_rel_residual,
-            "median_rel_residual": self.median_rel_residual,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "millis": self.millis,
-            "parts": self.parts,
-        }
+        """Every field but the seed, which a document states once, and the
+        per-point residuals, which only CSV output carries."""
+        return {k: v for k, v in vars(self).items()
+                if k not in ("seed", "point_residuals")}
 
 
 def _sym2_terms(n, pairs):
@@ -158,10 +159,10 @@ def _sym2_terms(n, pairs):
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns {part_name: per-point residual array}
+# runners: each takes the SolitonContext that run_check builds for it and
+# returns {part_name: per-point residual array}
 
-def _run_s1(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_s1(ctx):
     ch = ctx.chart
     n = ch.n
     hf = geo.hessian(ch, ctx.f)
@@ -178,8 +179,7 @@ def _run_s1(name, seed, n_points, order):
     return parts
 
 
-def _run_s2(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_s2(ctx):
     ch = ctx.chart
     r = ch.scalar_curvature
     df = geo.differential(ch, ctx.f)
@@ -200,11 +200,10 @@ def _run_s2(name, seed, n_points, order):
     return parts
 
 
-def _run_s3(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_s3(ctx):
     ch = ctx.chart
     df = geo.differential(ch, ctx.f)
-    one = ctx.space.constant(np.ones(n_points))
+    one = ctx.space.constant(np.ones(ctx.n_points))
     return {
         "normalization": rel_residual(
             [ch.scalar_curvature, geo.inner_vec(ch, df, df), -one]),
@@ -213,8 +212,7 @@ def _run_s3(name, seed, n_points, order):
     }
 
 
-def _run_h1(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_h1(ctx):
     ch = ctx.chart
     m = hk.matrix_harnack(ch)
     p = hk.p_tensor(ch)
@@ -230,8 +228,7 @@ def _run_h1(name, seed, n_points, order):
     return {"matrix_harnack_potential": tensor_residual(out)}
 
 
-def _run_h2(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_h2(ctx):
     ch = ctx.chart
     n = ch.n
     p = hk.p_tensor(ch)
@@ -247,8 +244,7 @@ def _run_h2(name, seed, n_points, order):
         out, extra_scale=_nabla_ricci_atom_scale(ch))}
 
 
-def _run_h3(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_h3(ctx):
     ch = ctx.chart
     gf = geo.gradient(ch, ctx.f)
     lap_gf = geo.rough_laplacian(ch, gf)
@@ -263,8 +259,7 @@ def _run_h3(name, seed, n_points, order):
     return {"potential_gradient_evolution": tensor_residual(out)}
 
 
-def _run_h4(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_h4(ctx):
     ch = ctx.chart
     terms = hk.linear_trace_terms(ch, ch.ricci, fields.neg_grad_potential(ctx))
     if ctx.spec.kind == "shrinking":
@@ -272,10 +267,9 @@ def _run_h4(name, seed, n_points, order):
     return {"trace_harnack_soliton": rel_residual(terms)}
 
 
-def _run_h4t(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_h4t(ctx):
     ch = ctx.chart
-    x = fields.trig_vector(ctx, seed, "h4t.X")
+    x = fields.trig_vector(ctx, ctx.seed, "h4t.X")
     zt = [2.0 * t for t in hk.linear_trace_terms(ch, ch.ricci, x)]
     tr = hk.trace_harnack_terms(ch, x)
     return {"trace_form": rel_residual(tr + [-t for t in zt])}
@@ -287,11 +281,10 @@ def _heat_terms(ctx, pieces):
     return [ctx.dt(z) for z in pieces] + [-geo.laplacian(ch, z) for z in pieces]
 
 
-def _run_eq1(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_eq1(ctx):
     ch = ctx.chart
-    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, seed, "h"))
-    x = fields.trig_vector(ctx, seed, "eq1.X", time_linear=True)
+    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, ctx.seed, "h"))
+    x = fields.trig_vector(ctx, ctx.seed, "eq1.X", time_linear=True)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
     lhs = _heat_terms(ctx, hk.linear_trace_terms(ch, h, x))
     rhs = hk.evolution_rhs_terms(ch, h, x, dxdt)
@@ -317,7 +310,6 @@ def _eq1_vanishing_brackets(ctx):
         return np.abs(field_data(e))
 
     hup = geo.raise_sym2(ch, h)
-    m = hk.matrix_harnack(ch)
     p = hk.p_tensor(ch)
     low = ch.riem_low
     mixed = geo.mixed_ricci(ch)
@@ -371,17 +363,15 @@ def _eq1_vanishing_brackets(ctx):
     }
 
 
-def _run_l1(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
-    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, seed, "h"))
+def _run_l1(ctx):
+    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, ctx.seed, "h"))
     pieces = hk.linear_trace_terms(ctx.chart, h, fields.neg_grad_potential(ctx))
     return {"heat_equation": rel_residual(_heat_terms(ctx, pieces))}
 
 
-def _run_l2(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_l2(ctx):
     ch = ctx.chart
-    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, seed, "h"))
+    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, ctx.seed, "h"))
     zp = hk.linear_trace_terms(ch, h, fields.neg_grad_potential(ctx))
     bigh = geo.trace_sym2(ch, h)
     pieces = zp + [bigh / (2.0 * ctx.t)]
@@ -397,10 +387,9 @@ def _run_l2(name, seed, n_points, order):
     }
 
 
-def _run_r1(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order, time="const", deform=True)
+def _run_r1(ctx):
     ch0 = ctx.chart
-    h = fields.trig_sym2(ctx, seed, "r1.h")
+    h = fields.trig_sym2(ctx, ctx.seed, "r1.h")
     bigh = geo.trace_sym2(ch0, h)
     gs = [[ch0.g[i, j] + ctx.s * h[i, j] for j in range(ch0.n)]
           for i in range(ch0.n)]
@@ -418,8 +407,7 @@ def _run_r1(name, seed, n_points, order):
     return parts
 
 
-def _run_r2(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_r2(ctx):
     ch = ctx.chart
 
     def residual(f):
@@ -428,7 +416,7 @@ def _run_r2(name, seed, n_points, order):
         rhs = -2.0 * hk.soliton_defect_norm2(ch, f) * (-f).exp()
         return rel_residual(lhs + [-rhs])
 
-    f0 = fields.trig_scalar(ctx, seed, "r2.f0", base=0.5)
+    f0 = fields.trig_scalar(ctx, ctx.seed, "r2.f0", base=0.5)
     fprop = fields.propagate_scalar(ctx, f0, fields.rhs_conjugate_potential, q=1)
     parts = {"generic_potential": residual(fprop)}
     if ctx.spec.potential_time_rule == "grad2":
@@ -436,32 +424,29 @@ def _run_r2(name, seed, n_points, order):
     return parts
 
 
-def _log_solution(ctx, seed, eps):
-    u0 = fields.trig_scalar(ctx, seed, "b.u0", amplitude=0.3).exp()
+def _log_solution(ctx, eps):
+    u0 = fields.trig_scalar(ctx, ctx.seed, "b.u0", amplitude=0.3).exp()
     u = fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps), q=1)
     return u.log()
 
 
-def _run_b1(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_b1(ctx):
     ch = ctx.chart
     u = ctx.f.exp()
     return {"potential_solution": rel_residual(
         [ctx.dt(u), -geo.laplacian(ch, u), -ch.scalar_curvature * u])}
 
 
-def _run_b2(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
-    v = _log_solution(ctx, seed, 1.0)
+def _run_b2(ctx):
+    v = _log_solution(ctx, 1.0)
     lhs = hk.l_eps_terms(ctx.chart, ctx.dt, v, hk.log_q(ctx.chart, v), 1.0)
     rhs = hk.lq_production_terms(ctx.chart, v, ctx.f)
     return {"log_laplacian_evolution": rel_residual(lhs + [-t for t in rhs])}
 
 
-def _run_b3(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_b3(ctx):
     ch = ctx.chart
-    v = _log_solution(ctx, seed, 1.0)
+    v = _log_solution(ctx, 1.0)
     dv = geo.differential(ch, v)
     w = geo.inner_vec(ch, dv, dv) + ch.scalar_curvature
     lhs = hk.l_eps_terms(ch, ctx.dt, v, w, 1.0)
@@ -469,19 +454,17 @@ def _run_b3(name, seed, n_points, order):
     return {"gradient_energy_evolution": rel_residual(lhs + [-t for t in rhs])}
 
 
-def _run_b4(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_b4(ctx):
     ch = ctx.chart
-    v = _log_solution(ctx, seed, 1.0)
+    v = _log_solution(ctx, 1.0)
     lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)
     rhs = hk.lp_production_terms(ch, v, ctx.f)
     return {"harnack_evolution": rel_residual(lhs + [-t for t in rhs])}
 
 
-def _run_b5(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_b5(ctx):
     ch = ctx.chart
-    v = _log_solution(ctx, seed, 1.0)
+    v = _log_solution(ctx, 1.0)
     q = field_data(hk.log_q(ch, v))
     lp = field_data(sum(
         hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)))
@@ -490,21 +473,19 @@ def _run_b5(name, seed, n_points, order):
             np.maximum(bound - lp, 0.0) / (np.abs(bound) + np.abs(lp) + _FLOOR)}
 
 
-def _run_b6(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_b6(ctx):
     ch = ctx.chart
     parts = {}
     for eps in _EPS_SET:
-        v = _log_solution(ctx, seed, eps)
+        v = _log_solution(ctx, eps)
         lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, eps), eps)
         rhs = hk.leps_production_terms(ch, v, ctx.f, eps)
         parts[f"eps({eps:g})"] = rel_residual(lhs + [-t for t in rhs])
     return parts
 
 
-def _run_b7(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
-    v = fields.trig_scalar(ctx, seed, "b7.v", base=0.2)
+def _run_b7(ctx):
+    v = fields.trig_scalar(ctx, ctx.seed, "b7.v", base=0.2)
     parts = {}
     for eps in _EPS_SET:
         lhs, rhs = hk.ricci_terms_rewrite(ctx.chart, ctx.chart.ricci, v,
@@ -513,10 +494,9 @@ def _run_b7(name, seed, n_points, order):
     return parts
 
 
-def _run_b8(name, seed, n_points, order):
-    ctx = build_context(name, seed, n_points, order)
+def _run_b8(ctx):
     ch = ctx.chart
-    v = _log_solution(ctx, seed, -1.0)
+    v = _log_solution(ctx, -1.0)
     lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, -1.0), -1.0)
     diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, geo.hessian(ch, v))
     rhs1 = -geo.inner_sym2(ch, diff, diff)
@@ -599,7 +579,7 @@ def _make_registry():
             "under dg/ds = h, df/ds = H/2: "
             "d/ds (R + 2 Lap f - |grad f|^2) = Z(h, -grad f) - 2<h, Rc + Hess f>, "
             "and the weighted measure e^{-f} dvol is stationary",
-            _any, _run_r1),
+            _any, _run_r1, context={"time": "const", "deform": True}),
         CheckSpec(
             "CHK-R2",
             "V = (2 Lap f - |grad f|^2 + R) e^{-f} satisfies "
@@ -676,7 +656,8 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
                            STATUS_SKIPPED, None, None, 0.0)
     t0 = time.perf_counter()
     try:
-        parts = spec.runner(soliton, seed, n_points, order)
+        parts = spec.runner(
+            build_context(soliton, seed, n_points, order, **spec.context))
     except JetOrderError as e:
         raise JetOrderError(
             f"jet order {order} is too low for {check_id} on {soliton} ({e})") from e

@@ -76,6 +76,12 @@ def _args_error(args) -> str | None:
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
         return f"--tolerance must be a finite number > 0, got {tolerance}"
+    output = getattr(args, "output", None)
+    if output is not None:
+        # a writable file, or a new one in a writable directory
+        target = output if os.path.exists(output) else os.path.dirname(output) or "."
+        if os.path.isdir(output) or not os.access(target, os.W_OK):
+            return f"--output must name a writable file, got {output}"
     return None
 
 
@@ -142,6 +148,8 @@ def _grid_rows_csv(reports) -> str:
 
 
 def _cmd_list(args) -> int:
+    if (bad := _args_error(args)):
+        return _usage_error(bad)
     if args.format == "json":
         payload = {
             "version": __version__,

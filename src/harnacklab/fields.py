@@ -1,7 +1,8 @@
 """Auxiliary fields on a soliton chart and evolution-constrained jets.
 
 Random fields are trigonometric polynomials with seeded coefficients, so they
-are globally smooth on every chart and reproducible from (seed, tag).
+are globally smooth on every chart and reproducible from (seed, tag). The
+grid route samples the same draws (``trig_params``) on its torus.
 
 The propagation helpers turn a time-independent jet into the jet of the
 solution of an evolution equation d(field)/dt = RHS(field) through the Taylor
@@ -34,19 +35,27 @@ def strip_time(ctx: SolitonContext, u: Jet) -> Jet:
     return Jet(ctx.space, coeffs, u.order)
 
 
-def trig_scalar(ctx: SolitonContext, seed: int, tag: str,
-                amplitude: float = 0.4, base: float = 0.0) -> Jet:
-    """Seeded trigonometric polynomial in the spatial coordinates."""
-    rng = stream(seed, "scalar:" + tag)
-    x, y = ctx.x, ctx.y
-    out = ctx.space.constant(np.full(ctx.n_points, base))
+def trig_params(seed: int, tag: str, amplitude: float = 0.4) -> list:
+    """The terms a sin(wx x + wy y + phase) of a trig polynomial, as three
+    (a, wx, wy, phase), drawn from stream(seed, tag) alone: no chart or grid
+    enters the draw, so each samples the same function."""
+    rng = stream(seed, tag)
+    out = []
     for _ in range(3):
         a = amplitude * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
         wx, wy = 0, 0
         while wx == 0 and wy == 0:
             wx, wy = (int(w) for w in rng.integers(-2, 3, size=2))
-        phase = rng.uniform(0.0, 2 * np.pi)
-        out = out + a * (wx * x + wy * y + phase).sin()
+        out.append((a, wx, wy, rng.uniform(0.0, 2 * np.pi)))
+    return out
+
+
+def trig_scalar(ctx: SolitonContext, seed: int, tag: str,
+                amplitude: float = 0.4, base: float = 0.0) -> Jet:
+    """Seeded trigonometric polynomial in the spatial coordinates."""
+    out = ctx.space.constant(np.full(ctx.n_points, base))
+    for a, wx, wy, phase in trig_params(seed, "scalar:" + tag, amplitude):
+        out = out + a * (wx * ctx.x + wy * ctx.y + phase).sin()
     return out
 
 
@@ -91,19 +100,20 @@ def rhs_linear_heat(eps: float):
 
 
 def _fill_time_degree(ctx: SolitonContext, coeffs: np.ndarray,
-                      rhs_coeffs: np.ndarray, r: int, m: int):
+                      rhs_coeffs: np.ndarray, r: int, q: int):
+    """Fill the t-degree r + 1 coefficients from the RHS's t-degree r ones,
+    for spatial degree at most order - q."""
     space = ctx.space
     et = space.exponents[:, ctx.time_index]
     spatial = space.degrees - et
-    src = np.nonzero((et == r) & (spatial <= m)
+    src = np.nonzero((et == r) & (spatial <= space.order - q)
                      & (space.degrees <= space.order - 1))[0]
     bumped = space.exponents[src].copy()
     bumped[:, ctx.time_index] += 1
     coeffs[space.lookup(bumped)] = rhs_coeffs[src] / (r + 1)
 
 
-def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1,
-                     m: int | None = None) -> Jet:
+def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1) -> Jet:
     """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0.
 
     Only time exponents 1..q are filled; coefficients with a higher time
@@ -114,18 +124,16 @@ def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1,
         raise ValueError("propagation requires a context with a time variable")
     if q < 1:
         raise ValueError("need at least one time degree (q >= 1)")
-    if m is None:
-        m = ctx.space.order - q
     u = strip_time(ctx, u0)  # a fresh copy, filled in place below
     for r in range(q):
         rhs = rhs_fn(ctx, u)
-        _fill_time_degree(ctx, u.coeffs, rhs.coeffs, r, m)
+        _fill_time_degree(ctx, u.coeffs, rhs.coeffs, r, q)
         u = Jet(ctx.space, u.coeffs, min(u.order, rhs.order + 1))
     return u
 
 
-def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue, q: int = 1,
-                   m: int | None = None) -> geo.TensorValue:
+def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue,
+                   q: int = 1) -> geo.TensorValue:
     """Jet of the solution of d h/dt = Lichnerowicz(h) with initial slice h0.
 
     Same time-exponent contract as propagate_scalar: at most q derivatives
@@ -133,8 +141,6 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue, q: int = 1,
     """
     if ctx.time_index is None:
         raise ValueError("propagation requires a context with a time variable")
-    if m is None:
-        m = ctx.space.order - q
     n = ctx.chart.n
     upper = [(i, j) for i in range(n) for j in range(i + 1)]
     h = geo.sym2_from(lambda i, j: strip_time(ctx, h0[i, j]), n)
@@ -143,7 +149,7 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue, q: int = 1,
         order = min(min(rhs[ij].order for ij in upper) + 1,
                     min(h[ij].order for ij in upper))
         for ij in upper:
-            _fill_time_degree(ctx, h[ij].coeffs, rhs[ij].coeffs, r, m)
+            _fill_time_degree(ctx, h[ij].coeffs, rhs[ij].coeffs, r, q)
             h[ij].order = order
     return h
 

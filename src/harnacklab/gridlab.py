@@ -29,12 +29,12 @@ operands as slices of one wrap-padded copy, in the order of the formula.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry as geo, harnack as hk
-from .solitons import stream
+from .fields import trig_params
 
 CFL_FACTOR = 0.2
 SLICE_SPACING_FACTOR = 0.1
@@ -145,30 +145,10 @@ class TorusGrid:
         ticks = np.arange(n) * self.dx
         self.x, self.y = np.meshgrid(ticks, ticks, indexing="ij")
 
-    def field(self, values) -> GridField:
-        return GridField(np.broadcast_to(values, (self.n, self.n)).astype(float),
-                         self.dx)
-
-    def zero(self) -> GridField:
-        return GridField(np.zeros((self.n, self.n)), self.dx)
-
-
-def trig_params(seed: int, tag: str, n_terms: int = 3, amplitude: float = 0.4,
-                max_freq: int = 2) -> list:
-    """Frequency/phase draws for a bandlimited trig polynomial. Drawing is
-    independent of any grid, so every resolution samples the same function."""
-    rng = stream(seed, "grid:" + tag)
-    out = []
-    for _ in range(n_terms):
-        a = amplitude * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
-        wx, wy = 0, 0
-        while wx == 0 and wy == 0:
-            wx, wy = (int(w) for w in rng.integers(-max_freq, max_freq + 1, size=2))
-        out.append((a, wx, wy, rng.uniform(0.0, 2 * np.pi)))
-    return out
-
 
 def eval_trig(grid: TorusGrid, params: list, base: float = 0.0) -> GridField:
+    """Sample ``fields.trig_params`` terms on the grid. The scenarios draw
+    them under ``"grid:" + tag``; every resolution sees the same function."""
     vals = np.full((grid.n, grid.n), base)
     for a, wx, wy, phase in params:
         vals = vals + a * np.sin(wx * grid.x + wy * grid.y + phase)
@@ -250,28 +230,27 @@ def _flat_chart() -> geo.MetricChart:
     return geo.MetricChart([[1.0, 0.0], [0.0, 1.0]])
 
 
-def _chart_from_state(grid: TorusGrid, state: dict) -> geo.MetricChart:
-    g00 = GridField(state["g00"], grid.dx)
-    g01 = GridField(state["g01"], grid.dx)
-    g11 = GridField(state["g11"], grid.dx)
-    return geo.MetricChart([[g00, g01], [g01, g11]])
-
+# A symmetric 2-tensor is kept in the state as its upper triangle: key
+# prefix + "00", "01", "11". sym2_from calls (i, j) with j <= i.
 
 def _sym2_from_state(grid: TorusGrid, state: dict, prefix: str) -> geo.TensorValue:
-    comps = np.empty((2, 2), dtype=object)
-    comps[0, 0] = GridField(state[prefix + "00"], grid.dx)
-    comps[0, 1] = comps[1, 0] = GridField(state[prefix + "01"], grid.dx)
-    comps[1, 1] = GridField(state[prefix + "11"], grid.dx)
-    return geo.TensorValue(2, 0, comps)
+    return geo.sym2_from(
+        lambda i, j: GridField(state[f"{prefix}{j}{i}"], grid.dx), 2)
+
+
+def _state_from_sym2(prefix: str, t: geo.TensorValue) -> dict:
+    return {f"{prefix}{j}{i}": t[j, i].values
+            for i in range(2) for j in range(i + 1)}
+
+
+def _chart_from_state(grid: TorusGrid, state: dict) -> geo.MetricChart:
+    return geo.MetricChart(_sym2_from_state(grid, state, "g").comps)
 
 
 def _perturbation_state(grid: TorusGrid, seed: int, tag: str,
                         amplitude: float) -> dict:
-    return {
-        f"{tag}00": eval_trig(grid, trig_params(seed, f"{tag}00", amplitude=amplitude)).values,
-        f"{tag}01": eval_trig(grid, trig_params(seed, f"{tag}01", amplitude=amplitude)).values,
-        f"{tag}11": eval_trig(grid, trig_params(seed, f"{tag}11", amplitude=amplitude)).values,
-    }
+    return _state_from_sym2(tag, geo.sym2_from(lambda i, j: eval_trig(
+        grid, trig_params(seed, f"grid:{tag}{j}{i}", amplitude)), 2))
 
 
 def _scenario_l1(n: int, seed: int) -> tuple:
@@ -282,9 +261,7 @@ def _scenario_l1(n: int, seed: int) -> tuple:
 
     def deriv(state):
         h = _sym2_from_state(grid, state, "h")
-        lich = geo.lichnerowicz_laplacian(chart, h)
-        return {f"h{i}{j}": lich[int(i), int(j)].values
-                for i, j in ("00", "01", "11")}
+        return _state_from_sym2("h", geo.lichnerowicz_laplacian(chart, h))
 
     state0 = _perturbation_state(grid, seed, "h", 0.4)
     slices, _, tau = evolve_slices(grid, state0, deriv, T_STAR)
@@ -307,8 +284,7 @@ def _scenario_b2(n: int, seed: int) -> tuple:
         u = GridField(state["u"], grid.dx)
         return {"u": geo.laplacian(chart, u).values}
 
-    params = trig_params(seed, "b2.u0", amplitude=0.3)
-    state0 = {"u": np.exp(eval_trig(grid, params).values)}
+    state0 = {"u": np.exp(eval_trig(grid, trig_params(seed, "grid:b2.u0", 0.3)).values)}
     slices, _, tau = evolve_slices(grid, state0, deriv, T_STAR, positive=("u",))
     qs = [hk.log_q(chart, GridField(np.log(s["u"]), grid.dx))
           for s in slices]
@@ -334,24 +310,15 @@ def _scenario_eq1(n: int, seed: int) -> tuple:
     def deriv(state):
         chart = _chart_from_state(grid, state)
         h = _sym2_from_state(grid, state, "h")
-        ric = chart.ricci
-        lich = geo.lichnerowicz_laplacian(chart, h)
-        out = {}
-        for i, j in ("00", "01", "11"):
-            out[f"g{i}{j}"] = -2.0 * ric[int(i), int(j)].values
-            out[f"h{i}{j}"] = lich[int(i), int(j)].values
-        return out
+        flow = _state_from_sym2("g", chart.ricci)
+        return {**{k: -2.0 * v for k, v in flow.items()},
+                **_state_from_sym2("h", geo.lichnerowicz_laplacian(chart, h))}
 
-    state0 = _perturbation_state(grid, seed, "h", 0.4)
-    gpert = _perturbation_state(grid, seed + 1, "g", 0.12)
-    state0["g00"] = 1.0 + gpert["g00"]
-    state0["g01"] = gpert["g01"]
-    state0["g11"] = 1.0 + gpert["g11"]
-
-    a_params = [trig_params(seed, f"eq1.A[{i}]", amplitude=0.5) for i in range(2)]
-    b_params = [trig_params(seed, f"eq1.B[{i}]", amplitude=0.5) for i in range(2)]
-    a = [eval_trig(grid, p) for p in a_params]
-    b = [eval_trig(grid, p) for p in b_params]
+    g = _perturbation_state(grid, seed + 1, "g", 0.12)
+    state0 = {**_perturbation_state(grid, seed, "h", 0.4), **g,
+              "g00": 1.0 + g["g00"], "g11": 1.0 + g["g11"]}
+    a, b = ([eval_trig(grid, trig_params(seed, f"grid:eq1.{v}[{i}]", 0.5))
+             for i in range(2)] for v in "AB")
 
     slices, times, tau = evolve_slices(grid, state0, deriv, T_STAR)
     zs = []
@@ -401,18 +368,10 @@ class ConvergenceReport:
     millis: float
 
     def to_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "soliton": self.soliton,
-            "grid_sizes": list(self.grid_sizes),
-            "residuals": list(self.residuals),
-            "pairwise_orders": list(self.pairwise_orders),
-            "fitted_order": self.fitted_order,
-            "order_band": [self.order_band[0], self.order_band[1]],
-            "status": self.status,
-            "t_star": self.t_star,
-            "millis": self.millis,
-        }
+        """Every field but the seed, which a document states once; tuples
+        become lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in vars(self).items() if k != "seed"}
 
 
 def run_grid_check(check_id: str, seed: int = 0,

@@ -110,6 +110,28 @@ def test_run_check_pass_and_report_shape():
                          "tolerance"]
 
 
+def test_run_check_builds_each_context_with_one_call_shape(monkeypatch):
+    # build_context is an lru_cache: its key changes with the call's shape
+    # (positional or keyword, keyword order), so a caller that pre-builds
+    # contexts must be able to match it.
+    calls = []
+    build = checks.build_context
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "build_context", spy)
+    ran = [r for r in run_suite(seed=2, n_points=2, order=5)
+           if r.status != checks.STATUS_SKIPPED]
+    assert len(ran) == len(calls) == 102
+    r1 = {"time": "const", "deform": True}
+    for rep, (args, kwargs) in zip(ran, calls):
+        assert args == (rep.soliton, 2, 2, 5)
+        want = r1 if rep.check_id == "CHK-R1" else {}
+        assert list(kwargs.items()) == list(want.items())
+
+
 def test_impossible_tolerance_fails_honestly():
     rep = run_check("CHK-S1", "cigar_static", n_points=4, order=4,
                     tolerance=1e-300)

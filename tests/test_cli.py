@@ -106,6 +106,22 @@ def test_check_output_file(tmp_path, capsys):
     assert doc["reports"][0]["status"] == "pass"
 
 
+@pytest.mark.parametrize("command", [
+    ("list",), ("check", "CHK-S1", "--points", "2"), ("grid", "CHK-L1")])
+@pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+def test_unwritable_output_exit_two_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("checks ran")
+    monkeypatch.setattr(harnacklab.checks, "run_suite", no_work)
+    monkeypatch.setattr(harnacklab.gridlab, "run_grid_check", no_work)
+    target = tmp_path / "nope" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(capsys, *command, "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --output") and err.count("\n") == 1, err
+
+
 def test_grid_csv_and_exit(capsys):
     code, out, _ = run_cli(capsys, "grid", "CHK-L1", "--sizes", "32", "64",
                            "--format", "csv")
@@ -204,16 +220,29 @@ def test_json_doc_writes_non_finite_as_null_and_fails_the_report():
     assert doc["checks"][1]["status"] == "pass"
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def _child_env():
+    """The environment of a child interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(harnacklab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, harnacklab; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _child_env()
+    proc = subprocess.run([sys.executable, "-m", "harnacklab", "list"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("solitons:")
 
 
 def test_version_flag(capsys):
@@ -224,9 +253,7 @@ def test_version_flag(capsys):
 
 
 def test_closed_stdout_exits_one_without_traceback():
-    src = os.path.dirname(os.path.dirname(harnacklab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)  # no reader is left before the child writes
     try:

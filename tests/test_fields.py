@@ -137,3 +137,13 @@ def test_neg_grad_potential_is_contravariant_negative_gradient():
     grad = geo.raise_vector(ctx.chart, geo.differential(ctx.chart, ctx.f))
     for i in range(2):
         assert _maxabs(x[i] + grad[i]) < 1e-13
+
+
+def test_trig_params_pinned():
+    # every jet and grid residual depends on these draws
+    want = [("0x1.173cb7df1b765p-2", -2, -2, "0x1.e437b533728a0p+1"),
+            ("0x1.5c3d519ab0d28p-2", 1, -2, "0x1.9173e37776ba6p+0"),
+            ("-0x1.683a4328e999fp-2", -2, -1, "0x1.7bd46f54164e2p+1")]
+    got = [(float(a).hex(), wx, wy, float(phase).hex())
+           for a, wx, wy, phase in fields.trig_params(0, "scalar:u")]
+    assert got == want
