@@ -85,8 +85,14 @@ def _args_error(args) -> str | None:
     return None
 
 
-def _config_dict(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _emit(args, doc: dict, text: str, csv_text: str | None = None):
+    """Write the command's result in ``args.format``: ``doc`` as JSON, with
+    the package version added, ``csv_text`` as CSV, or else ``text``."""
+    if args.format == "json":
+        text = _json_doc({"version": __version__} | doc)
+    elif args.format == "csv":
+        text = csv_text
+    _write(text, args.output)
 
 
 def _check_rows_text(reports) -> str:
@@ -150,21 +156,17 @@ def _grid_rows_csv(reports) -> str:
 def _cmd_list(args) -> int:
     if (bad := _args_error(args)):
         return _usage_error(bad)
-    if args.format == "json":
-        payload = {
-            "version": __version__,
-            "solitons": {name: {"kind": spec.kind,
-                                "description": spec.description,
-                                "grid_only": spec.grid_only}
-                         for name, spec in CATALOG.items()},
-            "checks": {cid: {"statement": spec.statement,
-                             "tolerance": spec.tolerance,
-                             "applies_to": list(spec.applies_to)}
-                       for cid, spec in checks.REGISTRY.items()},
-            "grid_checks": list(gridlab.GRID_CHECKS),
-        }
-        _write(_json_doc(payload), args.output)
-        return 0
+    doc = {
+        "solitons": {name: {"kind": spec.kind,
+                            "description": spec.description,
+                            "grid_only": spec.grid_only}
+                     for name, spec in CATALOG.items()},
+        "checks": {cid: {"statement": spec.statement,
+                         "tolerance": spec.tolerance,
+                         "applies_to": list(spec.applies_to)}
+                   for cid, spec in checks.REGISTRY.items()},
+        "grid_checks": list(gridlab.GRID_CHECKS),
+    }
     lines = ["solitons:"]
     for name, spec in CATALOG.items():
         suffix = " (grid only)" if spec.grid_only else ""
@@ -174,7 +176,7 @@ def _cmd_list(args) -> int:
         spec = checks.REGISTRY[cid]
         grid = " [grid]" if cid in gridlab.GRID_CHECKS else ""
         lines.append(f"  {cid:<9} tol={spec.tolerance:.0e}{grid}  {spec.statement}")
-    _write("\n".join(lines), args.output)
+    _emit(args, doc, "\n".join(lines))
     return 0
 
 
@@ -191,18 +193,11 @@ def _cmd_check(args) -> int:
             n_points=args.points, order=args.order, tolerance=args.tolerance)
     except (checks.UnknownCheckError, UnknownSolitonError, JetOrderError) as e:
         return _usage_error(e.args[0])
-    if args.format == "json":
-        payload = {
-            "version": __version__,
-            "seed": args.seed,
-            "config": _config_dict(args, ("points", "order", "tolerance")),
-            "reports": [r.to_dict() for r in reports],
-        }
-        _write(_json_doc(payload), args.output)
-    elif args.format == "csv":
-        _write(_check_rows_csv(reports), args.output)
-    else:
-        _write(_check_rows_text(reports), args.output)
+    doc = {"seed": args.seed,
+           "config": {"points": args.points, "order": args.order,
+                      "tolerance": args.tolerance},
+           "reports": [r.to_dict() for r in reports]}
+    _emit(args, doc, _check_rows_text(reports), _check_rows_csv(reports))
     return 1 if any(r.status == checks.STATUS_FAIL for r in reports) else 0
 
 
@@ -216,18 +211,9 @@ def _cmd_grid(args) -> int:
                    for c in check_ids]
     except (KeyError, ValueError) as e:
         return _usage_error(e.args[0])
-    if args.format == "json":
-        payload = {
-            "version": __version__,
-            "seed": args.seed,
-            "config": {"sizes": list(sizes)},
-            "reports": [r.to_dict() for r in reports],
-        }
-        _write(_json_doc(payload), args.output)
-    elif args.format == "csv":
-        _write(_grid_rows_csv(reports), args.output)
-    else:
-        _write(_grid_rows_text(reports), args.output)
+    doc = {"seed": args.seed, "config": {"sizes": list(sizes)},
+           "reports": [r.to_dict() for r in reports]}
+    _emit(args, doc, _grid_rows_text(reports), _grid_rows_csv(reports))
     return 0 if all(r.status == gridlab.STATUS_PASS for r in reports) else 1
 
 
@@ -243,24 +229,19 @@ def _cmd_report(args) -> int:
     ran = [r for r in srep if r.status != checks.STATUS_SKIPPED]
     n_fail = (sum(r.status == checks.STATUS_FAIL for r in srep)
               + sum(r.status != gridlab.STATUS_PASS for r in grep))
-    if args.format == "json":
-        payload = {
-            "version": __version__,
-            "seed": args.seed,
-            "config": _config_dict(args, ("points", "order")),
-            "checks": [r.to_dict() for r in srep],
-            "grid": [r.to_dict() for r in grep],
-            "summary": {
-                "checks_run": len(ran),
-                "checks_skipped": len(srep) - len(ran),
-                "failures": n_fail,
-            },
-        }
-        _write(_json_doc(payload), args.output)
-    else:
-        text = (_check_rows_text(srep) + "\n\n" + _grid_rows_text(grep)
-                + f"\n\ntotal failures: {n_fail}")
-        _write(text, args.output)
+    doc = {
+        "seed": args.seed,
+        "config": {"points": args.points, "order": args.order},
+        "checks": [r.to_dict() for r in srep],
+        "grid": [r.to_dict() for r in grep],
+        "summary": {
+            "checks_run": len(ran),
+            "checks_skipped": len(srep) - len(ran),
+            "failures": n_fail,
+        },
+    }
+    _emit(args, doc, _check_rows_text(srep) + "\n\n" + _grid_rows_text(grep)
+          + f"\n\ntotal failures: {n_fail}")
     return 1 if n_fail else 0
 
 
