@@ -15,8 +15,10 @@ residual hiding in a small component is not masked by a large one.
 
 Identities whose terms vanish individually on the check's chart (the vanishing
 brackets of the evolution identity on a steady soliton) are normalized by the
-sums of |atomic factor products| instead, which stays bounded away from zero
-whenever the underlying curvature does.
+sum of |atom products| instead, where an atom is an input's value or the
+partial of one. That sum is not written out here: it is the identity's own
+term builder evaluated on ``geometry.Magnitude`` inputs, and it stays bounded
+away from zero whenever the underlying curvature does.
 
 A ``CheckSpec`` states a check's identity, the predicate on ``SolitonSpec``
 that picks the jet charts it applies to, and ``context``: the keywords of
@@ -91,22 +93,13 @@ def tensor_residual(term_lists, extra_scale=None) -> np.ndarray:
 
 
 def _nabla_ricci_atom_scale(chart) -> np.ndarray:
-    """Pre-cancellation magnitude of computing grad Rc: |d Rc| plus the
-    |Gamma * Rc| correction atoms, summed over components. This is the scale
-    against which the roundoff of any grad-Rc-built quantity is measured."""
-    n = chart.n
-    ric = chart.ricci
-    gam = chart.christoffels
-    out = _FLOOR
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                atoms = np.abs(field_data(chart.d(ric[p, q], i)))
-                for k in range(n):
-                    atoms = atoms + np.abs(field_data(gam[k, i, p] * ric[k, q])) \
-                        + np.abs(field_data(gam[k, i, q] * ric[p, k]))
-                out = out + atoms
-    return out
+    """Pre-cancellation magnitude of computing grad Rc: its atoms (|partials
+    of Rc| and |Gamma| * |Rc|) summed over components, which is
+    ``covariant_derivative`` on magnitudes. This is the scale against which
+    the roundoff of any grad-Rc-built quantity is measured."""
+    dric = geo.covariant_derivative(geo.MagnitudeChart(chart),
+                                    geo.magnitudes(chart.ricci))
+    return sum((c.values for c in dric.comps.flat), _FLOOR)
 
 
 @dataclass(frozen=True)
@@ -269,7 +262,7 @@ def _run_h4(ctx):
 
 def _run_h4t(ctx):
     ch = ctx.chart
-    x = fields.trig_vector(ctx, ctx.seed, "h4t.X")
+    x = fields.trig_vector(ctx, "h4t.X")
     zt = [2.0 * t for t in hk.linear_trace_terms(ch, ch.ricci, x)]
     tr = hk.trace_harnack_terms(ch, x)
     return {"trace_form": rel_residual(tr + [-t for t in zt])}
@@ -283,8 +276,8 @@ def _heat_terms(ctx, pieces):
 
 def _run_eq1(ctx):
     ch = ctx.chart
-    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, ctx.seed, "h"))
-    x = fields.trig_vector(ctx, ctx.seed, "eq1.X", time_linear=True)
+    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"))
+    x = fields.trig_vector(ctx, "eq1.X", time_linear=True)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
     lhs = _heat_terms(ctx, hk.linear_trace_terms(ch, h, x))
     rhs = hk.evolution_rhs_terms(ch, h, x, dxdt)
@@ -297,81 +290,29 @@ def _run_eq1(ctx):
 def _eq1_vanishing_brackets(ctx):
     """On a steady soliton with h = Ric, X = -grad f, each of the four groups
     on the right of the evolution identity vanishes. Each group is normalized
-    by the sum of |atomic factor products| so the residual cannot divide by a
-    quantity that itself vanishes on the soliton."""
+    by the same group evaluated on the magnitudes of its inputs, so the
+    residual cannot divide by a quantity that itself vanishes on the soliton."""
     ch = ctx.chart
-    n = ch.n
-    h = ch.ricci
     x = fields.neg_grad_potential(ctx)
-    dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), n, con=True)
-    brackets = hk.evolution_rhs_terms(ch, h, x, dxdt)
-
-    def a(e):
-        return np.abs(field_data(e))
-
-    hup = geo.raise_sym2(ch, h)
-    p = hk.p_tensor(ch)
-    low = ch.riem_low
-    mixed = geo.mixed_ricci(ch)
-    lap_ric = geo.rough_laplacian(ch, ch.ricci)
-    hess_r = geo.hessian(ch, ch.scalar_curvature)
-    ric_up = geo.raise_sym2(ch, ch.ricci)
-    den1 = _FLOOR
-    for pp in range(n):
-        for q in range(n):
-            m_atoms = a(lap_ric[pp, q]) + 0.5 * a(hess_r[pp, q]) \
-                + sum(2.0 * a(low[pp, i, j, q] * ric_up[i, j])
-                      for i in range(n) for j in range(n)) \
-                + sum(a(ch.ricci[pp, k] * mixed[k, q]) for k in range(n))
-            px = sum(2.0 * a(p[i, pp, q] * x[i]) for i in range(n))
-            rxx = sum(a(low[pp, i, j, q] * x[i] * x[j])
-                      for i in range(n) for j in range(n))
-            den1 = den1 + 2.0 * a(hup[pp, q]) * (m_atoms + px + rxx)
-
-    divh = geo.divergence_sym2(ch, h)
-    hx = geo.vector_from(lambda i: sum(h[i, k] * x[k] for k in range(n)), n)
-    dx = geo.covariant_derivative(ch, x)
-    d_divh = geo.covariant_derivative(ch, divh)
-    d_hx = geo.covariant_derivative(ch, hx)
-    den2 = _FLOOR
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                den2 = den2 + 4.0 * (a(dx.comps[j, i]) + a(mixed[i, j])) \
-                    * a(ch.ginv[j, l]) * (a(d_divh.comps[l, i]) + a(d_hx.comps[l, i]))
-
-    lap_x = geo.rough_laplacian(ch, x)
-    den3 = _FLOOR
-    for j in range(n):
-        w_atoms = a(divh[j]) + a(hx[j])
-        v_atoms = a(dxdt[j]) + a(lap_x[j]) \
-            + sum(a(mixed[j, k] * x[k]) for k in range(n))
-        den3 = den3 + 2.0 * w_atoms * v_atoms
-
-    den4 = _FLOOR
-    for i in range(n):
-        for j in range(n):
-            for pp in range(n):
-                for l in range(n):
-                    den4 = den4 + 2.0 * a(h[i, j]) \
-                        * (a(dx.comps[pp, i]) + a(mixed[i, pp])) * a(ch.ginv[pp, l]) \
-                        * (a(dx.comps[l, j]) + a(mixed[j, l]))
-
-    return {
-        f"vanishing_bracket_{k + 1}": np.abs(field_data(brackets[k])) / den
-        for k, den in zip(range(4), [den1, den2, den3, den4])
-    }
+    dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
+    inputs = hk.evolution_rhs_inputs(ch, ch.ricci, x, dxdt)
+    brackets = hk.evolution_rhs_groups(ch, **inputs)
+    scales = hk.evolution_rhs_groups(
+        geo.MagnitudeChart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
+    return {f"vanishing_bracket_{k + 1}":
+            np.abs(field_data(b)) / (_FLOOR + field_data(s))
+            for k, (b, s) in enumerate(zip(brackets, scales))}
 
 
 def _run_l1(ctx):
-    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, ctx.seed, "h"))
+    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"))
     pieces = hk.linear_trace_terms(ctx.chart, h, fields.neg_grad_potential(ctx))
     return {"heat_equation": rel_residual(_heat_terms(ctx, pieces))}
 
 
 def _run_l2(ctx):
     ch = ctx.chart
-    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, ctx.seed, "h"))
+    h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"))
     zp = hk.linear_trace_terms(ch, h, fields.neg_grad_potential(ctx))
     bigh = geo.trace_sym2(ch, h)
     pieces = zp + [bigh / (2.0 * ctx.t)]
@@ -389,7 +330,7 @@ def _run_l2(ctx):
 
 def _run_r1(ctx):
     ch0 = ctx.chart
-    h = fields.trig_sym2(ctx, ctx.seed, "r1.h")
+    h = fields.trig_sym2(ctx, "r1.h")
     bigh = geo.trace_sym2(ch0, h)
     gs = [[ch0.g[i, j] + ctx.s * h[i, j] for j in range(ch0.n)]
           for i in range(ch0.n)]
@@ -416,7 +357,7 @@ def _run_r2(ctx):
         rhs = -2.0 * hk.soliton_defect_norm2(ch, f) * (-f).exp()
         return rel_residual(lhs + [-rhs])
 
-    f0 = fields.trig_scalar(ctx, ctx.seed, "r2.f0", base=0.5)
+    f0 = fields.trig_scalar(ctx, "r2.f0", base=0.5)
     fprop = fields.propagate_scalar(ctx, f0, fields.rhs_conjugate_potential, q=1)
     parts = {"generic_potential": residual(fprop)}
     if ctx.spec.potential_time_rule == "grad2":
@@ -425,7 +366,7 @@ def _run_r2(ctx):
 
 
 def _log_solution(ctx, eps):
-    u0 = fields.trig_scalar(ctx, ctx.seed, "b.u0", amplitude=0.3).exp()
+    u0 = fields.trig_scalar(ctx, "b.u0", amplitude=0.3).exp()
     u = fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps), q=1)
     return u.log()
 
@@ -485,7 +426,7 @@ def _run_b6(ctx):
 
 
 def _run_b7(ctx):
-    v = fields.trig_scalar(ctx, ctx.seed, "b7.v", base=0.2)
+    v = fields.trig_scalar(ctx, "b7.v", base=0.2)
     parts = {}
     for eps in _EPS_SET:
         lhs, rhs = hk.ricci_terms_rewrite(ctx.chart, ctx.chart.ricci, v,

@@ -85,13 +85,16 @@ def _args_error(args) -> str | None:
     return None
 
 
-def _emit(args, doc: dict, text: str, csv_text: str | None = None):
+def _emit(args, doc: dict, text: str, csv_rows: list | None = None):
     """Write the command's result in ``args.format``: ``doc`` as JSON, with
-    the package version added, ``csv_text`` as CSV, or else ``text``."""
+    the package version added, ``csv_rows`` (header first) as CSV, or else
+    ``text``."""
     if args.format == "json":
         text = _json_doc({"version": __version__} | doc)
     elif args.format == "csv":
-        text = csv_text
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        text = buf.getvalue()
     _write(text, args.output)
 
 
@@ -115,16 +118,10 @@ def _check_rows_text(reports) -> str:
     return "\n".join(lines)
 
 
-def _check_rows_csv(reports) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["check_id", "soliton", "point_index", "residual"])
-    for r in reports:
-        if r.point_residuals is None:
-            continue
-        for i, v in enumerate(r.point_residuals):
-            w.writerow([r.check_id, r.soliton, i, repr(float(v))])
-    return buf.getvalue()
+def _check_rows_csv(reports) -> list:
+    return [["check_id", "soliton", "point_index", "residual"]] + [
+        [r.check_id, r.soliton, i, repr(float(v))] for r in reports
+        if r.point_residuals is not None for i, v in enumerate(r.point_residuals)]
 
 
 def _grid_rows_text(reports) -> str:
@@ -141,16 +138,12 @@ def _grid_rows_text(reports) -> str:
     return "\n".join(lines)
 
 
-def _grid_rows_csv(reports) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["check_id", "n", "residual", "observed_order"])
-    for r in reports:
-        # the order observed between a row's n and the previous size
-        orders = [""] + [repr(float(p)) for p in r.pairwise_orders]
-        for n, res, order in zip(r.grid_sizes, r.residuals, orders):
-            w.writerow([r.check_id, n, repr(float(res)), order])
-    return buf.getvalue()
+def _grid_rows_csv(reports) -> list:
+    # a row's order is the one observed between its n and the previous size
+    return [["check_id", "n", "residual", "observed_order"]] + [
+        [r.check_id, n, repr(float(res)), order] for r in reports
+        for n, res, order in zip(r.grid_sizes, r.residuals,
+                                 [""] + [repr(float(p)) for p in r.pairwise_orders])]
 
 
 def _cmd_list(args) -> int:
@@ -267,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--points", type=int, default=32)
     pc.add_argument("--order", type=int, default=6)
-    pc.add_argument("--tolerance", type=float, default=None)
+    pc.add_argument("--tolerance", type=float, default=None,
+                    help="pass threshold for every check run (default: each "
+                         f"check's own); a value above {checks.TOLERANCE_CAP:g} "
+                         "is lowered to it, and each report states the "
+                         "tolerance applied")
     pc.add_argument("--format", choices=_FORMATS, default="text")
     pc.add_argument("--output", default=None)
     pc.set_defaults(fn=_cmd_check)

@@ -50,33 +50,32 @@ def trig_params(seed: int, tag: str, amplitude: float = 0.4) -> list:
     return out
 
 
-def trig_scalar(ctx: SolitonContext, seed: int, tag: str,
-                amplitude: float = 0.4, base: float = 0.0) -> Jet:
-    """Seeded trigonometric polynomial in the spatial coordinates."""
+def trig_scalar(ctx: SolitonContext, tag: str, amplitude: float = 0.4,
+                base: float = 0.0) -> Jet:
+    """Trigonometric polynomial in x, y drawn from (ctx.seed, tag)."""
     out = ctx.space.constant(np.full(ctx.n_points, base))
-    for a, wx, wy, phase in trig_params(seed, "scalar:" + tag, amplitude):
+    for a, wx, wy, phase in trig_params(ctx.seed, "scalar:" + tag, amplitude):
         out = out + a * (wx * ctx.x + wy * ctx.y + phase).sin()
     return out
 
 
-def trig_sym2(ctx: SolitonContext, seed: int, tag: str,
-              amplitude: float = 0.4) -> geo.TensorValue:
+def trig_sym2(ctx: SolitonContext, tag: str, amplitude: float = 0.4) -> geo.TensorValue:
     return geo.sym2_from(
-        lambda i, j: trig_scalar(ctx, seed, f"{tag}[{i}{j}]", amplitude),
+        lambda i, j: trig_scalar(ctx, f"{tag}[{i}{j}]", amplitude),
         ctx.chart.n)
 
 
-def trig_vector(ctx: SolitonContext, seed: int, tag: str,
-                amplitude: float = 0.5, time_linear: bool = False):
+def trig_vector(ctx: SolitonContext, tag: str, amplitude: float = 0.5,
+                time_linear: bool = False):
     """Contravariant vector field X = A(x,y), or X = A(x,y) + t*B(x,y) when
     ``time_linear`` (so dX/dt = B exactly)."""
     n = ctx.chart.n
     a = geo.vector_from(
-        lambda i: trig_scalar(ctx, seed, f"{tag}.A[{i}]", amplitude), n, con=True)
+        lambda i: trig_scalar(ctx, f"{tag}.A[{i}]", amplitude), n, con=True)
     if not time_linear:
         return a
     b = geo.vector_from(
-        lambda i: trig_scalar(ctx, seed, f"{tag}.B[{i}]", amplitude), n, con=True)
+        lambda i: trig_scalar(ctx, f"{tag}.B[{i}]", amplitude), n, con=True)
     return geo.vector_from(lambda i: a[i] + ctx.t * b[i], n, con=True)
 
 

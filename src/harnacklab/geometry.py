@@ -224,6 +224,62 @@ def _det_obj(m: np.ndarray):
     return _acc(_cofactor(m, 0, j) * m[0, j] for j in range(m.shape[0]))
 
 
+class Magnitude:
+    """Pointwise |value| of an element, to size a computation rather than do
+    it (running error analysis): + and - add, * multiplies, and a plain
+    number scales by its absolute value. ``Magnitude.of(elem)`` makes an
+    input. The partial of an input, or of a sum of inputs, is the sum of their
+    |partials|, so a sum that cancels keeps the size of its summands'
+    derivatives; a product has no partial."""
+
+    def __init__(self, values, sources=None):
+        self.values = values
+        self.sources = sources  # the summed inputs; None once a product enters
+
+    @classmethod
+    def of(cls, elem) -> "Magnitude":
+        return cls(np.abs(field_data(elem)), (elem,))
+
+    def partial(self, v: int) -> "Magnitude":
+        if self.sources is None:
+            raise TypeError("a product of magnitudes has no partial")
+        return _acc(Magnitude.of(s.partial(v)) for s in self.sources)
+
+    def __add__(self, other):
+        both = self.sources is not None and other.sources is not None
+        return Magnitude(self.values + other.values,
+                         self.sources + other.sources if both else None)
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, Magnitude):
+            return Magnitude(self.values * other.values)
+        return Magnitude(abs(other) * self.values)
+
+    __rmul__ = __mul__
+
+
+def magnitudes(t):
+    """Magnitude.of every component of a TensorValue or an object array."""
+    if isinstance(t, TensorValue):
+        return TensorValue(t.cov, t.con, magnitudes(t.comps))
+    return np.frompyfunc(Magnitude.of, 1, 1)(t)
+
+
+class MagnitudeChart:
+    """|g^{ij}| and |Gamma^k_ij| of a chart: ``covariant_derivative`` of a
+    tensor of Magnitudes runs on it unchanged and gives, per component, its
+    |partial| plus the |Gamma| * |component| products."""
+
+    def __init__(self, chart):
+        self.n, self.partial_map = chart.n, chart.partial_map
+        self.ginv = magnitudes(chart.ginv)
+        self.christoffels = magnitudes(chart.christoffels)
+
+    d = MetricChart.d
+
+
 def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
     """Levi-Civita covariant derivative; the new covariant axis comes first.
 

@@ -7,7 +7,10 @@ reaction terms below rely on.
 
 Most functions return a *list of terms* rather than their sum: identity checks
 normalize the defect of an identity by the sum of the magnitudes of its finest
-additive pieces, so the term structure is part of the contract.
+additive pieces, so the term structure is part of the contract. The evolution
+identity's right side is split into its inputs and the algebra over them, so
+the normalizer of each group is derived from that one algebra, run on the
+inputs' magnitudes, rather than written a second time.
 """
 
 import numpy as np
@@ -16,21 +19,26 @@ from . import geometry as geo
 from .geometry import _acc
 
 
-def matrix_harnack(chart) -> geo.TensorValue:
-    """M_pq = Lap R_pq - (1/2) grad_p grad_q R + 2 riem[p,i,j,q] R^{ij} - R_pk R^k_q."""
-    n = chart.n
+def _curvature_inputs(chart) -> dict:
     ric = chart.ricci
-    lap_ric = geo.rough_laplacian(chart, ric)
-    hess_r = geo.hessian(chart, chart.scalar_curvature)
-    ric_up = geo.raise_sym2(chart, ric)
-    mixed = geo.mixed_ricci(chart)
-    low = chart.riem_low
+    return {"ric": ric, "low": chart.riem_low, "mixed": geo.mixed_ricci(chart),
+            "ric_up": geo.raise_sym2(chart, ric),
+            "lap_ric": geo.rough_laplacian(chart, ric),
+            "hess_r": geo.hessian(chart, chart.scalar_curvature)}
+
+
+def _matrix_harnack(n, ric, low, mixed, ric_up, lap_ric, hess_r) -> geo.TensorValue:
     return geo.sym2_from(
         lambda p, q: lap_ric[p, q] - 0.5 * hess_r[p, q]
         + 2.0 * _acc(low[p, i, j, q] * ric_up[i, j]
                      for i in range(n) for j in range(n))
         - _acc(ric[p, k] * mixed[k, q] for k in range(n)),
         n)
+
+
+def matrix_harnack(chart) -> geo.TensorValue:
+    """M_pq = Lap R_pq - (1/2) grad_p grad_q R + 2 riem[p,i,j,q] R^{ij} - R_pk R^k_q."""
+    return _matrix_harnack(chart.n, **_curvature_inputs(chart))
 
 
 def p_tensor(chart) -> geo.TensorValue:
@@ -86,13 +94,32 @@ def evolution_rhs_terms(chart, h: geo.TensorValue, x: geo.TensorValue,
     for the coupled system (Ricci flow, Lichnerowicz flow for h). ``dxdt`` is
     the coordinate time derivative of the components of X.
     """
-    n = chart.n
-    hup = geo.raise_sym2(chart, h)
-    m = matrix_harnack(chart)
-    p = p_tensor(chart)
-    low = chart.riem_low
-    mixed = geo.mixed_ricci(chart)
+    return evolution_rhs_groups(chart, **evolution_rhs_inputs(chart, h, x, dxdt))
 
+
+def evolution_rhs_inputs(chart, h: geo.TensorValue, x: geo.TensorValue,
+                         dxdt: geo.TensorValue) -> dict:
+    """The tensors the groups are built from, by name; M enters as its pieces."""
+    n = chart.n
+    return _curvature_inputs(chart) | {
+        "h": h, "x": x, "dxdt": dxdt,
+        "hup": geo.raise_sym2(chart, h),
+        "p": p_tensor(chart),
+        "divh": geo.divergence_sym2(chart, h),
+        "hx": geo.vector_from(lambda i: _acc(h[i, k] * x[k] for k in range(n)), n),
+        "dx": geo.covariant_derivative(chart, x),    # dx[j][^i] = grad_j X^i
+        "lap_x": geo.rough_laplacian(chart, x),
+    }
+
+
+def evolution_rhs_groups(chart, h, x, dxdt, hup, p, divh, hx, dx, lap_x,
+                         ric, low, mixed, ric_up, lap_ric, hess_r) -> list:
+    """The four groups from :func:`evolution_rhs_inputs`. On a chart they are
+    values; on a ``geo.MagnitudeChart`` with ``geo.magnitudes`` of the same
+    inputs, each is its group's sum of |atom products|, an atom being an
+    input's value or the partial of one."""
+    n = chart.n
+    m = _matrix_harnack(n, ric, low, mixed, ric_up, lap_ric, hess_r)
     term1 = 2.0 * _acc(
         hup[pp, q] * (m[pp, q]
                       + 2.0 * _acc(p[i, pp, q] * x[i] for i in range(n))
@@ -100,16 +127,14 @@ def evolution_rhs_terms(chart, h: geo.TensorValue, x: geo.TensorValue,
                              for i in range(n) for j in range(n)))
         for pp in range(n) for q in range(n))
 
-    divh = geo.divergence_sym2(chart, h)
-    w = geo.vector_from(
-        lambda i: divh[i] + _acc(h[i, k] * x[k] for k in range(n)), n)
-    dx = geo.covariant_derivative(chart, x)    # dx[j][^i] = grad_j X^i
+    # w is formed here so that a magnitude of grad w keeps both summands'
+    # partials, also where w = div h + hX itself vanishes
+    w = geo.vector_from(lambda i: divh[i] + hx[i], n)
     dw = geo.covariant_derivative(chart, w)    # dw[j][i]  = grad_j w_i
     term2 = -4.0 * _acc(
         (dx.comps[j, i] - mixed[i, j]) * chart.ginv[j, l] * dw.comps[l, i]
         for i in range(n) for j in range(n) for l in range(n))
 
-    lap_x = geo.rough_laplacian(chart, x)
     term3 = 2.0 * _acc(
         w[j] * (dxdt[j] - lap_x[j] - _acc(mixed[j, k] * x[k] for k in range(n)))
         for j in range(n))

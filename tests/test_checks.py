@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from harnacklab import checks
+from harnacklab import checks, fields, geometry as geo, harnack as hk
 from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, UnknownCheckError,
                                rel_residual, run_check, run_suite,
                                tensor_residual)
-from harnacklab.solitons import CATALOG, UnknownSolitonError
+from harnacklab.geometry import field_data
+from harnacklab.solitons import CATALOG, UnknownSolitonError, build_context
 
 ALL_IDS = [
     "CHK-B1", "CHK-B2", "CHK-B3", "CHK-B4", "CHK-B5", "CHK-B6", "CHK-B7",
@@ -184,6 +185,62 @@ def test_vanishing_brackets_reported_on_steady_flows():
         assert f"vanishing_bracket_{k}" in rep.parts
     rep2 = run_check("CHK-EQ1", "sphere_shrinker", n_points=6, order=5)
     assert "vanishing_bracket_1" not in rep2.parts
+
+
+# The parent's hand-written atom lists on cigar_flow (seed 0, 4 points): the
+# four bracket normalizers and the grad-Rc scale, recorded before the
+# normalizers were derived from the evolution identity's term builder.
+_PINNED_BRACKET_SCALES = [
+    ["0x1.ee5d0e6034ba0p-4", "0x1.89007a01f8fc4p-4", "0x1.99eaf65a13764p-5",
+     "0x1.20a1398cc1dacp-3"],
+    ["0x1.22e1bab04e388p-3", "0x1.890d859940dacp-4", "0x1.dbdc79b6a409fp-5",
+     "0x1.687fed480e53dp-3"],
+    ["0x1.3ee7f5447066ap-4", "0x1.06005156a5fd4p-4", "0x1.0f99237971595p-5",
+     "0x1.6e32674572735p-4"],
+    ["0x1.702ad1e94a676p-6", "0x1.05e63a28163edp-6", "0x1.5dff596e286a1p-8",
+     "0x1.d6376b0b115d8p-6"]]
+_PINNED_NABLA_RICCI_SCALE = [
+    "0x1.fa8ec09c5ff36p-2", "0x1.013748c3aa070p+0", "0x1.f6f26e48a80acp-3",
+    "0x1.7011f88c4611cp-2"]
+
+
+def _hex_array(values):
+    return np.array([float.fromhex(v) for v in values])
+
+
+def test_derived_normalizers_match_the_hand_written_atoms():
+    ctx = build_context("cigar_flow", 0, 4, 6)
+    ch = ctx.chart
+    x = fields.neg_grad_potential(ctx)
+    dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
+    brackets = hk.evolution_rhs_terms(ch, ch.ricci, x, dxdt)
+    parts = checks._eq1_vanishing_brackets(ctx)
+    for k, pinned in enumerate(_PINNED_BRACKET_SCALES):
+        num = np.abs(field_data(brackets[k]))
+        got = parts[f"vanishing_bracket_{k + 1}"]
+        if k == 1:
+            # bracket 2's atoms are now the partials of div h and hX and
+            # their Christoffel products, not the whole covariant derivatives
+            ratio = (num / got) / _hex_array(pinned)
+            assert np.all((ratio >= 1.0) & (ratio <= 4.0)), ratio
+        else:
+            assert np.array_equal(got, num / _hex_array(pinned)), k + 1
+    got = checks._nabla_ricci_atom_scale(ch)
+    want = _hex_array(_PINNED_NABLA_RICCI_SCALE)
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert np.all(ulps <= 4), ulps
+
+
+@pytest.mark.parametrize("soliton", ["cigar_flow", "cigar_flow_v2"])
+def test_bracket_normalizers_do_not_swamp_a_defect(soliton, monkeypatch):
+    # X = -grad f + 0.05 trig is no soliton field, so no bracket vanishes
+    ctx = build_context(soliton, 0, 8, 6)
+    x0 = fields.neg_grad_potential(ctx)
+    bump = fields.trig_vector(ctx, "defect")
+    x = geo.vector_from(lambda i: x0[i] + 0.05 * bump[i], ctx.chart.n, con=True)
+    monkeypatch.setattr(fields, "neg_grad_potential", lambda _: x)
+    for part, res in checks._eq1_vanishing_brackets(ctx).items():
+        assert np.max(res) > 1e-5, (part, np.max(res))
 
 
 def test_eps_family_parts():

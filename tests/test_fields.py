@@ -28,7 +28,7 @@ def test_heat_propagation_matches_closed_form():
 
 def test_propagation_solves_its_equation():
     ctx = build_context("cigar_flow", n_points=6, order=5)
-    u0 = fields.trig_scalar(ctx, 3, "u")
+    u0 = fields.trig_scalar(ctx, "u")
     u = fields.propagate_scalar(ctx, u0, fields.rhs_heat, q=2)
     gap = ctx.dt(u) - geo.laplacian(ctx.chart, u)
     # pointwise defect: every coefficient the value touches sits in the
@@ -38,8 +38,8 @@ def test_propagation_solves_its_equation():
 
 def test_propagation_is_linear():
     ctx = build_context("flat_torus", n_points=5, order=5)
-    a = fields.trig_scalar(ctx, 1, "a")
-    b = fields.trig_scalar(ctx, 2, "b")
+    a = fields.trig_scalar(ctx, "a")
+    b = fields.trig_scalar(ctx, "b")
     pa = fields.propagate_scalar(ctx, a, fields.rhs_heat, q=2)
     pb = fields.propagate_scalar(ctx, b, fields.rhs_heat, q=2)
     pab = fields.propagate_scalar(ctx, a + 2.0 * b, fields.rhs_heat, q=2)
@@ -66,9 +66,9 @@ def test_strip_time():
 
 def test_trig_fields_deterministic_and_nonconstant():
     ctx = build_context("cigar_static", n_points=8, order=4)
-    a = fields.trig_scalar(ctx, 5, "w")
-    b = fields.trig_scalar(ctx, 5, "w")
-    c = fields.trig_scalar(ctx, 5, "other")
+    a = fields.trig_scalar(ctx, "w")
+    b = fields.trig_scalar(ctx, "w")
+    c = fields.trig_scalar(ctx, "other")
     assert np.array_equal(a.coeffs, b.coeffs)
     assert not np.array_equal(a.coeffs, c.coeffs)
     grad_sq = a.partial(0) * a.partial(0) + a.partial(1) * a.partial(1)
@@ -77,19 +77,19 @@ def test_trig_fields_deterministic_and_nonconstant():
 
 def test_trig_vector_time_linear():
     ctx = build_context("cigar_flow", n_points=5, order=4)
-    x = fields.trig_vector(ctx, 2, "X", time_linear=True)
+    x = fields.trig_vector(ctx, "X", time_linear=True)
     for i in range(2):
         # X = A + t B, so dX/dt is the B part and d^2X/dt^2 vanishes
-        b = fields.trig_scalar(ctx, 2, f"X.B[{i}]", amplitude=0.5)
+        b = fields.trig_scalar(ctx, f"X.B[{i}]", amplitude=0.5)
         assert _maxabs(ctx.dt(x[i]) - b) < 1e-13
         assert _maxabs(ctx.dt(ctx.dt(x[i]))) == 0.0
-    static = fields.trig_vector(ctx, 2, "X")
+    static = fields.trig_vector(ctx, "X")
     assert all(_maxabs(ctx.dt(static[i])) == 0.0 for i in range(2))
 
 
 def test_propagate_sym2_solves_lichnerowicz_flow():
     ctx = build_context("cigar_flow", n_points=5, order=4)
-    static = fields.trig_sym2(ctx, 4, "h")
+    static = fields.trig_sym2(ctx, "h")
     assert all(_maxabs(ctx.dt(static[i, j])) == 0.0
                for i in range(2) for j in range(2))
     prop = fields.propagate_sym2(ctx, static)
@@ -115,7 +115,7 @@ def test_propagated_ricci_is_a_fixed_point():
 
 def test_rhs_linear_heat_reduces_to_heat_plus_reaction():
     ctx = build_context("cigar_flow", n_points=5, order=4)
-    u = fields.trig_scalar(ctx, 7, "u")
+    u = fields.trig_scalar(ctx, "u")
     a = fields.rhs_linear_heat(1.0)(ctx, u)
     b = fields.rhs_heat(ctx, u) + ctx.chart.scalar_curvature * u
     assert _maxabs(a - b) < 1e-13

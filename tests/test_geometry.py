@@ -220,3 +220,31 @@ def test_covariant_derivative_prepends_axis():
     manual = ch.d(v[1], 0) + sum(ch.christoffels[1, 0, p] * v[p]
                                  for p in range(2))
     assert _maxabs(dv.comps[0, 1] - manual) < 1e-13
+
+
+def test_magnitude_arithmetic():
+    x, y = _coords()
+    u, v = x - 1.0, x * y
+    a, b = geo.Magnitude.of(u), geo.Magnitude.of(v)
+    au, av = np.abs(field_data(u)), np.abs(field_data(v))
+    assert np.array_equal((a + b).values, au + av)
+    assert np.array_equal((a - b).values, au + av)  # differences add
+    assert np.array_equal((a * b).values, au * av)
+    assert np.array_equal((-3.0 * a).values, 3.0 * au)
+    assert np.array_equal((a * -0.5).values, 0.5 * au)
+
+
+def test_magnitude_partial_of_inputs_and_their_sums():
+    x, y = _coords()
+    u, v = x * y, (x - y).sin()
+    a, b = geo.Magnitude.of(u), geo.Magnitude.of(v)
+    assert np.array_equal(a.partial(0).values, np.abs(field_data(u.partial(0))))
+    # a sum of inputs keeps its summands apart under differentiation
+    want = np.abs(field_data(u.partial(1))) + np.abs(field_data(v.partial(1)))
+    assert np.array_equal((a - b).partial(1).values, want)
+    # so a sum that cancels still has the size of its summands' partials
+    cancel = geo.Magnitude.of(u) + geo.Magnitude.of(-1.0 * u)
+    assert np.all(cancel.partial(0).values > 0.0)
+    for product in (a * b, 2.0 * a, a + a * b):
+        with pytest.raises(TypeError):
+            product.partial(0)

@@ -143,7 +143,7 @@ def test_l_eps_operator_terms():
 
 def test_box_star_terms_sum():
     ctx = build_context("cigar_flow", n_points=5, order=5)
-    u = fields.trig_scalar(ctx, 11, "u") * (-0.3 * ctx.t).exp()
+    u = fields.trig_scalar(ctx, "u") * (-0.3 * ctx.t).exp()
     total = sum(hk.box_star_terms(ctx.chart, ctx.dt, u))
     manual = -ctx.dt(u) - geo.laplacian(ctx.chart, u) \
         + ctx.chart.scalar_curvature * u
@@ -163,7 +163,7 @@ def test_ricci_rewrite_any_symmetric_tensor(eps):
 
 def test_leps_production_reduces_to_lp_at_eps_one():
     ctx = build_context("cigar_flow_v2", n_points=6, order=5)
-    v = fields.trig_scalar(ctx, 9, "v")
+    v = fields.trig_scalar(ctx, "v")
     a = sum(hk.leps_production_terms(ctx.chart, v, ctx.f, 1.0))
     b = sum(hk.lp_production_terms(ctx.chart, v, ctx.f))
     assert _maxabs(a - b) < 1e-11
