@@ -187,9 +187,9 @@ def test_vanishing_brackets_reported_on_steady_flows():
     assert "vanishing_bracket_1" not in rep2.parts
 
 
-# The parent's hand-written atom lists on cigar_flow (seed 0, 4 points): the
-# four bracket normalizers and the grad-Rc scale, recorded before the
-# normalizers were derived from the evolution identity's term builder.
+# The four bracket normalizers and the grad-Rc scale on cigar_flow (seed 0,
+# 4 points) as hand-written lists of |atom products| computed them, before
+# the normalizers were derived from the evolution identity's term builder.
 _PINNED_BRACKET_SCALES = [
     ["0x1.ee5d0e6034ba0p-4", "0x1.89007a01f8fc4p-4", "0x1.99eaf65a13764p-5",
      "0x1.20a1398cc1dacp-3"],
