@@ -65,12 +65,9 @@ _grad2 = _where(kind="steady", potential_time_rule="grad2")
 
 
 def rel_residual(terms) -> np.ndarray:
-    """Per-point relative residual of a list of signed scalar terms."""
-    arrs = [np.broadcast_to(field_data(t), np.broadcast_shapes(
-        *(field_data(u).shape for u in terms))) for t in terms]
-    num = np.abs(sum(arrs))
-    den = sum(np.abs(a) for a in arrs) + _FLOOR
-    return num / den
+    """Per-point relative residual of a list of signed scalar terms: a
+    tensor identity with one component."""
+    return tensor_residual([terms])
 
 
 def tensor_residual(term_lists, extra_scale=None) -> np.ndarray:
@@ -279,23 +276,26 @@ def _run_eq1(ctx):
     h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"))
     x = fields.trig_vector(ctx, "eq1.X", time_linear=True)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
+    curvature = hk.chart_inputs(ch)
     lhs = _heat_terms(ctx, hk.linear_trace_terms(ch, h, x))
-    rhs = hk.evolution_rhs_terms(ch, h, x, dxdt)
+    rhs = hk.evolution_rhs_groups(ch, **curvature,
+                                  **hk.field_inputs(ch, h, x, dxdt))
     parts = {"evolution_identity": rel_residual(lhs + [-t for t in rhs])}
     if ctx.spec.kind == "steady":
-        parts.update(_eq1_vanishing_brackets(ctx))
+        parts.update(_eq1_vanishing_brackets(ctx, curvature))
     return parts
 
 
-def _eq1_vanishing_brackets(ctx):
+def _eq1_vanishing_brackets(ctx, curvature):
     """On a steady soliton with h = Ric, X = -grad f, each of the four groups
-    on the right of the evolution identity vanishes. Each group is normalized
+    on the right of the evolution identity vanishes. ``curvature`` is
+    ``hk.chart_inputs`` of the context's chart. Each group is normalized
     by the same group evaluated on the magnitudes of its inputs, so the
     residual cannot divide by a quantity that itself vanishes on the soliton."""
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    inputs = hk.evolution_rhs_inputs(ch, ch.ricci, x, dxdt)
+    inputs = curvature | hk.field_inputs(ch, ch.ricci, x, dxdt)
     brackets = hk.evolution_rhs_groups(ch, **inputs)
     scales = hk.evolution_rhs_groups(
         geo.MagnitudeChart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
@@ -334,7 +334,7 @@ def _run_r1(ctx):
     bigh = geo.trace_sym2(ch0, h)
     gs = [[ch0.g[i, j] + ctx.s * h[i, j] for j in range(ch0.n)]
           for i in range(ch0.n)]
-    chs = geo.MetricChart(gs, partial_map=ch0.partial_map)
+    chs = geo.MetricChart(gs)
     fs = ctx.f + ctx.s * (0.5 * bigh)
     lhs = ctx.ds(sum(hk.perelman_scalar_terms(chs, fs)))
     zterms = hk.linear_trace_terms(ch0, h, fields.neg_grad_potential(ctx))

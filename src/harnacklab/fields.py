@@ -59,23 +59,21 @@ def trig_scalar(ctx: SolitonContext, tag: str, amplitude: float = 0.4,
     return out
 
 
-def trig_sym2(ctx: SolitonContext, tag: str, amplitude: float = 0.4) -> geo.TensorValue:
-    return geo.sym2_from(
-        lambda i, j: trig_scalar(ctx, f"{tag}[{i}{j}]", amplitude),
-        ctx.chart.n)
+def trig_sym2(ctx: SolitonContext, tag: str) -> geo.TensorValue:
+    return geo.sym2_from(lambda i, j: trig_scalar(ctx, f"{tag}[{i}{j}]"),
+                         ctx.chart.n)
 
 
-def trig_vector(ctx: SolitonContext, tag: str, amplitude: float = 0.5,
-                time_linear: bool = False):
+def trig_vector(ctx: SolitonContext, tag: str, time_linear: bool = False):
     """Contravariant vector field X = A(x,y), or X = A(x,y) + t*B(x,y) when
-    ``time_linear`` (so dX/dt = B exactly)."""
+    ``time_linear`` (so dX/dt = B exactly); components of amplitude 0.5."""
     n = ctx.chart.n
     a = geo.vector_from(
-        lambda i: trig_scalar(ctx, f"{tag}.A[{i}]", amplitude), n, con=True)
+        lambda i: trig_scalar(ctx, f"{tag}.A[{i}]", 0.5), n, con=True)
     if not time_linear:
         return a
     b = geo.vector_from(
-        lambda i: trig_scalar(ctx, f"{tag}.B[{i}]", amplitude), n, con=True)
+        lambda i: trig_scalar(ctx, f"{tag}.B[{i}]", 0.5), n, con=True)
     return geo.vector_from(lambda i: a[i] + ctx.t * b[i], n, con=True)
 
 

@@ -4,7 +4,11 @@ Every function here is written once against a small element protocol (ring
 arithmetic with plain numbers as constants, ``.partial(i)``) and therefore
 runs unchanged on truncated jets and on grid-sampled fields. That
 single code path is what makes the symbolic checks and the finite-difference
-checks share one set of sign conventions.
+checks share one set of sign conventions. Loops read the dimension from the
+chart, and a chart's coordinate i is its elements' variable i. A metric is
+positive definite when every leading principal minor is positive (Sylvester's
+criterion); ``MetricChart.require_positive_definite`` is that one test, for
+``ginv`` and for the grid march's guard.
 
 Conventions, fixed once and verified by the unit-sphere anchor test:
 
@@ -26,7 +30,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .jet import Jet, JetError
+from .jet import Jet
 
 
 class MetricError(ValueError):
@@ -87,43 +91,44 @@ class MetricChart:
     """A metric given by its components in one coordinate chart.
 
     ``g`` is an (n, n) nested sequence of field elements, symmetric in its
-    indices. ``partial_map`` maps spatial axis i to the element variable index
-    to differentiate; identity when the elements carry only spatial variables.
-    A component may be a plain number, a constant whose partials are 0.0.
-    Curvature data is computed lazily and cached on the chart.
+    indices. Coordinate i is the elements' variable i: jets list the
+    coordinates first, grid fields carry nothing else. A component may be a
+    plain number, a constant whose partials are 0.0. Curvature data is
+    computed lazily and cached on the chart.
     """
 
-    def __init__(self, g, partial_map=None):
+    def __init__(self, g):
         comps = np.empty((len(g), len(g)), dtype=object)
         for i in range(len(g)):
             for j in range(len(g)):
                 comps[i, j] = g[i][j]
         self.n = comps.shape[0]
         self.g = comps
-        self.partial_map = tuple(partial_map) if partial_map is not None \
-            else tuple(range(self.n))
-        if len(self.partial_map) != self.n:
-            raise MetricError("partial_map length must equal the dimension")
 
     def d(self, elem, i: int):
         if isinstance(elem, (int, float)):
             return 0.0
-        return elem.partial(self.partial_map[i])
+        return elem.partial(i)
 
     @cached_property
     def det(self):
-        if self.n == 1:
-            return self.g[0, 0]
         if self.n == 2:
             return self.g[0, 0] * self.g[1, 1] - self.g[0, 1] * self.g[1, 0]
-        return _acc(_cofactor(self.g, 0, j) * self.g[0, j] for j in range(self.n))
+        return _det_obj(self.g)
+
+    def require_positive_definite(self):
+        """Sylvester's criterion: raise MetricError unless every leading
+        principal minor of g is positive at every point. Only the minors are
+        formed; the last one is ``det``."""
+        for k in range(1, self.n + 1):
+            minor = self.det if k == self.n else _det_obj(self.g[:k, :k])
+            if np.any(field_data(minor) <= 0.0):
+                raise MetricError("metric is not positive definite on the chart")
 
     @cached_property
     def ginv(self):
+        self.require_positive_definite()
         det = self.det
-        data = field_data(det)
-        if np.any(data <= 0.0):
-            raise MetricError("metric is not positive definite on the chart")
         comps = np.empty((self.n, self.n), dtype=object)
         if self.n == 1:
             comps[0, 0] = 1.0 / det
@@ -273,7 +278,7 @@ class MagnitudeChart:
     |partial| plus the |Gamma| * |component| products."""
 
     def __init__(self, chart):
-        self.n, self.partial_map = chart.n, chart.partial_map
+        self.n = chart.n
         self.ginv = magnitudes(chart.ginv)
         self.christoffels = magnitudes(chart.christoffels)
 
@@ -427,19 +432,15 @@ def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     rough = rough_laplacian(chart, h)
     hup = raise_sym2(chart, h)
     low = chart.riem_low
-    ric = chart.ricci
-    ric_mixed = np.empty((n, n), dtype=object)  # Ric_p^k
-    for p in range(n):
-        for k in range(n):
-            ric_mixed[p, k] = _acc(ric[p, l] * chart.ginv[l, k] for l in range(n))
+    mixed = mixed_ricci(chart)  # mixed[k, p] = R^k_p = Ric_p^k
     comps = np.empty((n, n), dtype=object)
     for p in range(n):
         for q in range(p + 1):
             val = rough[p, q] \
                 + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
                              for i in range(n) for j in range(n)) \
-                - _acc(ric_mixed[p, k] * h[k, q] for k in range(n)) \
-                - _acc(ric_mixed[q, k] * h[p, k] for k in range(n))
+                - _acc(mixed[k, p] * h[k, q] for k in range(n)) \
+                - _acc(mixed[k, q] * h[p, k] for k in range(n))
             comps[p, q] = val
             comps[q, p] = val
     return TensorValue(2, 0, comps)

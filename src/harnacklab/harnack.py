@@ -94,17 +94,24 @@ def evolution_rhs_terms(chart, h: geo.TensorValue, x: geo.TensorValue,
     for the coupled system (Ricci flow, Lichnerowicz flow for h). ``dxdt`` is
     the coordinate time derivative of the components of X.
     """
-    return evolution_rhs_groups(chart, **evolution_rhs_inputs(chart, h, x, dxdt))
+    return evolution_rhs_groups(chart, **chart_inputs(chart),
+                                **field_inputs(chart, h, x, dxdt))
 
 
-def evolution_rhs_inputs(chart, h: geo.TensorValue, x: geo.TensorValue,
-                         dxdt: geo.TensorValue) -> dict:
-    """The tensors the groups are built from, by name; M enters as its pieces."""
+def chart_inputs(chart) -> dict:
+    """The curvature tensors the groups are built from, by name; M enters as
+    its pieces. They depend on the chart alone, so a caller that evaluates
+    the groups for several fields builds them once."""
+    return _curvature_inputs(chart) | {"p": p_tensor(chart)}
+
+
+def field_inputs(chart, h: geo.TensorValue, x: geo.TensorValue,
+                 dxdt: geo.TensorValue) -> dict:
+    """The tensors of (h, X) the groups are built from, by name."""
     n = chart.n
-    return _curvature_inputs(chart) | {
+    return {
         "h": h, "x": x, "dxdt": dxdt,
         "hup": geo.raise_sym2(chart, h),
-        "p": p_tensor(chart),
         "divh": geo.divergence_sym2(chart, h),
         "hx": geo.vector_from(lambda i: _acc(h[i, k] * x[k] for k in range(n)), n),
         "dx": geo.covariant_derivative(chart, x),    # dx[j][^i] = grad_j X^i
@@ -114,10 +121,10 @@ def evolution_rhs_inputs(chart, h: geo.TensorValue, x: geo.TensorValue,
 
 def evolution_rhs_groups(chart, h, x, dxdt, hup, p, divh, hx, dx, lap_x,
                          ric, low, mixed, ric_up, lap_ric, hess_r) -> list:
-    """The four groups from :func:`evolution_rhs_inputs`. On a chart they are
-    values; on a ``geo.MagnitudeChart`` with ``geo.magnitudes`` of the same
-    inputs, each is its group's sum of |atom products|, an atom being an
-    input's value or the partial of one."""
+    """The four groups from :func:`chart_inputs` and :func:`field_inputs`.
+    On a chart they are values; on a ``geo.MagnitudeChart`` with
+    ``geo.magnitudes`` of the same inputs, each is its group's sum of |atom
+    products|, an atom being an input's value or the partial of one."""
     n = chart.n
     m = _matrix_harnack(n, ric, low, mixed, ric_up, lap_ric, hess_r)
     term1 = 2.0 * _acc(

@@ -125,21 +125,15 @@ class JetSpace:
         pos = np.searchsorted(self._sorted_keys, keys)
         return self._key_sort[pos]
 
-    def lookup(self, exps: np.ndarray) -> np.ndarray:
-        """Indices of the given rows of multi-index exponents (must be representable)."""
+    def lookup(self, exps) -> np.ndarray:
+        """Indices of multi-index exponents: one index for one exponent
+        tuple, an array for rows of them. Each must be representable."""
         exps = np.asarray(exps, dtype=np.int64)
-        if np.any(exps < 0) or np.any(exps.sum(axis=-1) > self.order):
-            raise JetError("multi-index outside this space")
+        if exps.shape[-1:] != (self.n_vars,) or np.any(exps < 0) \
+                or np.any(exps.sum(axis=-1) > self.order):
+            raise JetError(f"multi-index {exps.tolist()} not representable "
+                           "in this space")
         return self._lookup(exps)
-
-    def index_of(self, alpha) -> int:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.n_vars or any(a < 0 for a in alpha) \
-                or sum(alpha) > self.order:
-            raise JetError(f"multi-index {alpha} not representable in this space")
-        pos = np.searchsorted(self._sorted_keys,
-                              np.dot(alpha, self._weights))
-        return int(self._key_sort[pos])
 
     def mul_raw(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Product of coefficient arrays holding the rows ``[0, n_upto[d])``.
@@ -198,7 +192,7 @@ class JetSpace:
             if self.order >= 1:
                 e = [0] * self.n_vars
                 e[v] = 1
-                coeffs[self.index_of(e)] = 1.0
+                coeffs[self.lookup(e)] = 1.0
             out.append(Jet(self, coeffs, self.order))
         return out
 
@@ -219,14 +213,14 @@ class Jet:
         return self.coeffs[0].copy()
 
     def coeff(self, alpha) -> np.ndarray:
-        idx = self.space.index_of(alpha)
+        idx = self.space.lookup(alpha)
         if self.space.degrees[idx] > self.order:
             raise JetOrderError(
                 f"coefficient {tuple(alpha)} beyond validity order {self.order}")
         return self.coeffs[idx].copy()
 
     def deriv(self, alpha) -> np.ndarray:
-        return self.coeff(alpha) * self.space.factorials[self.space.index_of(alpha)]
+        return self.coeff(alpha) * self.space.factorials[self.space.lookup(alpha)]
 
     def partial(self, v: int) -> "Jet":
         if self.order < 1:

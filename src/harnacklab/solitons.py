@@ -12,7 +12,7 @@ cases solve Ricci flow exactly). "Normalized steady" means R + |grad f|^2 = 1.
 
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -38,28 +38,15 @@ class SolitonSpec:
     builder: object = field(default=None, repr=False, compare=False)
 
 
-def _cigar_conformal(x, y, t, moving: bool):
+def _build_cigar(x, y, t, moving: bool, gauge: bool):
+    """g = 4 delta / D, f = -log D, with D = e^t + r^2 when ``moving`` and
+    1 + r^2 otherwise; ``gauge`` adds t to f."""
     r2 = x * x + y * y
     denom = (t.exp() + r2) if moving else (1.0 + r2)
-    return 4.0 / denom, denom
-
-
-def _build_cigar_static(x, y, t):
-    conf, denom = _cigar_conformal(x, y, t, moving=False)
+    conf = 4.0 / denom
     zero = 0.0 * conf
-    return [[conf, zero], [zero, conf]], -denom.log()
-
-
-def _build_cigar_flow(x, y, t):
-    conf, denom = _cigar_conformal(x, y, t, moving=True)
-    zero = 0.0 * conf
-    return [[conf, zero], [zero, conf]], -denom.log()
-
-
-def _build_cigar_flow_v2(x, y, t):
-    conf, denom = _cigar_conformal(x, y, t, moving=True)
-    zero = 0.0 * conf
-    return [[conf, zero], [zero, conf]], t - denom.log()
+    log = denom.log()
+    return [[conf, zero], [zero, conf]], (t - log if gauge else -log)
 
 
 def _build_flat_linear(x, y, t):
@@ -93,19 +80,20 @@ CATALOG = {
         SolitonSpec(
             name="cigar_static", kind="steady",
             description="cigar soliton, fixed chart: g = 4 delta/(1+r^2), f = -log(1+r^2)",
-            normalized_steady=True, builder=_build_cigar_static),
+            normalized_steady=True,
+            builder=partial(_build_cigar, moving=False, gauge=False)),
         SolitonSpec(
             name="cigar_flow", kind="steady",
             description="cigar moving under its flow: g = 4 delta/(e^t+r^2), f = -log(e^t+r^2)",
             ricci_flow_exact=True, normalized_steady=True,
             potential_time_rule="heat", time_interval=(-0.7, 0.7),
-            builder=_build_cigar_flow),
+            builder=partial(_build_cigar, moving=True, gauge=False)),
         SolitonSpec(
             name="cigar_flow_v2", kind="steady",
             description="cigar flow with gauge-shifted potential f = t - log(e^t+r^2)",
             ricci_flow_exact=True, normalized_steady=True,
             potential_time_rule="grad2", time_interval=(-0.7, 0.7),
-            builder=_build_cigar_flow_v2),
+            builder=partial(_build_cigar, moving=True, gauge=True)),
         SolitonSpec(
             name="flat_steady_linear", kind="steady",
             description="flat plane with unit linear potential f = 0.6x + 0.8y + t",
@@ -214,7 +202,7 @@ class SolitonContext:
         self.s = jets[self.deform_index] if deform else None
 
         g, f = spec.builder(self.x, self.y, self.t)
-        self.chart = geo.MetricChart(g, partial_map=(0, 1))
+        self.chart = geo.MetricChart(g)
         self.f = f
 
     def dt(self, elem):

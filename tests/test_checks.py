@@ -214,7 +214,7 @@ def test_derived_normalizers_match_the_hand_written_atoms():
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
     brackets = hk.evolution_rhs_terms(ch, ch.ricci, x, dxdt)
-    parts = checks._eq1_vanishing_brackets(ctx)
+    parts = checks._eq1_vanishing_brackets(ctx, hk.chart_inputs(ch))
     for k, pinned in enumerate(_PINNED_BRACKET_SCALES):
         num = np.abs(field_data(brackets[k]))
         got = parts[f"vanishing_bracket_{k + 1}"]
@@ -239,8 +239,19 @@ def test_bracket_normalizers_do_not_swamp_a_defect(soliton, monkeypatch):
     bump = fields.trig_vector(ctx, "defect")
     x = geo.vector_from(lambda i: x0[i] + 0.05 * bump[i], ctx.chart.n, con=True)
     monkeypatch.setattr(fields, "neg_grad_potential", lambda _: x)
-    for part, res in checks._eq1_vanishing_brackets(ctx).items():
+    curvature = hk.chart_inputs(ctx.chart)
+    for part, res in checks._eq1_vanishing_brackets(ctx, curvature).items():
         assert np.max(res) > 1e-5, (part, np.max(res))
+
+
+def test_eq1_builds_the_chart_inputs_once(monkeypatch):
+    calls = []
+    p_tensor = hk.p_tensor
+    monkeypatch.setattr(hk, "p_tensor",
+                        lambda chart: calls.append(chart) or p_tensor(chart))
+    rep = run_check("CHK-EQ1", "cigar_flow", n_points=4, order=6)
+    assert "vanishing_bracket_1" in rep.parts
+    assert len(calls) == 1
 
 
 def test_eps_family_parts():

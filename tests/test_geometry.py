@@ -210,6 +210,60 @@ def test_degenerate_metric_raises():
         ch.ginv
 
 
+def _negative_definite_jets():
+    x, _ = _coords(3)
+    return [[-1.0 + 0.0 * x, 0.0 * x], [0.0 * x, -1.0 + 0.0 * x]]
+
+
+# Each has det > 0, so a determinant test alone takes it for a metric.
+@pytest.mark.parametrize("g", [
+    [[-1.0, 0.0], [0.0, -1.0]],
+    _negative_definite_jets(),
+    [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],  # 2 x 2 minor < 0
+], ids=["2d", "2d-jets", "3d-first-minor", "3d-second-minor"])
+def test_indefinite_metric_with_positive_determinant_raises(g):
+    ch = geo.MetricChart(g)
+    assert np.all(field_data(ch.det) > 0.0)
+    with pytest.raises(MetricError):
+        ch.ginv
+
+
+# S^2 x R, the unit sphere in stereographic coordinates, pulled back by a
+# constant non-orthogonal A: g(w) = A^T diag(c, c, 1) A at u = A w, with
+# c = 4 / (1 + u0^2 + u1^2)^2. Every g_ij is non-zero and Ric(w) =
+# A^T diag(c, c, 0) A is no multiple of g.
+_SHEAR = np.array([[1.0, 0.3, -0.2], [0.25, 0.9, 0.4], [-0.3, 0.2, 1.1]])
+
+
+def sheared_cylinder_chart(order=4):
+    sp = jet_space(3, order)
+    w = sp.variables(np.array([[0.3, -0.7, 0.5, 1.2],
+                               [0.6, 0.2, -0.4, -0.9],
+                               [0.1, 0.8, -1.2, 0.3]]))
+    u = [sum(_SHEAR[k, j] * w[j] for j in range(3)) for k in range(3)]
+    c = 4.0 * ((1.0 + u[0] * u[0] + u[1] * u[1]) ** 2).reciprocal()
+
+    def pulled_back(sphere, line):
+        return geo.sym2_from(lambda i, j: sphere * (
+            _SHEAR[0, i] * _SHEAR[0, j] + _SHEAR[1, i] * _SHEAR[1, j])
+            + line * _SHEAR[2, i] * _SHEAR[2, j], 3)
+    return geo.MetricChart(pulled_back(c, 1.0).comps), pulled_back(c, 0.0)
+
+
+def test_sheared_cylinder_curvature_in_three_dimensions():
+    ch, want_ricci = sheared_cylinder_chart()
+    assert ch.n == 3
+    assert all(np.min(np.abs(field_data(ch.g[i, j]))) > 1e-3
+               for i in range(3) for j in range(3))
+    assert np.max(np.abs(field_data(ch.scalar_curvature) - 2.0)) < 1e-12
+    for i in range(3):
+        for j in range(3):
+            assert _maxabs(ch.ricci[i, j] - want_ricci[i, j]) < 1e-12, (i, j)
+            ginv_g = sum(ch.ginv[i, k] * ch.g[k, j] for k in range(3))
+            assert _maxabs(ginv_g - float(i == j)) < 1e-13, (i, j)
+
+
 def test_covariant_derivative_prepends_axis():
     ch, x, y = generic_chart()
     v = geo.vector_from(lambda i: [x.sin(), y.cos()][i], 2, con=True)

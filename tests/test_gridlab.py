@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from harnacklab import geometry as geo, gridlab as gl
+from harnacklab import checks, geometry as geo, gridlab as gl
 from harnacklab.fields import trig_params
 from harnacklab.gridlab import (GridField, GridStabilityError, TorusGrid,
                                 eval_trig, evolve_slices, run_grid_check,
@@ -118,6 +120,26 @@ def test_metric_guard():
         evolve_slices(grid, state0, deriv, 0.05)
 
 
+def test_metric_guard_catches_negative_definite_with_positive_det(monkeypatch):
+    grid = TorusGrid(32)
+    ones = np.ones((32, 32))
+
+    def deriv(state):
+        # g00 = g11 = 1 - 200 t: both turn negative together, det = g00^2
+        return {"g00": -200.0 * ones, "g01": 0.0 * ones, "g11": -200.0 * ones}
+
+    steps = []
+    rk4_step = gl._rk4_step
+    monkeypatch.setattr(gl, "_rk4_step", lambda *a: steps.append(rk4_step(*a))
+                        or steps[-1])
+    state0 = {"g00": ones, "g01": 0.0 * ones, "g11": ones}
+    with pytest.raises(GridStabilityError):
+        evolve_slices(grid, state0, deriv, 0.05)
+    last = steps[-1]
+    assert np.all(last["g00"] < 0.0) and np.all(last["g11"] < 0.0)
+    assert np.all(last["g00"] * last["g11"] - last["g01"] ** 2 > 0.0)
+
+
 def test_nonfinite_guard():
     grid = TorusGrid(32)
 
@@ -175,6 +197,26 @@ def test_residuals_bit_identical_to_pinned(check_id):
     r = run_grid_check(check_id, seed=0, grid_sizes=(32, 48))
     assert tuple(float(x).hex() for x in r.residuals) == \
         PINNED_RESIDUALS[check_id]
+
+
+# sha256 over the whole jet registry at seed 0, 4 points, order 6: each
+# verdict's check, chart and status, then the bits of its per-point residuals
+# and of its parts in name order, as the jet route computed them before the
+# grid scenarios shared one evolution identity; that change kept every bit.
+PINNED_JET_REGISTRY = \
+    "37124944cc08c493e15b7dce998d05a838419b96853cbd60cd12f7c94c2a8112"
+
+
+def test_jet_registry_bit_identical_to_pinned():
+    digest = hashlib.sha256()
+    for r in checks.run_suite(seed=0, n_points=4, order=6):
+        if r.status == checks.STATUS_SKIPPED:
+            continue
+        digest.update(f"{r.check_id}|{r.soliton}|{r.status}|".encode())
+        digest.update(np.asarray(r.point_residuals, dtype="<f8").tobytes())
+        digest.update(np.array([r.parts[k] for k in sorted(r.parts)],
+                               dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_JET_REGISTRY
 
 
 def _roll_stencil(v, axis, dx):

@@ -321,3 +321,16 @@ def test_mul_raw_rejects_rows_off_the_validity_prefix():
         sp.mul_raw(a[:4], a[:4])
     with pytest.raises(JetError):
         sp.mul_raw(a[:sp.n_upto[2]], a[:sp.n_upto[3]])
+
+
+def test_lookup_one_exponent_or_rows_and_refuses_the_unrepresentable():
+    sp = jet_space(3, 4)
+    rows = sp.exponents[[0, 5, sp.size - 1]]
+    assert np.array_equal(sp.lookup(rows), [0, 5, sp.size - 1])
+    assert sp.lookup((0, 2, 1)) == sp.lookup(np.array([[0, 2, 1]]))[0]
+    for bad in [(1, 0), (1, 0, 0, 0), (-1, 1, 0), (2, 2, 1)]:
+        with pytest.raises(JetError):
+            sp.lookup(bad)
+    x = sp.variables(np.array([0.5, 0.1, 0.2]))[0]
+    with pytest.raises(JetError):
+        x.coeff((1, 0))
