@@ -19,5 +19,6 @@ from .checks import (CheckReport, REGISTRY, get_check, run_check,  # noqa: F401
                      run_suite)
 from .gridlab import (ConvergenceReport, GRID_CHECKS,  # noqa: F401
                       run_grid_check, run_grid_suite)
-from .jet import Jet, JetOrderError, SingularPointError, jet_space  # noqa: F401
+from .jet import (Jet, JetCapError, JetOrderError, SingularPointError,  # noqa: F401
+                  jet_space)
 from .solitons import CATALOG, build_context, catalog_get  # noqa: F401

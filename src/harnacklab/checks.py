@@ -34,7 +34,7 @@ import numpy as np
 
 from . import fields, geometry as geo, harnack as hk
 from .geometry import field_data
-from .jet import JetOrderError
+from .jet import JetCapError, JetOrderError
 from .solitons import CATALOG, build_context, catalog_get
 
 DEFAULT_TOLERANCE = 1e-8
@@ -596,9 +596,15 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
         return CheckReport(check_id, soliton, seed, n_points, tol,
                            STATUS_SKIPPED, None, None, 0.0)
     t0 = time.perf_counter()
+    ctx = build_context(soliton, seed, n_points, order, **spec.context)
     try:
-        parts = spec.runner(
-            build_context(soliton, seed, n_points, order, **spec.context))
+        parts = spec.runner(ctx)
+    except JetCapError as e:
+        # no --order lifts a degree cap: name the variable, not the order
+        var = ctx.var_names[e.var]
+        raise JetOrderError(
+            f"{check_id} on {soliton} takes more than {e.cap} derivative(s) "
+            f"in {var}, the degree its jet context carries in {var}") from e
     except JetOrderError as e:
         raise JetOrderError(
             f"jet order {order} is too low for {check_id} on {soliton} ({e})") from e

@@ -14,16 +14,24 @@ sum_r c_{beta,r} x^beta t^r, the equation forces
 where d are the coefficients of the RHS evaluated on the jet filled up to time
 degree r. The RHS is recomputed at each r, so metric coefficients that depend
 on t themselves (moving charts) enter correctly. The propagated jet's validity
-order is reduced to (RHS validity + 1), which encodes exactly which Taylor
-coefficients the recursion pinned down; reading past it raises rather than
-returning junk.
+order is reduced to (RHS validity + 1), and its degree left in t to q: that
+encodes exactly which Taylor coefficients the recursion pinned down, and
+reading or differentiating past either raises rather than returning junk.
+A context carries t only to its ``time_degree``, so propagating to q above it
+raises ``JetCapError`` before any work is done.
 """
 
 import numpy as np
 
 from . import geometry as geo
-from .jet import Jet
+from .jet import Jet, JetCapError
 from .solitons import SolitonContext, stream
+
+
+def _with_time_left(ctx: SolitonContext, u: Jet, degree: int) -> tuple:
+    """``u.left`` with the degree left in t replaced by ``degree``."""
+    ti = ctx.time_index
+    return u.left[:ti] + (degree,) + u.left[ti + 1:]
 
 
 def strip_time(ctx: SolitonContext, u: Jet) -> Jet:
@@ -32,7 +40,7 @@ def strip_time(ctx: SolitonContext, u: Jet) -> Jet:
         return u
     coeffs = u.coeffs.copy()
     coeffs[ctx.space.exponents[:, ctx.time_index] >= 1] = 0.0
-    return Jet(ctx.space, coeffs, u.order)
+    return Jet(ctx.space, coeffs, u.order, u.left)
 
 
 def trig_params(seed: int, tag: str, amplitude: float = 0.4) -> list:
@@ -110,22 +118,33 @@ def _fill_time_degree(ctx: SolitonContext, coeffs: np.ndarray,
     coeffs[space.lookup(bumped)] = rhs_coeffs[src] / (r + 1)
 
 
-def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1) -> Jet:
-    """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0.
-
-    Only time exponents 1..q are filled; coefficients with a higher time
-    exponent stay zero even when their total degree sits inside the tracked
-    validity order. Consumers must differentiate at most q times in t.
-    """
+def _check_time_degree(ctx: SolitonContext, q: int):
     if ctx.time_index is None:
         raise ValueError("propagation requires a context with a time variable")
     if q < 1:
         raise ValueError("need at least one time degree (q >= 1)")
+    cap = ctx.space.caps[ctx.time_index]
+    if q > cap:
+        raise JetCapError(
+            f"propagation to time degree {q} exceeds the context's cap of "
+            f"{cap} in t; build the context with time_degree >= {q}",
+            ctx.time_index, cap)
+
+
+def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1) -> Jet:
+    """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0.
+
+    Only time exponents 1..q are filled, so the result carries degree q in t:
+    differentiating it more than q times in t raises ``JetCapError``. ``q``
+    may not exceed the context's ``time_degree``.
+    """
+    _check_time_degree(ctx, q)
     u = strip_time(ctx, u0)  # a fresh copy, filled in place below
+    left = _with_time_left(ctx, u, q)
     for r in range(q):
         rhs = rhs_fn(ctx, u)
         _fill_time_degree(ctx, u.coeffs, rhs.coeffs, r, q)
-        u = Jet(ctx.space, u.coeffs, min(u.order, rhs.order + 1))
+        u = Jet(ctx.space, u.coeffs, min(u.order, rhs.order + 1), left)
     return u
 
 
@@ -133,11 +152,10 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue,
                    q: int = 1) -> geo.TensorValue:
     """Jet of the solution of d h/dt = Lichnerowicz(h) with initial slice h0.
 
-    Same time-exponent contract as propagate_scalar: at most q derivatives
-    in t are meaningful.
+    Same time-degree contract as propagate_scalar: each component carries
+    degree q in t, and q may not exceed the context's ``time_degree``.
     """
-    if ctx.time_index is None:
-        raise ValueError("propagation requires a context with a time variable")
+    _check_time_degree(ctx, q)
     n = ctx.chart.n
     upper = [(i, j) for i in range(n) for j in range(i + 1)]
     h = geo.sym2_from(lambda i, j: strip_time(ctx, h0[i, j]), n)
@@ -148,6 +166,7 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue,
         for ij in upper:
             _fill_time_degree(ctx, h[ij].coeffs, rhs[ij].coeffs, r, q)
             h[ij].order = order
+            h[ij].left = _with_time_left(ctx, h[ij], q)
     return h
 
 

@@ -24,6 +24,17 @@ valid to order d forms only the coefficient pairs whose target degree is
 <= d, and its rows past d are zero. Graded storage makes this a prefix: the
 rows of degree <= d are ``[0, n_upto[d])`` and the pairs that feed them are
 ``[0, pairs_upto[d])`` of the target-sorted multiplication table.
+
+A space may also cap the degree of single variables: ``jet_space(n_vars,
+order, caps)`` keeps only the exponents with ``e[v] <= caps[v]`` (a time
+variable that no consumer differentiates twice needs degree 1 only), and only
+the product pairs whose target respects the caps. A target row inside the
+caps is fed only by pairs inside them, in the same relative order, so every
+row a capped space keeps is bit-identical to the uncapped space's. Each value
+tracks the degree it has left in each capped variable (``Jet.left``): a
+partial in a capped variable uses one up, and differentiating past it raises
+:class:`JetCapError` rather than returning the zero rows that a missing
+degree would leave. ``lookup`` refuses an exponent outside the caps.
 """
 
 import functools
@@ -45,27 +56,56 @@ class JetOrderError(JetError):
     """Requested information beyond the jet's validity order."""
 
 
+class JetCapError(JetOrderError):
+    """Requested a degree in variable ``var`` beyond its cap ``cap``: no
+    higher total order supplies it."""
+
+    def __init__(self, message: str, var: int, cap: int):
+        super().__init__(message)
+        self.var = var
+        self.cap = cap
+
+
+def jet_space(n_vars: int, order: int, caps=None) -> "JetSpace":
+    """The shared space of jets in ``n_vars`` variables to total ``order``.
+
+    ``caps[v]`` (an int, or None for no cap) bounds the degree in variable v;
+    a cap at or above ``order`` is no cap, so equal tables are built once.
+    """
+    if caps is not None:
+        caps = tuple(order if c is None else min(int(c), order) for c in caps)
+        if caps == (order,) * n_vars:
+            caps = None
+    return _jet_space(n_vars, order, caps)
+
+
 @functools.lru_cache(maxsize=None)
-def jet_space(n_vars: int, order: int) -> "JetSpace":
-    return JetSpace(n_vars, order)
+def _jet_space(n_vars: int, order: int, caps) -> "JetSpace":
+    return JetSpace(n_vars, order, caps)
 
 
 class JetSpace:
-    """Index tables for dense jets in ``n_vars`` variables up to total ``order``.
+    """Index tables for dense jets in ``n_vars`` variables up to total ``order``,
+    with degree at most ``caps[v]`` in variable v (``caps`` None: no cap).
 
-    Build once per (n_vars, order) via :func:`jet_space`; jets sharing a space
-    share its multiplication and differentiation tables.
+    Build once per (n_vars, order, caps) via :func:`jet_space`; jets sharing a
+    space share its multiplication and differentiation tables.
     """
 
-    def __init__(self, n_vars: int, order: int):
+    def __init__(self, n_vars: int, order: int, caps=None):
         if n_vars < 1 or order < 0:
             raise JetError(f"bad jet space ({n_vars} vars, order {order})")
         self.n_vars = n_vars
         self.order = order
+        # degree bound per variable; ``order`` where a variable is not capped
+        self.caps = (order,) * n_vars if caps is None else tuple(caps)
+        if len(self.caps) != n_vars or min(self.caps) < 0:
+            raise JetError(f"bad degree caps {self.caps} for {n_vars} variables")
 
         exps = []
         for total in range(order + 1):
-            block = [e for e in itertools.product(range(total + 1), repeat=n_vars)
+            block = [e for e in itertools.product(
+                         *(range(min(total, c) + 1) for c in self.caps))
                      if sum(e) == total]
             block.sort()
             exps.extend(block)
@@ -90,7 +130,10 @@ class JetSpace:
         keep = (self.degrees[i_idx] + self.degrees[j_idx] <= order)
         ii = i_idx[keep]
         jj = j_idx[keep]
-        kk = self._lookup(self.exponents[ii] + self.exponents[jj])
+        target = self.exponents[ii] + self.exponents[jj]
+        inside = np.all(target <= self.caps, axis=1)
+        ii, jj = ii[inside], jj[inside]
+        kk = self._lookup(target[inside])
         srt = np.argsort(kk, kind="stable")
         self._mul_i = ii[srt]
         self._mul_j = jj[srt]
@@ -101,7 +144,9 @@ class JetSpace:
         self._mul_seg = seg
 
         # Rows are graded and pairs sorted by target, so validity d is a prefix
-        # of both: rows [0, n_upto[d]) and pairs [0, pairs_upto[d]).
+        # of both: rows [0, n_upto[d]) and pairs [0, pairs_upto[d]). When the
+        # caps leave no row of degree d, n_upto[d] repeats n_upto[d - 1] and
+        # so does the pair count: either validity reads the same prefix.
         n_upto = np.searchsorted(self.degrees, np.arange(order + 1), side="right")
         ends = np.append(seg, len(kk))
         self.n_upto = tuple(int(n) for n in n_upto)
@@ -127,12 +172,14 @@ class JetSpace:
 
     def lookup(self, exps) -> np.ndarray:
         """Indices of multi-index exponents: one index for one exponent
-        tuple, an array for rows of them. Each must be representable."""
+        tuple, an array for rows of them. Each must be representable: inside
+        the total order and the caps."""
         exps = np.asarray(exps, dtype=np.int64)
         if exps.shape[-1:] != (self.n_vars,) or np.any(exps < 0) \
-                or np.any(exps.sum(axis=-1) > self.order):
+                or np.any(exps.sum(axis=-1) > self.order) \
+                or np.any(exps > self.caps):
             raise JetError(f"multi-index {exps.tolist()} not representable "
-                           "in this space")
+                           f"in this space (order {self.order}, caps {self.caps})")
         return self._lookup(exps)
 
     def mul_raw(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -197,13 +244,24 @@ class JetSpace:
         return out
 
 
+def _meet(a: tuple, b: tuple) -> tuple:
+    """Degrees left per variable in a value computed from two others."""
+    return a if a == b else tuple(map(min, a, b))
+
+
 class Jet:
+    """A batch of truncated Taylor expansions: ``coeffs`` is (size, batch),
+    valid to total degree ``order`` and, in each capped variable v, to degree
+    ``left[v]`` (``left`` defaults to the space's caps)."""
+
     __array_ufunc__ = None  # keep numpy scalars from hijacking binary ops
 
-    def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int):
+    def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int,
+                 left: tuple | None = None):
         self.space = space
         self.coeffs = coeffs
         self.order = order
+        self.left = space.caps if left is None else left
 
     @property
     def batch(self) -> int:
@@ -217,6 +275,11 @@ class Jet:
         if self.space.degrees[idx] > self.order:
             raise JetOrderError(
                 f"coefficient {tuple(alpha)} beyond validity order {self.order}")
+        for v, (k, left) in enumerate(zip(alpha, self.left)):
+            if k > left:
+                raise JetCapError(f"coefficient {tuple(alpha)} beyond the "
+                                  f"degree {left} left in variable {v}",
+                                  v, self.space.caps[v])
         return self.coeffs[idx].copy()
 
     def deriv(self, alpha) -> np.ndarray:
@@ -226,9 +289,17 @@ class Jet:
         if self.order < 1:
             raise JetOrderError("cannot differentiate a jet of validity order 0")
         sp = self.space
+        left = self.left
+        if sp.caps[v] < sp.order:
+            if left[v] < 1:
+                raise JetCapError(
+                    f"cannot differentiate in variable {v} more than "
+                    f"{sp.caps[v]} time(s): the space caps its degree there",
+                    v, sp.caps[v])
+            left = left[:v] + (left[v] - 1,) + left[v + 1:]
         out = np.zeros_like(self.coeffs)
         out[sp._d_dst[v]] = self.coeffs[sp._d_src[v]] * sp._d_mul[v]
-        return Jet(sp, out, self.order - 1)
+        return Jet(sp, out, self.order - 1, left)
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -243,7 +314,8 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.coeffs + o.coeffs, min(self.order, o.order))
+        return Jet(self.space, self.coeffs + o.coeffs, min(self.order, o.order),
+                   _meet(self.left, o.left))
 
     __radd__ = __add__
 
@@ -251,32 +323,35 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, self.coeffs - o.coeffs, min(self.order, o.order))
+        return Jet(self.space, self.coeffs - o.coeffs, min(self.order, o.order),
+                   _meet(self.left, o.left))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Jet(self.space, o.coeffs - self.coeffs, min(self.order, o.order))
+        return Jet(self.space, o.coeffs - self.coeffs, min(self.order, o.order),
+                   _meet(self.left, o.left))
 
     def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order)
+        return Jet(self.space, -self.coeffs, self.order, self.left)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs * float(other), self.order)
+            return Jet(self.space, self.coeffs * float(other), self.order, self.left)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         d = min(self.order, o.order)
         n = self.space.n_upto[d]
-        return Jet(self.space, self.space.mul_raw(self.coeffs[:n], o.coeffs[:n]), d)
+        return Jet(self.space, self.space.mul_raw(self.coeffs[:n], o.coeffs[:n]), d,
+                   _meet(self.left, o.left))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, np.floating, np.integer)):
-            return Jet(self.space, self.coeffs / float(other), self.order)
+            return Jet(self.space, self.coeffs / float(other), self.order, self.left)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -321,7 +396,7 @@ class Jet:
         for m in range(d - 1, -1, -1):
             out = sp.mul_raw(out[:n], u)
             out[0] += series[m]
-        return Jet(sp, out, d)
+        return Jet(sp, out, d, self.left)
 
     def reciprocal(self) -> "Jet":
         c0 = self.coeffs[0]

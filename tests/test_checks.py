@@ -133,6 +133,19 @@ def test_run_check_builds_each_context_with_one_call_shape(monkeypatch):
         assert list(kwargs.items()) == list(want.items())
 
 
+def test_contexts_prebuilt_in_the_benchmark_call_shape_are_cache_hits():
+    # perfbench/workloads.py builds every context before the timed pass with
+    # these exact calls; the pass must then build none of its own
+    seed, n, order = 5, 2, 6
+    for name in {s for c in REGISTRY.values() for s in c.applies_to}:
+        build_context(name, seed, n, order)
+    for name in REGISTRY["CHK-R1"].applies_to:
+        build_context(name, seed, n, order, time="const", deform=True)
+    misses = build_context.cache_info().misses
+    run_suite(seed=seed, n_points=n, order=order)
+    assert build_context.cache_info().misses == misses
+
+
 def test_impossible_tolerance_fails_honestly():
     rep = run_check("CHK-S1", "cigar_static", n_points=4, order=4,
                     tolerance=1e-300)

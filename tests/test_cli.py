@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -191,6 +192,26 @@ def test_tolerance_not_finite_and_positive_exit_two(capsys, monkeypatch,
 def test_too_low_order_names_the_check(capsys):
     _, _, err = run_cli(capsys, "check", "CHK-EQ1", "--order", "3")
     assert "CHK-EQ1" in err and "order 3" in err
+
+
+@pytest.mark.parametrize("var,context", [("t", {}),
+                                         ("s", {"time": "const", "deform": True})])
+def test_degree_cap_overrun_names_the_variable(capsys, monkeypatch, var, context):
+    # a check that differentiates twice in t (or s) overruns the context's
+    # degree cap; no --order fixes that, so the message must not suggest it
+    def twice(ctx):
+        d = ctx.dt if var == "t" else ctx.ds
+        return {"value": d(d(ctx.f)).value()}
+    spec = dataclasses.replace(harnacklab.checks.REGISTRY["CHK-S1"],
+                               applies=lambda s: True, runner=twice,
+                               context=context)
+    monkeypatch.setitem(harnacklab.checks.REGISTRY, "CHK-S1", spec)
+    code, out, err = run_cli(capsys, "check", "CHK-S1", "--soliton",
+                             "cigar_flow", "--points", "2", "--order", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"CHK-S1 on cigar_flow takes more than 1 derivative(s) in {var}" in err
+    assert "order" not in err
 
 
 def _strict_json(text: str):

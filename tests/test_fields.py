@@ -3,6 +3,7 @@ import pytest
 
 from harnacklab import fields, geometry as geo
 from harnacklab.geometry import field_data
+from harnacklab.jet import JetOrderError
 from harnacklab.solitons import build_context
 
 
@@ -11,7 +12,7 @@ def _maxabs(elem):
 
 
 def test_heat_propagation_matches_closed_form():
-    ctx = build_context("flat_torus", n_points=6, order=6)
+    ctx = build_context("flat_torus", n_points=6, order=6, time_degree=2)
     u0 = ctx.x.sin()
     q = 2
     u = fields.propagate_scalar(ctx, u0, fields.rhs_heat, q=q)
@@ -27,7 +28,7 @@ def test_heat_propagation_matches_closed_form():
 
 
 def test_propagation_solves_its_equation():
-    ctx = build_context("cigar_flow", n_points=6, order=5)
+    ctx = build_context("cigar_flow", n_points=6, order=5, time_degree=2)
     u0 = fields.trig_scalar(ctx, "u")
     u = fields.propagate_scalar(ctx, u0, fields.rhs_heat, q=2)
     gap = ctx.dt(u) - geo.laplacian(ctx.chart, u)
@@ -37,7 +38,7 @@ def test_propagation_solves_its_equation():
 
 
 def test_propagation_is_linear():
-    ctx = build_context("flat_torus", n_points=5, order=5)
+    ctx = build_context("flat_torus", n_points=5, order=5, time_degree=2)
     a = fields.trig_scalar(ctx, "a")
     b = fields.trig_scalar(ctx, "b")
     pa = fields.propagate_scalar(ctx, a, fields.rhs_heat, q=2)
@@ -76,7 +77,7 @@ def test_trig_fields_deterministic_and_nonconstant():
 
 
 def test_trig_vector_time_linear():
-    ctx = build_context("cigar_flow", n_points=5, order=4)
+    ctx = build_context("cigar_flow", n_points=5, order=4, time_degree=2)
     x = fields.trig_vector(ctx, "X", time_linear=True)
     for i in range(2):
         # X = A + t B, so dX/dt is the B part and d^2X/dt^2 vanishes
@@ -147,3 +148,39 @@ def test_trig_params_pinned():
     got = [(float(a).hex(), wx, wy, float(phase).hex())
            for a, wx, wy, phase in fields.trig_params(0, "scalar:u")]
     assert got == want
+
+
+def test_second_time_derivative_past_the_cap_raises():
+    # the context carries t to degree 1: a second d/dt has no rows to read,
+    # and reading them anyway used to return zeros
+    ctx = build_context("cigar_flow", n_points=4, order=5)
+    u = fields.propagate_scalar(ctx, fields.trig_scalar(ctx, "u"), fields.rhs_heat)
+    g00 = ctx.chart.g[0, 0]
+    for elem in (u, g00):
+        with pytest.raises(JetOrderError):
+            ctx.dt(ctx.dt(elem))
+    # with t carried to degree 2, g_00 = 4 / (e^t + r^2) has its closed form
+    ctx2 = build_context("cigar_flow", n_points=4, order=5, time_degree=2)
+    (x, y), t = ctx2.points["xy"], ctx2.points["t"]
+    denom = np.exp(t) + x * x + y * y
+    want = -4.0 * np.exp(t) / denom ** 2 + 8.0 * np.exp(2 * t) / denom ** 3
+    got = field_data(ctx2.dt(ctx2.dt(ctx2.chart.g[0, 0])))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_propagation_past_the_time_cap_raises_before_any_work():
+    ctx = build_context("cigar_flow", n_points=4, order=4)
+
+    def no_work(ctx, u):
+        raise AssertionError("propagation ran")
+    u0 = fields.trig_scalar(ctx, "u")
+    with pytest.raises(JetOrderError, match="cap of 1 in t"):
+        fields.propagate_scalar(ctx, u0, no_work, q=2)
+    with pytest.raises(JetOrderError, match="cap of 1 in t"):
+        fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"), q=2)
+    # a q = 1 jet in a context carrying t to degree 2 is still q = 1
+    ctx2 = build_context("cigar_flow", n_points=4, order=4, time_degree=2)
+    u = fields.propagate_scalar(ctx2, fields.trig_scalar(ctx2, "u"),
+                                fields.rhs_heat)
+    with pytest.raises(JetOrderError):
+        ctx2.dt(ctx2.dt(u))

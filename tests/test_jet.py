@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harnacklab.jet import (Jet, JetError, JetOrderError, SingularPointError,
-                            jet_space)
+from harnacklab.jet import (Jet, JetCapError, JetError, JetOrderError,
+                            SingularPointError, jet_space)
 
 
 def test_geometric_series_coefficients():
@@ -334,3 +334,70 @@ def test_lookup_one_exponent_or_rows_and_refuses_the_unrepresentable():
     x = sp.variables(np.array([0.5, 0.1, 0.2]))[0]
     with pytest.raises(JetError):
         x.coeff((1, 0))
+
+
+# -- per-variable degree caps ---------------------------------------------------
+
+def test_capped_table_sizes():
+    # (x, y, t <= 1) and (x, y, z, t <= 1) at order 6, against 84 / 924 and
+    # 210 / 3003 uncapped
+    for n_vars, rows, pairs in [(3, 49, 462), (4, 140, 1848)]:
+        sp = jet_space(n_vars, 6, (None,) * (n_vars - 1) + (1,))
+        assert (sp.size, len(sp._mul_i)) == (rows, pairs)
+        assert sp.n_upto[-1] == rows and sp.pairs_upto[-1] == pairs
+    assert jet_space(3, 6, (None, 6, 9)) is jet_space(3, 6)
+
+
+@st.composite
+def capped_spaces(draw):
+    n_vars = draw(st.integers(2, 4))
+    order = draw(st.integers(1, 6))
+    caps = tuple(draw(st.sampled_from([None, 1, 2])) for _ in range(n_vars))
+    return jet_space(n_vars, order), jet_space(n_vars, order, caps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(capped_spaces(), st.integers(0, 2**32 - 1), st.data())
+def test_capped_rows_are_bit_identical_to_uncapped(spaces, seed, data):
+    full, capped = spaces
+    rows = full.lookup(capped.exponents)
+    rng = np.random.default_rng(seed)
+    d1, d2 = (data.draw(st.integers(0, full.order)) for _ in range(2))
+    a = Jet(full, _noisy_coeffs(full, rng), d1)
+    b = Jet(full, _noisy_coeffs(full, rng), d2)
+    ca, cb = (Jet(capped, u.coeffs[rows], u.order) for u in (a, b))
+
+    assert np.array_equal((ca * cb).coeffs, (a * b).coeffs[rows])
+    for fn in (Jet.exp, Jet.reciprocal):
+        assert np.array_equal(fn(ca).coeffs, fn(a).coeffs[rows])
+    for v in range(full.n_vars):
+        if d1 < 1:
+            continue
+        got = ca.partial(v)
+        # rows at the cap in v are fed from degree cap + 1, which a capped
+        # space does not carry: ``left`` marks them spent
+        inside = capped.exponents[:, v] <= got.left[v]
+        assert np.array_equal(got.coeffs[inside], a.partial(v).coeffs[rows][inside])
+
+    for v, cap in enumerate(capped.caps):
+        if cap < capped.order:
+            e = [0] * capped.n_vars
+            e[v] = cap + 1
+            with pytest.raises(JetError):
+                capped.lookup(e)
+
+
+def test_partial_past_a_cap_raises():
+    sp = jet_space(3, 5, (None, None, 1))
+    x, y, t = sp.variables([0.5, 0.5, 0.1])
+    u = (x * t).exp() + y
+    du = u.partial(2)
+    assert du.left == (5, 5, 0) and (du * u).left == (5, 5, 0)
+    assert u.partial(0).left == u.left == sp.caps
+    with pytest.raises(JetCapError) as e:
+        du.partial(2)
+    assert (e.value.var, e.value.cap) == (2, 1)
+    with pytest.raises(JetOrderError):
+        du.coeff((0, 0, 1))
+    # spatial partials of a t-derivative stay available
+    assert du.partial(0).partial(1).order == 2
