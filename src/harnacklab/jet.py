@@ -66,27 +66,15 @@ class JetCapError(JetOrderError):
         self.cap = cap
 
 
-def jet_space(n_vars: int, order: int, caps=None) -> "JetSpace":
-    """The shared space of jets in ``n_vars`` variables to total ``order``.
-
-    ``caps[v]`` (an int, or None for no cap) bounds the degree in variable v;
-    a cap at or above ``order`` is no cap, so equal tables are built once.
-    """
-    if caps is not None:
-        caps = tuple(order if c is None else min(int(c), order) for c in caps)
-        if caps == (order,) * n_vars:
-            caps = None
-    return _jet_space(n_vars, order, caps)
-
-
 @functools.lru_cache(maxsize=None)
-def _jet_space(n_vars: int, order: int, caps) -> "JetSpace":
+def jet_space(n_vars: int, order: int, caps: tuple | None = None) -> "JetSpace":
     return JetSpace(n_vars, order, caps)
 
 
 class JetSpace:
     """Index tables for dense jets in ``n_vars`` variables up to total ``order``,
-    with degree at most ``caps[v]`` in variable v (``caps`` None: no cap).
+    with degree at most ``caps[v]`` in variable v (``caps`` None, or an entry
+    None: no cap).
 
     Build once per (n_vars, order, caps) via :func:`jet_space`; jets sharing a
     space share its multiplication and differentiation tables.
@@ -97,10 +85,11 @@ class JetSpace:
             raise JetError(f"bad jet space ({n_vars} vars, order {order})")
         self.n_vars = n_vars
         self.order = order
+        caps = (None,) * n_vars if caps is None else tuple(caps)
+        if len(caps) != n_vars or any(c is not None and c < 0 for c in caps):
+            raise JetError(f"bad degree caps {caps} for {n_vars} variables")
         # degree bound per variable; ``order`` where a variable is not capped
-        self.caps = (order,) * n_vars if caps is None else tuple(caps)
-        if len(self.caps) != n_vars or min(self.caps) < 0:
-            raise JetError(f"bad degree caps {self.caps} for {n_vars} variables")
+        self.caps = tuple(order if c is None else min(int(c), order) for c in caps)
 
         exps = []
         for total in range(order + 1):
