@@ -358,7 +358,7 @@ def _run_r2(ctx):
         return rel_residual(lhs + [-rhs])
 
     f0 = fields.trig_scalar(ctx, "r2.f0", base=0.5)
-    fprop = fields.propagate_scalar(ctx, f0, fields.rhs_conjugate_potential, q=1)
+    fprop = fields.propagate_scalar(ctx, f0, fields.rhs_conjugate_potential)
     parts = {"generic_potential": residual(fprop)}
     if ctx.spec.potential_time_rule == "grad2":
         parts["soliton_potential"] = residual(ctx.f)
@@ -367,7 +367,7 @@ def _run_r2(ctx):
 
 def _log_solution(ctx, eps):
     u0 = fields.trig_scalar(ctx, "b.u0", amplitude=0.3).exp()
-    u = fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps), q=1)
+    u = fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps))
     return u.log()
 
 

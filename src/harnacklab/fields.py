@@ -5,41 +5,32 @@ are globally smooth on every chart and reproducible from (seed, tag). The
 grid route samples the same draws (``trig_params``) on its torus.
 
 The propagation helpers turn a time-independent jet into the jet of the
-solution of an evolution equation d(field)/dt = RHS(field) through the Taylor
-recursion on the time variable: writing the field as
-sum_r c_{beta,r} x^beta t^r, the equation forces
+solution of an evolution equation d(field)/dt = RHS(field) by one first-order
+step. A context carries t to degree 1 only, so a jet is its t-degree-0 slice
+plus the t-degree-1 rows; the equation pins the latter to the RHS evaluated
+on the time-stripped field,
 
-    c_{beta, r+1} = d_{beta, r} / (r + 1),
+    c_{beta + e_t} = d_{beta},        |beta| <= order - 1,
 
-where d are the coefficients of the RHS evaluated on the jet filled up to time
-degree r. The RHS is recomputed at each r, so metric coefficients that depend
-on t themselves (moving charts) enter correctly. The propagated jet's validity
-order is reduced to (RHS validity + 1), and its degree left in t to q: that
-encodes exactly which Taylor coefficients the recursion pinned down, and
-reading or differentiating past either raises rather than returning junk.
-A context carries t only to its ``time_degree``, so propagating to q above it
-raises ``JetCapError`` before any work is done.
+where d are the RHS's t-degree-0 coefficients. That is exact wherever the
+identities look: they read at most one time derivative. The result is a fresh
+jet whose validity order is at most (RHS validity + 1); the inputs are left
+as they were.
 """
 
 import numpy as np
 
 from . import geometry as geo
-from .jet import Jet, JetCapError
+from .jet import Jet
 from .solitons import SolitonContext, stream
 
 
-def _with_time_left(ctx: SolitonContext, u: Jet, degree: int) -> tuple:
-    """``u.left`` with the degree left in t replaced by ``degree``."""
-    ti = ctx.time_index
-    return u.left[:ti] + (degree,) + u.left[ti + 1:]
-
-
 def strip_time(ctx: SolitonContext, u: Jet) -> Jet:
-    """Freeze u at its base time: zero every coefficient with t-degree >= 1."""
+    """Freeze u at its base time: a copy with every t-degree-1 row zeroed."""
     if ctx.time_index is None:
-        return u
+        raise ValueError("propagation requires a context with a time variable")
     coeffs = u.coeffs.copy()
-    coeffs[ctx.space.exponents[:, ctx.time_index] >= 1] = 0.0
+    coeffs[ctx.space._d_src[ctx.time_index]] = 0.0
     return Jet(ctx.space, coeffs, u.order, u.left)
 
 
@@ -104,70 +95,38 @@ def rhs_linear_heat(eps: float):
     return rhs
 
 
-def _fill_time_degree(ctx: SolitonContext, coeffs: np.ndarray,
-                      rhs_coeffs: np.ndarray, r: int, q: int):
-    """Fill the t-degree r + 1 coefficients from the RHS's t-degree r ones,
-    for spatial degree at most order - q."""
-    space = ctx.space
-    et = space.exponents[:, ctx.time_index]
-    spatial = space.degrees - et
-    src = np.nonzero((et == r) & (spatial <= space.order - q)
-                     & (space.degrees <= space.order - 1))[0]
-    bumped = space.exponents[src].copy()
-    bumped[:, ctx.time_index] += 1
-    coeffs[space.lookup(bumped)] = rhs_coeffs[src] / (r + 1)
+def _first_order_step(ctx: SolitonContext, u: Jet, rhs: Jet, order: int) -> Jet:
+    """A fresh jet: u with its t-degree-1 rows set from rhs's t-degree-0 rows.
 
-
-def _check_time_degree(ctx: SolitonContext, q: int):
-    if ctx.time_index is None:
-        raise ValueError("propagation requires a context with a time variable")
-    if q < 1:
-        raise ValueError("need at least one time degree (q >= 1)")
-    cap = ctx.space.caps[ctx.time_index]
-    if q > cap:
-        raise JetCapError(
-            f"propagation to time degree {q} exceeds the context's cap of "
-            f"{cap} in t; build the context with time_degree >= {q}",
-            ctx.time_index, cap)
-
-
-def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn, q: int = 1) -> Jet:
-    """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0.
-
-    Only time exponents 1..q are filled, so the result carries degree q in t:
-    differentiating it more than q times in t raises ``JetCapError``. ``q``
-    may not exceed the context's ``time_degree``.
+    With t capped at 1 those are the rows that ``partial`` reads for d/dt,
+    so the space's differentiation table names them (the multipliers are 1).
     """
-    _check_time_degree(ctx, q)
-    u = strip_time(ctx, u0)  # a fresh copy, filled in place below
-    left = _with_time_left(ctx, u, q)
-    for r in range(q):
-        rhs = rhs_fn(ctx, u)
-        _fill_time_degree(ctx, u.coeffs, rhs.coeffs, r, q)
-        u = Jet(ctx.space, u.coeffs, min(u.order, rhs.order + 1), left)
-    return u
+    ti = ctx.time_index
+    coeffs = u.coeffs.copy()
+    coeffs[ctx.space._d_src[ti]] = rhs.coeffs[ctx.space._d_dst[ti]]
+    return Jet(ctx.space, coeffs, order, u.left[:ti] + (1,) + u.left[ti + 1:])
 
 
-def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue,
-                   q: int = 1) -> geo.TensorValue:
+def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn) -> Jet:
+    """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0."""
+    u = strip_time(ctx, u0)
+    rhs = rhs_fn(ctx, u)
+    return _first_order_step(ctx, u, rhs, min(u.order, rhs.order + 1))
+
+
+def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
     """Jet of the solution of d h/dt = Lichnerowicz(h) with initial slice h0.
 
-    Same time-degree contract as propagate_scalar: each component carries
-    degree q in t, and q may not exceed the context's ``time_degree``.
+    Every component gets the lowest validity order among them.
     """
-    _check_time_degree(ctx, q)
     n = ctx.chart.n
-    upper = [(i, j) for i in range(n) for j in range(i + 1)]
     h = geo.sym2_from(lambda i, j: strip_time(ctx, h0[i, j]), n)
-    for r in range(q):
-        rhs = geo.lichnerowicz_laplacian(ctx.chart, h)
-        order = min(min(rhs[ij].order for ij in upper) + 1,
-                    min(h[ij].order for ij in upper))
-        for ij in upper:
-            _fill_time_degree(ctx, h[ij].coeffs, rhs[ij].coeffs, r, q)
-            h[ij].order = order
-            h[ij].left = _with_time_left(ctx, h[ij], q)
-    return h
+    rhs = geo.lichnerowicz_laplacian(ctx.chart, h)
+    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    order = min(min(rhs[ij].order for ij in lower) + 1,
+                min(h[ij].order for ij in lower))
+    return geo.sym2_from(
+        lambda i, j: _first_order_step(ctx, h[i, j], rhs[i, j], order), n)
 
 
 def neg_grad_potential(ctx: SolitonContext) -> geo.TensorValue:

@@ -18,6 +18,11 @@ Validity shrinks only under differentiation (by one) and is tracked on each
 value; reading a coefficient beyond it raises :class:`JetOrderError` instead
 of returning a number that merely looks plausible.
 
+Jets are values: every operation returns a new jet, and nothing writes into
+a jet's coefficients or rebinds its attributes once it is built. A jet that
+has been read can be read again, or shared between tensors, without going
+stale.
+
 Products and the analytic functions are truncated at the validity order
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13): a product of jets
 valid to order d forms only the coefficient pairs whose target degree is
@@ -357,7 +362,6 @@ class Jet:
             if n < 0:
                 return self.reciprocal() ** (-int(n))
             result = self.space.constant(np.ones(self.batch))
-            result.order = self.order
             base = self
             n = int(n)
             while n:

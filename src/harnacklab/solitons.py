@@ -173,13 +173,12 @@ class SolitonContext:
     seeded at 0 for one-parameter deformations. Variable layout: x, y[, t][, s].
 
     The identities are first order in t and s, so the space caps the degree
-    in t at ``time_degree`` (1 unless a caller propagates a field to higher
-    time degree) and in s at 1: a second ``dt`` or ``ds`` raises
-    ``JetCapError`` instead of reading rows the space does not carry.
+    in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
+    reading rows the space does not carry.
     """
 
     def __init__(self, spec: SolitonSpec, seed: int, n_points: int, order: int,
-                 time: str, deform: bool, time_degree: int = 1):
+                 time: str, deform: bool):
         if spec.grid_only:
             raise UnknownSolitonError(
                 f"{spec.name} is defined by sampled data only; no jet chart")
@@ -188,13 +187,10 @@ class SolitonContext:
         self.spec = spec
         self.seed = seed
         self.n_points = n_points
-        self.order = order
-        if time_degree < 1:
-            raise ValueError(f"time_degree must be >= 1, got {time_degree}")
         self.time_index = 2 if time == "var" else None
         self.deform_index = (2 + (time == "var")) if deform else None
         self.var_names = ("x", "y") + ("t",) * (time == "var") + ("s",) * deform
-        caps = (None, None) + (time_degree,) * (time == "var") + (1,) * deform
+        caps = (None, None) + (1,) * (time == "var") + (1,) * deform
 
         pack = sample_points(spec, seed, n_points)
         self.points = pack
@@ -226,7 +222,5 @@ class SolitonContext:
 
 @lru_cache(maxsize=64)
 def build_context(name: str, seed: int = 0, n_points: int = 32, order: int = 6,
-                  time: str = "var", deform: bool = False,
-                  time_degree: int = 1) -> SolitonContext:
-    return SolitonContext(catalog_get(name), seed, n_points, order, time, deform,
-                          time_degree)
+                  time: str = "var", deform: bool = False) -> SolitonContext:
+    return SolitonContext(catalog_get(name), seed, n_points, order, time, deform)

@@ -6,6 +6,7 @@ from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, UnknownCheckError,
                                rel_residual, run_check, run_suite,
                                tensor_residual)
 from harnacklab.geometry import field_data
+from harnacklab.jet import Jet
 from harnacklab.solitons import CATALOG, UnknownSolitonError, build_context
 
 ALL_IDS = [
@@ -131,6 +132,32 @@ def test_run_check_builds_each_context_with_one_call_shape(monkeypatch):
         assert args == (rep.soliton, 2, 2, 5)
         want = r1 if rep.check_id == "CHK-R1" else {}
         assert list(kwargs.items()) == list(want.items())
+
+
+def test_registry_never_writes_into_a_built_jet(monkeypatch):
+    # jets are values: freeze each one as it is built (read-only coefficients,
+    # no attribute set twice) and the whole registry must still pass
+    init = Jet.__init__
+
+    def frozen_init(jet, *args, **kwargs):
+        init(jet, *args, **kwargs)
+        jet.coeffs.setflags(write=False)
+
+    def set_once(jet, name, value):
+        if name in jet.__dict__:
+            raise AttributeError(f"Jet.{name} is already set")
+        object.__setattr__(jet, name, value)
+
+    monkeypatch.setattr(Jet, "__init__", frozen_init)
+    monkeypatch.setattr(Jet, "__setattr__", set_once)
+    build_context.cache_clear()  # every context's jets get built frozen
+    try:
+        ran = [r for r in run_suite(seed=0, n_points=3, order=6)
+               if r.status != checks.STATUS_SKIPPED]
+    finally:
+        build_context.cache_clear()
+    assert len(ran) == 102
+    assert all(r.status == checks.STATUS_PASS for r in ran)
 
 
 def test_contexts_prebuilt_in_the_benchmark_call_shape_are_cache_hits():

@@ -128,7 +128,7 @@ def test_harnack_p_eps_flat_frozen():
 
 def test_l_eps_operator_terms():
     ctx = build_context("flat_torus", n_points=6, order=5)
-    w = fields.propagate_scalar(ctx, ctx.x.sin(), fields.rhs_heat, q=1)
+    w = fields.propagate_scalar(ctx, ctx.x.sin(), fields.rhs_heat)
     v = ctx.space.constant(np.zeros(6))
     terms = hk.l_eps_terms(ctx.chart, ctx.dt, v, w, eps=1.0)
     got = field_data(sum(terms))
