@@ -35,6 +35,7 @@ so residuals keep every bit. Folding returns shared objects: a field's
 operands as slices of one wrap-padded copy, in the order of the formula.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -375,6 +376,20 @@ class ConvergenceReport:
                 for k, v in vars(self).items() if k != "seed"}
 
 
+@functools.cache
+def _raise_mmap_threshold():
+    """Allocate, touch and free one 4 MiB array, once per process.
+
+    glibc serves a block of at least its mmap threshold (128 KiB at start,
+    the size of an n = 128 field) with its own mmap, so every such temporary
+    costs fresh page faults. Freeing a mapped block raises the threshold to
+    the block's size, after which the fields are served from the reused heap.
+    This acts only on this process's allocator and changes no result; under
+    another allocator it is one short-lived allocation.
+    """
+    np.ones(1 << 19)
+
+
 def run_grid_check(check_id: str, seed: int = 0,
                    grid_sizes: tuple = (32, 64, 128)) -> ConvergenceReport:
     """Run one convergence scenario across resolutions and fit the order.
@@ -398,6 +413,7 @@ def run_grid_check(check_id: str, seed: int = 0,
     if problems:
         raise ValueError(f"grid sizes {list(grid_sizes)}: " + "; ".join(problems))
     soliton, scenario, band = _SCENARIOS[check_id]
+    _raise_mmap_threshold()
     t0 = time.perf_counter()
     residuals = [scenario(n, seed) for n in grid_sizes]
     millis = 1000.0 * (time.perf_counter() - t0)

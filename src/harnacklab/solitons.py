@@ -10,6 +10,7 @@ Conventions: a gradient soliton satisfies Ric + Hess f = lam * g with lam = 0
 cases solve Ricci flow exactly). "Normalized steady" means R + |grad f|^2 = 1.
 """
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -140,26 +141,67 @@ def stream(seed: int, tag: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(tag.encode())])
 
 
-def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
-    """Low-discrepancy sample pack: spatial points (2, n) and times (n,).
+def _first_primes(count: int) -> list:
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
-    Points near a coordinate axis are nudged off it so that quantities with
-    isolated critical points (|grad f| on the cigar at the origin) stay
-    generic at every sample.
+
+def scrambled_halton(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """The first ``n`` points (n, d) of the Halton sequence in the first ``d``
+    prime bases, scrambled by random digit permutations (Owen, "A randomized
+    Halton algorithm in R", arXiv:1706.02808).
+
+    Bit for bit this is ``scipy.stats.qmc.Halton(d, scramble=True, seed=rng)
+    .random(n)``: the permutations come from one child generator spawned off
+    ``rng``'s seed sequence (which counts the spawn, as scipy's does), one
+    shuffled ``arange(b)`` for each of the ``ceil(54 / log2 b) - 1`` digits a
+    double can resolve. The digit weights are formed by repeated division, as
+    the compiled original does; weights of ``b ** -(j + 1)`` move about half
+    of all samples by a few ulps.
     """
-    from scipy.stats import qmc  # ~1 s to import; only the sampler needs it
+    bits = rng.bit_generator
+    child = np.random.Generator(type(bits)(bits.seed_seq.spawn(1)[0]))
+    out = np.zeros((n, d))
+    for col, base in enumerate(_first_primes(d)):
+        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        for perm in perms:
+            child.shuffle(perm)
+        k = np.arange(n)
+        weight = 1.0 / base
+        for perm in perms:
+            out[:, col] += perm[k % base] * weight
+            k //= base
+            weight /= base
+    return out
 
-    sampler = qmc.Halton(d=3, scramble=True, seed=stream(seed, "pts:" + spec.name))
-    raw = sampler.random(n)
+
+def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
+    """Low-discrepancy sample pack: spatial points (dim, n) and times (n,).
+
+    The points are a scrambled Halton sample (Owen, arXiv:1706.02808; see
+    ``scrambled_halton``) with one coordinate per axis of ``spec.sample_box``
+    plus one for time, drawn from the stream
+    ``"pts:" + spec.name``. Points near a coordinate axis are nudged off it so
+    that quantities with isolated critical points (|grad f| on the cigar at
+    the origin) stay generic at every sample. A shrinking soliton sampled at
+    t >= 0 raises ``ChartDomainError``.
+    """
+    dim = len(spec.sample_box)
+    raw = scrambled_halton(stream(seed, "pts:" + spec.name), dim + 1, n)
     lo = np.array([b[0] for b in spec.sample_box])
     hi = np.array([b[1] for b in spec.sample_box])
-    xy = (lo + (hi - lo) * raw[:, :2]).T
+    xy = (lo + (hi - lo) * raw[:, :dim]).T
     centered = (lo < 0).any()
     if centered:
         near = np.abs(xy) < 0.08
         xy = np.where(near, xy + 0.13 * np.where(xy >= 0, 1.0, -1.0), xy)
     t0, t1 = spec.time_interval
-    times = t0 + (t1 - t0) * raw[:, 2]
+    times = t0 + (t1 - t0) * raw[:, dim]
     if spec.kind == "shrinking" and np.any(times >= 0.0):
         raise geo.ChartDomainError("shrinking soliton sampled at t >= 0")
     return {"xy": xy, "t": times}

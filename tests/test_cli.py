@@ -1,9 +1,11 @@
+import ast
 import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -248,14 +250,48 @@ def _child_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    env = _child_env()
+_BLOCK_SCIPY = """
+import sys
+
+class _RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, _RefuseScipy())
+from harnacklab.cli import main
+code = main(sys.argv[1:])
+if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules):
+    sys.exit("a scipy module was loaded")
+sys.exit(code)
+"""
+
+
+def test_check_runs_with_scipy_blocked():
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, harnacklab; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, "-c", _BLOCK_SCIPY, "check", "CHK-S1", "--points", "2"],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "7 run, 1 skipped, 0 failed"
+
+
+def _imported_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_module_imports_scipy():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert files
+    offenders = [(str(f.relative_to(root)), name) for f in files
+                 for name in _imported_modules(f)
+                 if name.split(".")[0] == "scipy"]
+    assert offenders == []
 
 
 def test_python_dash_m_runs_the_cli():
