@@ -343,13 +343,19 @@ def laplacian(chart: MetricChart, s):
     return trace_sym2(chart, hessian(chart, s))
 
 
-def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
+def _trace_first_pair(chart: MetricChart, dd: TensorValue, idx: tuple):
+    """g^{ij} dd_{ij idx}: one component of a second covariant derivative's
+    trace over its two new axes."""
     n = chart.n
+    return _acc(chart.ginv[i, j] * dd.comps[(i, j) + idx]
+                for i in range(n) for j in range(n))
+
+
+def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
     dd = covariant_derivative(chart, covariant_derivative(chart, t))
     comps = np.empty(t.comps.shape, dtype=object)
     for idx in np.ndindex(*t.comps.shape):
-        comps[idx] = _acc(chart.ginv[i, j] * dd.comps[(i, j) + idx]
-                          for i in range(n) for j in range(n))
+        comps[idx] = _trace_first_pair(chart, dd, idx)
     return TensorValue(t.cov, t.con, comps)
 
 
@@ -427,16 +433,19 @@ def divergence_vec(chart: MetricChart, v: TensorValue):
 
 def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     """Delta_L h_pq = Delta h_pq + 2 riem_low[p,i,j,q] h^{ij}
-                      - Ric_p^k h_kq - Ric_q^k h_pk."""
+                      - Ric_p^k h_kq - Ric_q^k h_pk.
+
+    Only the components with q <= p are formed, the rough Laplacian's too;
+    [q, p] shares the [p, q] object."""
     n = chart.n
-    rough = rough_laplacian(chart, h)
+    dd = covariant_derivative(chart, covariant_derivative(chart, h))
     hup = raise_sym2(chart, h)
     low = chart.riem_low
     mixed = mixed_ricci(chart)  # mixed[k, p] = R^k_p = Ric_p^k
     comps = np.empty((n, n), dtype=object)
     for p in range(n):
         for q in range(p + 1):
-            val = rough[p, q] \
+            val = _trace_first_pair(chart, dd, (p, q)) \
                 + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
                              for i in range(n) for j in range(n)) \
                 - _acc(mixed[k, p] * h[k, q] for k in range(n)) \

@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,15 +56,16 @@ def test_trig_params_grid_independent():
     assert trig_params(4, "x") != p
 
 
+def _flat_heat(grid):
+    chart = gl._flat_chart()
+    return lambda state: {"u": geo.laplacian(
+        chart, GridField(state["u"], grid.dx)).values}
+
+
 def test_heat_evolution_matches_separable_solution():
     grid = TorusGrid(64)
-    ch = gl._flat_chart()
-
-    def deriv(state):
-        return {"u": geo.laplacian(ch, GridField(state["u"], grid.dx)).values}
-
     state0 = {"u": np.sin(grid.x)}
-    slices, times, tau = evolve_slices(grid, state0, deriv, 0.05)
+    slices, times, tau = evolve_slices(grid, state0, _flat_heat(grid), 0.05)
     for st, t in zip(slices, times):
         want = np.exp(-t) * np.sin(grid.x)
         assert np.max(np.abs(st["u"] - want)) < 1e-6, t
@@ -182,14 +184,23 @@ def test_grid_checks_registry():
     assert gl.GRID_CHECKS == ("CHK-L1", "CHK-B2", "CHK-EQ1")
 
 
-# float.hex of each scenario's residuals at seed 0, sizes (32, 48), as the
-# grid route computed them before constants were folded and the stencil was
-# built from one padded copy; both changes must leave every bit in place.
+# float.hex of each scenario's residuals at seed 0, sizes (32, 48), with the
+# RK4 step at DT_SAFETY of the metric's stability limit.
 PINNED_RESIDUALS = {
+    "CHK-L1": ("0x1.2edc7371b3531p-17", "0x1.7cb52bd07fdd8p-20"),
+    "CHK-B2": ("0x1.24e519614140dp-6", "0x1.1122838c9a013p-8"),
+    "CHK-EQ1": ("0x1.10fdd735a1a14p-8", "0x1.13eca893df791p-10"),
+}
+
+# The same residuals with the fixed step dt <= 0.2 dx^2, kept as the reference
+# the step's error is bounded against: the larger step may move a residual by
+# at most these fractions at each size.
+FIXED_STEP_RESIDUALS = {
     "CHK-L1": ("0x1.d98493bd82161p-18", "0x1.76faa9e270826p-20"),
     "CHK-B2": ("0x1.25388d50a7c37p-6", "0x1.112739030c511p-8"),
     "CHK-EQ1": ("0x1.12751953c84c5p-8", "0x1.151cea81f0962p-10"),
 }
+STEP_ERROR_BOUND = (0.30, 0.02)  # n = 32, n = 48
 
 
 @pytest.mark.parametrize("check_id", gl.GRID_CHECKS)
@@ -197,6 +208,70 @@ def test_residuals_bit_identical_to_pinned(check_id):
     r = run_grid_check(check_id, seed=0, grid_sizes=(32, 48))
     assert tuple(float(x).hex() for x in r.residuals) == \
         PINNED_RESIDUALS[check_id]
+
+
+@pytest.mark.parametrize("check_id", gl.GRID_CHECKS)
+def test_pinned_residuals_within_bound_of_fixed_step(check_id):
+    for new, ref, bound in zip(PINNED_RESIDUALS[check_id],
+                               FIXED_STEP_RESIDUALS[check_id], STEP_ERROR_BOUND):
+        new, ref = float.fromhex(new), float.fromhex(ref)
+        assert abs(new - ref) <= bound * ref, (check_id, new / ref)
+
+
+def _worst_mode_amplitudes(n: int, t_center: float) -> tuple:
+    """(initial, per-slice) max |u| of the grid mode nearest the flat
+    Laplacian's largest eigenvalue, cos k = 1 - sqrt(3/2) on both axes."""
+    grid = TorusGrid(n)
+    m = round(np.arccos(1.0 - np.sqrt(1.5)) / grid.dx)
+    u0 = np.cos(m * grid.x) * np.cos(m * grid.y)
+    slices, _, _ = evolve_slices(grid, {"u": u0}, _flat_heat(grid), t_center)
+    return np.abs(u0).max(), [np.abs(s["u"]).max() for s in slices]
+
+
+def test_worst_mode_decays_under_the_step_and_grows_past_the_limit(
+        monkeypatch):
+    # t = 1 puts 43 steps (33 past the limit) before the first slice
+    a0, amps = _worst_mode_amplitudes(32, 1.0)
+    assert all(a < a0 for a in amps)
+    monkeypatch.setattr(gl, "DT_SAFETY", 1.05)
+    a0, amps = _worst_mode_amplitudes(32, 1.0)
+    assert amps[0] > 10.0 * a0
+
+
+def _count_steps(monkeypatch, grid, state0, deriv) -> int:
+    steps = []
+    rk4_step = gl._rk4_step
+    with monkeypatch.context() as mp:
+        mp.setattr(gl, "_rk4_step", lambda *a: steps.append(1) or rk4_step(*a))
+        evolve_slices(grid, state0, deriv, gl.T_STAR)
+    return len(steps)
+
+
+def test_step_count_follows_the_metric(monkeypatch):
+    grid = TorusGrid(128)
+    ones = np.ones((128, 128))
+    flat = _count_steps(monkeypatch, grid, {"u": np.sin(grid.x)},
+                        _flat_heat(grid))
+    assert flat == 45
+    # constant metric with eigenvalues 0.5 and 1: lambda_max(g^-1) = 2 halves
+    # dt_max, so each span takes ceil(2 span / dt_max) steps
+    constant = {"g00": 0.75 * ones, "g01": 0.25 * ones, "g11": 0.75 * ones}
+    slow = _count_steps(monkeypatch, grid, constant,
+                        lambda state: {k: 0.0 * v for k, v in state.items()})
+    tau = gl.SLICE_SPACING_FACTOR * grid.dx
+    dt = gl.DT_SAFETY * gl.RK4_DT_LIMIT * grid.dx ** 2 / 2.0
+    assert slow == int(np.ceil((gl.T_STAR - 2.0 * tau) / dt)) \
+        + 4 * int(np.ceil(tau / dt))
+    assert 1.8 * flat < slow < 2.0 * flat
+
+
+def test_rk4_limit_matches_the_benchmark_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    assert abs(gl.RK4_DT_LIMIT - tracing.RK4_DT_LIMIT) <= 1e-12
+    assert abs(gl.RK4_DT_LIMIT - 0.7396) < 1e-4
 
 
 # sha256 over the whole jet registry at seed 0, 4 points, order 6: each
