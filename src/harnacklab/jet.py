@@ -30,6 +30,13 @@ valid to order d forms only the coefficient pairs whose target degree is
 rows of degree <= d are ``[0, n_upto[d])`` and the pairs that feed them are
 ``[0, pairs_upto[d])`` of the target-sorted multiplication table.
 
+A product with an operand that is zero on those rows forms no pairs at all:
+it is zeros (the same sparsity rule, at the level of a whole operand). Many
+are: a diagonal chart's off-diagonal metric entries, a flat chart's
+curvature. The fold is exact up to the sign of a zero, except that a
+non-finite coefficient times a zero jet folds to 0.0 where IEEE gives NaN,
+the same rule as ``gridlab``'s ``x * 0.0``.
+
 A space may also cap the degree of single variables: ``jet_space(n_vars,
 order, caps)`` keeps only the exponents with ``e[v] <= caps[v]`` (a time
 variable that no consumer differentiates twice needs degree 1 only), and only
@@ -184,14 +191,21 @@ class JetSpace:
         formed, in two gather buffers kept on the space (so one space must not
         multiply in two threads at once); the result is a fresh (size, batch)
         array, zero past row ``n_upto[d]``.
+
+        An operand whose rows are all zero forms no pairs: the product is
+        zeros. This matches the pairs' sum up to the sign of a zero, except
+        that a non-finite coefficient of the other operand folds to 0.0 where
+        IEEE makes its product with zero NaN.
         """
         n = a.shape[0]
         d = self._validity_of_rows.get(n)
         if d is None or b.shape[0] != n:
             raise JetError(f"operands of {n} and {b.shape[0]} rows are not "
                            "a validity prefix of this space")
-        p = self.pairs_upto[d]
         batch = max(a.shape[1], b.shape[1])
+        if not (a.any() and b.any()):
+            return np.zeros((self.size, batch))
+        p = self.pairs_upto[d]
         if self._scratch.shape[1] < len(self._mul_i) * batch:
             self._scratch = np.empty((2, len(self._mul_i) * batch))
         ta = self._scratch[0, :p * batch].reshape(p, batch)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harnacklab.jet import (Jet, JetCapError, JetError, JetOrderError,
-                            SingularPointError, jet_space)
+                            JetSpace, SingularPointError, jet_space)
 
 
 def test_geometric_series_coefficients():
@@ -312,6 +312,53 @@ def test_products_do_not_alias_the_shared_scratch():
     assert not np.shares_memory(first.coeffs, second.coeffs)
     assert np.array_equal(first.coeffs, kept)
     assert not np.shares_memory(second.coeffs, sp._scratch)
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES + [(3, 6, (None, None, 1))])
+def test_zero_operand_folds_to_the_full_table(space):
+    sp = jet_space(*space)
+    rng = np.random.default_rng(17)
+    other = _noisy_coeffs(sp, rng)
+    zero = np.zeros((sp.size, 3))
+    ref = _full_product(sp, zero, other)
+    spent = tuple(max(c - 1, 0) for c in sp.caps)
+    for d1, d2 in itertools.product(range(sp.order + 1), repeat=2):
+        n = sp.n_upto[min(d1, d2)]
+        z, u = Jet(sp, zero, d1, spent), Jet(sp, other, d2)
+        for got in (z * u, u * z):
+            assert got.order == min(d1, d2) and got.left == spent
+            assert got.coeffs.shape == (sp.size, 3)
+            assert np.array_equal(got.coeffs[:n], ref[:n]), (d1, d2)
+            assert not got.coeffs[n:].any(), (d1, d2)
+    c = sp.constant(0.0)
+    for d in range(sp.order + 1):
+        u = Jet(sp, other, d)
+        for got in (c * u, u * c):
+            assert got.order == d and got.coeffs.shape == (sp.size, 3)
+            assert not got.coeffs.any()
+
+
+def test_zero_on_the_validity_prefix_folds_without_the_scratch():
+    sp = JetSpace(3, 6, (None, None, 1))
+    rng = np.random.default_rng(19)
+    u = Jet(sp, _noisy_coeffs(sp, rng), sp.order)
+    past = _noisy_coeffs(sp, rng)
+    past[:sp.n_upto[3]] = 0.0
+    for zero in (Jet(sp, past, 3), sp.constant(np.zeros(3))):
+        got = zero * u
+        assert got.order == zero.order and not got.coeffs.any()
+        assert sp._scratch.shape == (2, 0)
+    assert (u * u).coeffs.any()
+    assert sp._scratch.shape[1] >= sp.pairs_upto[-1] * 3
+
+
+def test_zero_times_non_finite_folds_to_zero():
+    # IEEE makes 0.0 * inf NaN; a zero operand forms no pairs, so 0.0 rows
+    sp = jet_space(2, 4)
+    c = _noisy_coeffs(sp, np.random.default_rng(23))
+    c[0, 0], c[3, 1] = np.inf, np.nan
+    got = sp.constant(0.0) * Jet(sp, c, sp.order)
+    assert np.array_equal(got.coeffs, np.zeros((sp.size, 3)))
 
 
 def test_mul_raw_rejects_rows_off_the_validity_prefix():

@@ -212,3 +212,11 @@ def test_build_context_is_cached():
     a = build_context("cigar_static", n_points=4, order=3)
     b = build_context("cigar_static", n_points=4, order=3)
     assert a is b
+
+
+@pytest.mark.parametrize("name", JET_NAMES)
+def test_catalog_off_diagonal_metric_is_an_all_zero_jet(name):
+    # every product with these entries folds in the jet kernel (no pairs)
+    chart = build_context(name, n_points=4, order=4).chart
+    for comps in (chart.g, chart.ginv):
+        assert not comps[0, 1].coeffs.any() and not comps[1, 0].coeffs.any()
