@@ -20,6 +20,9 @@ partial of one. That sum is not written out here: it is the identity's own
 term builder evaluated on ``geometry.Magnitude`` inputs, and it stays bounded
 away from zero whenever the underlying curvature does.
 
+A soliton identity is written once: its shrinking form adds terms in the
+context's soliton constant ``lam``, which are exact zeros on a steady chart.
+
 A ``CheckSpec`` states a check's identity, the predicate on ``SolitonSpec``
 that picks the jet charts it applies to, and ``context``: the keywords of
 ``build_context`` it needs beyond (chart, seed, n_points, order), which only
@@ -156,11 +159,8 @@ def _run_s1(ctx):
     ch = ctx.chart
     n = ch.n
     hf = geo.hessian(ch, ctx.f)
-    pairs = [(ch.ricci, 1.0), (hf, 1.0)]
-    if ctx.spec.kind == "shrinking":
-        half_inv_t = 0.5 / ctx.t
-        comps = geo.sym2_from(lambda i, j: ch.g[i, j] * half_inv_t, n)
-        pairs.append((comps, 1.0))
+    lam_g = geo.sym2_from(lambda i, j: ch.g[i, j] * -ctx.lam, n)
+    pairs = [(ch.ricci, 1.0), (hf, 1.0), (lam_g, 1.0)]
     parts = {"soliton_equation": tensor_residual(_sym2_terms(n, pairs))}
     if ctx.spec.ricci_flow_exact:
         dg = geo.sym2_from(lambda i, j: ctx.dt(ch.g[i, j]), n)
@@ -176,11 +176,7 @@ def _run_s2(ctx):
     dr = geo.differential(ch, r)
     rc2 = geo.inner_sym2(ch, ch.ricci, ch.ricci)
     grr = geo.inner_vec(ch, dr, df)
-    if ctx.spec.kind == "shrinking":
-        terms = [0.5 * geo.laplacian(ch, r), rc2, -0.5 * grr,
-                 r / (2.0 * ctx.t)]
-    else:
-        terms = [geo.laplacian(ch, r), 2.0 * rc2, -grr]
+    terms = [geo.laplacian(ch, r), 2.0 * rc2, -grr, r * -ctx.lam * 2.0]
     parts = {"scalar_curvature_identity": rel_residual(terms)}
     gf = geo.raise_vector(ch, df)
     parts["curvature_gradient"] = tensor_residual(
@@ -207,14 +203,11 @@ def _run_h1(ctx):
     m = hk.matrix_harnack(ch)
     p = hk.p_tensor(ch)
     gf = geo.gradient(ch, ctx.f)
-    shrinking = ctx.spec.kind == "shrinking"
     out = []
     for i in range(ch.n):
         for j in range(i + 1):
-            terms = [m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
-            if shrinking:
-                terms.append(ch.ricci[i, j] / (2.0 * ctx.t))
-            out.append(terms)
+            out.append([m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
+                       + [ch.ricci[i, j] * -ctx.lam])
     return {"matrix_harnack_potential": tensor_residual(out)}
 
 
@@ -241,20 +234,17 @@ def _run_h3(ctx):
     mixed = geo.mixed_ricci(ch)
     out = []
     for j in range(ch.n):
-        terms = [ctx.dt(gf[j]), -lap_gf[j]] \
-            + [-mixed[j, k] * gf[k] for k in range(ch.n)]
-        if ctx.spec.kind == "shrinking":
-            terms.append(gf[j] / ctx.t)
-        out.append(terms)
+        out.append([ctx.dt(gf[j]), -lap_gf[j]]
+                   + [-mixed[j, k] * gf[k] for k in range(ch.n)]
+                   + [gf[j] * -ctx.lam * 2.0])
     return {"potential_gradient_evolution": tensor_residual(out)}
 
 
 def _run_h4(ctx):
     ch = ctx.chart
     terms = hk.linear_trace_terms(ch, ch.ricci, fields.neg_grad_potential(ctx))
-    if ctx.spec.kind == "shrinking":
-        terms = terms + [ch.scalar_curvature / (2.0 * ctx.t)]
-    return {"trace_harnack_soliton": rel_residual(terms)}
+    return {"trace_harnack_soliton":
+            rel_residual(terms + [ch.scalar_curvature * -ctx.lam])}
 
 
 def _run_h4t(ctx):
@@ -315,8 +305,8 @@ def _run_l2(ctx):
     h = fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"))
     zp = hk.linear_trace_terms(ch, h, fields.neg_grad_potential(ctx))
     bigh = geo.trace_sym2(ch, h)
-    pieces = zp + [bigh / (2.0 * ctx.t)]
-    damped = _heat_terms(ctx, pieces) + [(2.0 / ctx.t) * z for z in pieces]
+    pieces = zp + [bigh * -ctx.lam]
+    damped = _heat_terms(ctx, pieces) + [(-4.0 * ctx.lam) * z for z in pieces]
     t2 = ctx.t * ctx.t
     conserved = _heat_terms(ctx, [t2 * z for z in pieces])
     trace_ev = [ctx.dt(bigh), -geo.laplacian(ch, bigh),

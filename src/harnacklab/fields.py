@@ -34,27 +34,31 @@ def strip_time(ctx: SolitonContext, u: Jet) -> Jet:
     return Jet(ctx.space, coeffs, u.order, u.left)
 
 
-def trig_params(seed: int, tag: str, amplitude: float = 0.4) -> list:
-    """The terms a sin(wx x + wy y + phase) of a trig polynomial, as three
-    (a, wx, wy, phase), drawn from stream(seed, tag) alone: no chart or grid
-    enters the draw, so each samples the same function."""
+def trig_params(seed: int, tag: str, dim: int, amplitude: float = 0.4) -> list:
+    """The terms a sin(w . x + phase) of a trig polynomial in ``dim``
+    coordinates, as three (a, w, phase) with ``w`` a tuple of ``dim`` integers
+    in [-2, 2], not all zero. They are drawn from stream(seed, tag) alone: no
+    chart or grid enters the draw, so each samples the same function."""
     rng = stream(seed, tag)
     out = []
     for _ in range(3):
         a = amplitude * rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0])
-        wx, wy = 0, 0
-        while wx == 0 and wy == 0:
-            wx, wy = (int(w) for w in rng.integers(-2, 3, size=2))
-        out.append((a, wx, wy, rng.uniform(0.0, 2 * np.pi)))
+        w = (0,) * dim
+        while not any(w):
+            w = tuple(int(k) for k in rng.integers(-2, 3, size=dim))
+        out.append((a, w, rng.uniform(0.0, 2 * np.pi)))
     return out
 
 
 def trig_scalar(ctx: SolitonContext, tag: str, amplitude: float = 0.4,
                 base: float = 0.0) -> Jet:
-    """Trigonometric polynomial in x, y drawn from (ctx.seed, tag)."""
+    """Trigonometric polynomial in the chart's coordinates drawn from
+    (ctx.seed, tag)."""
     out = ctx.space.constant(np.full(ctx.n_points, base))
-    for a, wx, wy, phase in trig_params(ctx.seed, "scalar:" + tag, amplitude):
-        out = out + a * (wx * ctx.x + wy * ctx.y + phase).sin()
+    for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(ctx.coords),
+                                   amplitude):
+        terms = [wk * c for wk, c in zip(w, ctx.coords)]
+        out = out + a * (sum(terms[1:], terms[0]) + phase).sin()
     return out
 
 
@@ -64,7 +68,7 @@ def trig_sym2(ctx: SolitonContext, tag: str) -> geo.TensorValue:
 
 
 def trig_vector(ctx: SolitonContext, tag: str, time_linear: bool = False):
-    """Contravariant vector field X = A(x,y), or X = A(x,y) + t*B(x,y) when
+    """Contravariant vector field X = A(x), or X = A(x) + t*B(x) when
     ``time_linear`` (so dX/dt = B exactly); components of amplitude 0.5."""
     n = ctx.chart.n
     a = geo.vector_from(

@@ -112,8 +112,6 @@ class MetricChart:
 
     @cached_property
     def det(self):
-        if self.n == 2:
-            return self.g[0, 0] * self.g[1, 1] - self.g[0, 1] * self.g[1, 0]
         return _det_obj(self.g)
 
     def require_positive_definite(self):
@@ -130,20 +128,11 @@ class MetricChart:
         self.require_positive_definite()
         det = self.det
         comps = np.empty((self.n, self.n), dtype=object)
-        if self.n == 1:
-            comps[0, 0] = 1.0 / det
-        elif self.n == 2:
-            comps[0, 0] = self.g[1, 1] / det
-            comps[1, 1] = self.g[0, 0] / det
-            off = -self.g[0, 1] / det
-            comps[0, 1] = off
-            comps[1, 0] = off
-        else:
-            for i in range(self.n):
-                for j in range(i + 1):
-                    val = _cofactor(self.g, j, i) / det
-                    comps[i, j] = val
-                    comps[j, i] = val
+        for i in range(self.n):
+            for j in range(i + 1):
+                val = _cofactor(self.g, j, i) / det
+                comps[i, j] = val
+                comps[j, i] = val
         return comps
 
     @cached_property
@@ -224,9 +213,12 @@ def _cofactor(m: np.ndarray, i: int, j: int):
 
 
 def _det_obj(m: np.ndarray):
-    if m.shape[0] == 1:
-        return m[0, 0]
-    return _acc(_cofactor(m, 0, j) * m[0, j] for j in range(m.shape[0]))
+    """Laplace expansion along the first row, each entry times its cofactor;
+    a 0 x 0 matrix has determinant 1.0. For n = 2 this is the closed form
+    g00 g11 - g01 g10, bit for bit."""
+    if m.shape[0] == 0:
+        return 1.0
+    return _acc(m[0, j] * _cofactor(m, 0, j) for j in range(m.shape[0]))
 
 
 class Magnitude:

@@ -163,7 +163,7 @@ def eval_trig(grid: TorusGrid, params: list, base: float = 0.0) -> GridField:
     """Sample ``fields.trig_params`` terms on the grid. The scenarios draw
     them under ``"grid:" + tag``; every resolution sees the same function."""
     vals = np.full((grid.n, grid.n), base)
-    for a, wx, wy, phase in params:
+    for a, (wx, wy), phase in params:
         vals = vals + a * np.sin(wx * grid.x + wy * grid.y + phase)
     return GridField(vals, grid.dx)
 
@@ -298,7 +298,7 @@ def _chart_from_state(grid: TorusGrid, state: dict) -> geo.MetricChart:
 def _perturbation_state(grid: TorusGrid, seed: int, tag: str,
                         amplitude: float) -> dict:
     return _state_from_sym2(tag, geo.sym2_from(lambda i, j: eval_trig(
-        grid, trig_params(seed, f"grid:{tag}{j}{i}", amplitude)), 2))
+        grid, trig_params(seed, f"grid:{tag}{j}{i}", 2, amplitude)), 2))
 
 
 def _sup_residual(lhs: list, rhs: list) -> float:
@@ -361,7 +361,8 @@ def _scenario_b2(n: int, seed: int) -> float:
         u = GridField(state["u"], grid.dx)
         return {"u": geo.laplacian(chart, u).values}
 
-    state0 = {"u": np.exp(eval_trig(grid, trig_params(seed, "grid:b2.u0", 0.3)).values)}
+    u0 = eval_trig(grid, trig_params(seed, "grid:b2.u0", 2, 0.3))
+    state0 = {"u": np.exp(u0.values)}
     slices, _, tau = evolve_slices(grid, state0, deriv, T_STAR, positive=("u",))
     qs = [hk.log_q(chart, GridField(np.log(s["u"]), grid.dx))
           for s in slices]
@@ -380,7 +381,7 @@ def _scenario_eq1(n: int, seed: int) -> float:
     g = _perturbation_state(grid, seed + 1, "g", 0.12)
     state0 = {**_perturbation_state(grid, seed, "h", 0.4), **g,
               "g00": 1.0 + g["g00"], "g11": 1.0 + g["g11"]}
-    a, b = ([eval_trig(grid, trig_params(seed, f"grid:eq1.{v}[{i}]", 0.5))
+    a, b = ([eval_trig(grid, trig_params(seed, f"grid:eq1.{v}[{i}]", 2, 0.5))
              for i in range(2)] for v in "AB")
     return _evolution_identity(grid, state0, a, b)
 

@@ -1,13 +1,15 @@
 """Catalog of explicit gradient Ricci solitons and jet contexts over them.
 
 Each catalog entry supplies closed-form metric and potential components in one
-coordinate chart, as functions of coordinate jets (x, y, t). The time argument
-is always passed; static entries ignore it, and callers choose whether t is a
+coordinate chart, as functions of coordinate jets (x1, ..., xn, t); the chart's
+dimension n is the number of axes of its ``sample_box``. The time argument is
+always passed; static entries ignore it, and callers choose whether t is a
 jet variable (so time derivatives are available) or a per-point constant.
 
 Conventions: a gradient soliton satisfies Ric + Hess f = lam * g with lam = 0
 (steady) or lam = -1/(2t), t < 0 (shrinking, so the metric g(t) = -2t * g_fixed
-cases solve Ricci flow exactly). "Normalized steady" means R + |grad f|^2 = 1.
+cases solve Ricci flow exactly). The soliton constant lam is written here
+only, as ``SolitonContext.lam``. "Normalized steady" means R + |grad f|^2 = 1.
 """
 
 import math
@@ -181,7 +183,7 @@ def scrambled_halton(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 
 def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
-    """Low-discrepancy sample pack: spatial points (dim, n) and times (n,).
+    """Low-discrepancy sample pack: spatial points "x" (dim, n) and times "t" (n,).
 
     The points are a scrambled Halton sample (Owen, arXiv:1706.02808; see
     ``scrambled_halton``) with one coordinate per axis of ``spec.sample_box``
@@ -195,24 +197,29 @@ def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
     raw = scrambled_halton(stream(seed, "pts:" + spec.name), dim + 1, n)
     lo = np.array([b[0] for b in spec.sample_box])
     hi = np.array([b[1] for b in spec.sample_box])
-    xy = (lo + (hi - lo) * raw[:, :dim]).T
+    x = (lo + (hi - lo) * raw[:, :dim]).T
     centered = (lo < 0).any()
     if centered:
-        near = np.abs(xy) < 0.08
-        xy = np.where(near, xy + 0.13 * np.where(xy >= 0, 1.0, -1.0), xy)
+        near = np.abs(x) < 0.08
+        x = np.where(near, x + 0.13 * np.where(x >= 0, 1.0, -1.0), x)
     t0, t1 = spec.time_interval
     times = t0 + (t1 - t0) * raw[:, dim]
     if spec.kind == "shrinking" and np.any(times >= 0.0):
         raise geo.ChartDomainError("shrinking soliton sampled at t >= 0")
-    return {"xy": xy, "t": times}
+    return {"x": x, "t": times}
 
 
 class SolitonContext:
     """One soliton chart evaluated as jets at a pack of sample points.
 
-    ``time`` selects whether t enters the jet space as a variable ("var") or
-    as a per-point constant ("const"); ``deform`` appends one extra variable s
-    seeded at 0 for one-parameter deformations. Variable layout: x, y[, t][, s].
+    The chart's dimension n is ``len(spec.sample_box)``, and ``coords`` holds
+    its n coordinate jets. ``time`` selects whether t enters the jet space as a
+    variable ("var") or as a per-point constant ("const"); ``deform`` appends
+    one extra variable s seeded at 0 for one-parameter deformations. Variable
+    layout: x1, ..., xn[, t][, s], so ``time_index`` is n when t is a variable.
+
+    ``lam`` is the soliton constant of Ric + Hess f = lam g: the number 0.0 on
+    a steady chart, the jet -1/(2t) on a shrinking one.
 
     The identities are first order in t and s, so the space caps the degree
     in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
@@ -226,28 +233,31 @@ class SolitonContext:
                 f"{spec.name} is defined by sampled data only; no jet chart")
         if time not in ("var", "const"):
             raise ValueError(f"time must be 'var' or 'const', got {time!r}")
+        n = len(spec.sample_box)
         self.spec = spec
         self.seed = seed
         self.n_points = n_points
-        self.time_index = 2 if time == "var" else None
-        self.deform_index = (2 + (time == "var")) if deform else None
-        self.var_names = ("x", "y") + ("t",) * (time == "var") + ("s",) * deform
-        caps = (None, None) + (1,) * (time == "var") + (1,) * deform
+        self.time_index = n if time == "var" else None
+        self.deform_index = (n + (time == "var")) if deform else None
+        names = "xyz"[:n] if n <= 3 else [f"x{k + 1}" for k in range(n)]
+        self.var_names = tuple(names) + ("t",) * (time == "var") + ("s",) * deform
+        caps = (None,) * n + (1,) * (time == "var") + (1,) * deform
 
         pack = sample_points(spec, seed, n_points)
         self.points = pack
         self.space = jet_space(len(caps), order, caps)
-        seeds = [pack["xy"][0], pack["xy"][1]]
+        seeds = list(pack["x"])
         if time == "var":
             seeds.append(pack["t"])
         if deform:
             seeds.append(np.zeros(n_points))
         jets = self.space.variables(np.array(seeds))
-        self.x, self.y = jets[0], jets[1]
-        self.t = jets[2] if time == "var" else self.space.constant(pack["t"])
+        self.coords = tuple(jets[:n])
+        self.t = jets[n] if time == "var" else self.space.constant(pack["t"])
         self.s = jets[self.deform_index] if deform else None
+        self.lam = -0.5 * self.t.reciprocal() if spec.kind == "shrinking" else 0.0
 
-        g, f = spec.builder(self.x, self.y, self.t)
+        g, f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
         self.f = f
 

@@ -7,7 +7,8 @@ from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, UnknownCheckError,
                                tensor_residual)
 from harnacklab.geometry import field_data
 from harnacklab.jet import Jet
-from harnacklab.solitons import CATALOG, UnknownSolitonError, build_context
+from harnacklab.solitons import (CATALOG, SolitonContext, SolitonSpec,
+                                 UnknownSolitonError, build_context)
 
 ALL_IDS = [
     "CHK-B1", "CHK-B2", "CHK-B3", "CHK-B4", "CHK-B5", "CHK-B6", "CHK-B7",
@@ -305,3 +306,32 @@ def test_b5_residual_is_zero_when_bound_holds():
     rep = run_check("CHK-B5", "cigar_flow_v2", n_points=16, order=5)
     assert rep.status == checks.STATUS_PASS
     assert rep.max_rel_residual == 0.0
+
+
+def _gaussian_3d(x, y, z, t):
+    one, zero = 1.0 + 0.0 * x, 0.0 * x
+    g = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+    return g, (x * x + y * y + z * z) / (-4.0 * t) - 1.5
+
+
+# A 3-D chart built here, not in the catalog, so the registry keeps its
+# verdicts: the jet context reads the dimension from the sample box.
+_GAUSSIAN_3D = SolitonSpec(
+    name="gaussian_shrinker_3d", kind="shrinking",
+    description="flat R^3 as a shrinker: f = |x|^2/(-4t) - 3/2, t < 0",
+    ricci_flow_exact=True, potential_time_rule="grad2",
+    sample_box=((-2.0, 2.0),) * 3, time_interval=(-2.0, -0.5),
+    builder=_gaussian_3d)
+
+
+def test_three_dimensional_context_runs_the_shrinker_checks():
+    assert _GAUSSIAN_3D.name not in CATALOG
+    ctx = SolitonContext(_GAUSSIAN_3D, 0, 8, 6, time="var", deform=False)
+    assert ctx.var_names == ("x", "y", "z", "t")
+    assert ctx.time_index == 3 and ctx.space.n_vars == 4
+    assert ctx.chart.n == 3 and len(ctx.coords) == 3
+    assert ctx.points["x"].shape == (3, 8)
+    for cid in ("CHK-S1", "CHK-S2", "CHK-H3s", "CHK-H4s", "CHK-H4t", "CHK-L2"):
+        spec = REGISTRY[cid]
+        for part, residual in spec.runner(ctx).items():
+            assert np.max(residual) <= spec.tolerance, (cid, part)

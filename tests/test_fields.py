@@ -13,9 +13,9 @@ def _maxabs(elem):
 
 def test_heat_propagation_matches_closed_form():
     ctx = build_context("flat_torus", n_points=6, order=6)
-    u0 = ctx.x.sin()
+    u0 = ctx.coords[0].sin()
     u = fields.propagate_scalar(ctx, u0, fields.rhs_heat)
-    exact = ctx.x.sin() * (-ctx.t).exp()
+    exact = ctx.coords[0].sin() * (-ctx.t).exp()
     # every derivative with total degree inside the validity order (the
     # space carries at most one time differentiation) must be exact
     assert u.order == 5
@@ -57,7 +57,7 @@ def test_conjugate_potential_rule_recovers_gauge_shift():
 
 def test_strip_time():
     ctx = build_context("cigar_flow", n_points=4, order=4)
-    u = ctx.x.sin() * (-ctx.t).exp()
+    u = ctx.coords[0].sin() * (-ctx.t).exp()
     s = fields.strip_time(ctx, u)
     assert _maxabs(ctx.dt(s)) == 0.0
     # the stripped jet agrees with u on the t-degree-zero slice
@@ -123,7 +123,7 @@ def test_rhs_linear_heat_reduces_to_heat_plus_reaction():
 
 def test_propagation_requires_time_variable():
     ctx = build_context("cigar_static", n_points=4, order=4, time="const")
-    u0 = ctx.x.sin()
+    u0 = ctx.coords[0].sin()
     with pytest.raises(ValueError):
         fields.propagate_scalar(ctx, u0, fields.rhs_heat)
     with pytest.raises(ValueError):
@@ -138,14 +138,25 @@ def test_neg_grad_potential_is_contravariant_negative_gradient():
         assert _maxabs(x[i] + grad[i]) < 1e-13
 
 
+def _hex_draws(dim):
+    return [(float(a).hex(), w, float(phase).hex())
+            for a, w, phase in fields.trig_params(0, "scalar:u", dim)]
+
+
 def test_trig_params_pinned():
     # every jet and grid residual depends on these draws
-    want = [("0x1.173cb7df1b765p-2", -2, -2, "0x1.e437b533728a0p+1"),
-            ("0x1.5c3d519ab0d28p-2", 1, -2, "0x1.9173e37776ba6p+0"),
-            ("-0x1.683a4328e999fp-2", -2, -1, "0x1.7bd46f54164e2p+1")]
-    got = [(float(a).hex(), wx, wy, float(phase).hex())
-           for a, wx, wy, phase in fields.trig_params(0, "scalar:u")]
-    assert got == want
+    assert _hex_draws(2) == [
+        ("0x1.173cb7df1b765p-2", (-2, -2), "0x1.e437b533728a0p+1"),
+        ("0x1.5c3d519ab0d28p-2", (1, -2), "0x1.9173e37776ba6p+0"),
+        ("-0x1.683a4328e999fp-2", (-2, -1), "0x1.7bd46f54164e2p+1")]
+
+
+def test_trig_params_pinned_in_three_dimensions():
+    # one frequency per coordinate, drawn from the same stream
+    assert _hex_draws(3) == [
+        ("0x1.173cb7df1b765p-2", (-2, -2, 1), "0x1.e437b533728a0p+1"),
+        ("0x1.5c3d519ab0d28p-2", (-2, -1, -1), "0x1.4ce114160d705p+2"),
+        ("-0x1.33beeec1b77c6p-3", (2, 0, 0), "0x1.8c82b2045c59ep+2")]
 
 
 def test_second_time_derivative_past_the_cap_raises():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from harnacklab import geometry as geo
+from harnacklab.fields import trig_params
 from harnacklab.geometry import MetricError, field_data
+from harnacklab.gridlab import TorusGrid, eval_trig
 from harnacklab.jet import jet_space
 
 
@@ -302,3 +304,45 @@ def test_magnitude_partial_of_inputs_and_their_sums():
     for product in (a * b, 2.0 * a, a + a * b):
         with pytest.raises(TypeError):
             product.partial(0)
+
+
+def test_one_dimensional_chart_inverse():
+    sp = jet_space(1, 4)
+    (x,) = sp.variables(np.array([[0.3, -0.8, 1.4]]))
+    ch = geo.MetricChart([[1.0 + 0.3 * x * x]])
+    assert ch.n == 1
+    assert np.array_equal(ch.det.coeffs, ch.g[0, 0].coeffs)
+    assert _maxabs(ch.ginv[0, 0] * ch.g[0, 0] - 1.0) < 1e-15
+    plain = geo.MetricChart([[4.0]])
+    assert plain.det == 4.0 and plain.ginv[0, 0] == 0.25
+
+
+def _bits(elem):
+    """Every float64 bit of an element's data, signs of zeros included."""
+    data = elem.coeffs if hasattr(elem, "coeffs") else field_data(elem)
+    return np.ascontiguousarray(data).view(np.int64)
+
+
+def _grid_metric():
+    grid = TorusGrid(16)
+    g00, g11 = (eval_trig(grid, trig_params(5, tag, 2, 0.2), 1.0)
+                for tag in ("g00", "g11"))
+    g01 = eval_trig(grid, trig_params(5, "g01", 2, 0.1))
+    return [[g00, g01], [g01, g11]]
+
+
+@pytest.mark.parametrize("make_g", [
+    lambda: generic_chart()[0].g,
+    lambda: sphere_chart()[0].g,
+    _grid_metric,
+], ids=["generic-jets", "sphere-jets", "grid"])
+def test_two_dimensional_det_and_ginv_equal_the_closed_forms(make_g):
+    # the reference: the closed forms the n = 2 branches used to write out
+    g = make_g()
+    ch = geo.MetricChart(g)
+    g00, g01, g10, g11 = g[0][0], g[0][1], g[1][0], g[1][1]
+    det = g00 * g11 - g01 * g10
+    assert np.array_equal(_bits(ch.det), _bits(det))
+    for got, want in ((ch.ginv[0, 0], g11 / det), (ch.ginv[1, 1], g00 / det),
+                      (ch.ginv[0, 1], -g01 / det), (ch.ginv[1, 0], -g01 / det)):
+        assert np.array_equal(_bits(got), _bits(want))

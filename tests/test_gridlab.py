@@ -47,13 +47,13 @@ def test_geometry_runs_on_gridfields():
 
 
 def test_trig_params_grid_independent():
-    p = trig_params(3, "x")
+    p = trig_params(3, "x", 2)
     coarse = eval_trig(TorusGrid(32), p)
     fine = eval_trig(TorusGrid(64), p)
     # every other fine node coincides with a coarse node
     assert np.allclose(fine.values[::2, ::2], coarse.values, atol=1e-14)
-    assert trig_params(3, "x") == p
-    assert trig_params(4, "x") != p
+    assert trig_params(3, "x", 2) == p
+    assert trig_params(4, "x", 2) != p
 
 
 def _flat_heat(grid):
@@ -316,7 +316,7 @@ def test_partial_bit_equal_to_roll_formula(n):
 
 def test_scalar_identities_fold():
     grid = TorusGrid(8)
-    x = eval_trig(grid, trig_params(0, "fold"))
+    x = eval_trig(grid, trig_params(0, "fold", 2))
     for zero in (x * 0.0, 0.0 * x, x * 0):
         assert type(zero) is float and zero == 0.0
     for same in (x + 0.0, 0.0 + x, x - 0.0, x * 1.0, 1.0 * x, x / 1.0):
@@ -337,11 +337,11 @@ def test_flat_chart_curvature_is_numbers():
 
 def test_covariant_derivative_one_partial_per_distinct_component(monkeypatch):
     grid = TorusGrid(32)
-    g01 = eval_trig(grid, trig_params(1, "g01", amplitude=0.1))
-    chart = geo.MetricChart([[eval_trig(grid, trig_params(1, "g00"), 1.0), g01],
-                             [g01, eval_trig(grid, trig_params(1, "g11"), 1.0)]])
+    g01 = eval_trig(grid, trig_params(1, "g01", 2, amplitude=0.1))
+    g00, g11 = (eval_trig(grid, trig_params(1, tag, 2), 1.0) for tag in ("g00", "g11"))
+    chart = geo.MetricChart([[g00, g01], [g01, g11]])
     chart.christoffels  # built before counting
-    h = geo.sym2_from(lambda i, j: eval_trig(grid, trig_params(2, f"h{i}{j}")), 2)
+    h = geo.sym2_from(lambda i, j: eval_trig(grid, trig_params(2, f"h{i}{j}", 2)), 2)
     calls = []
     partial = GridField.partial
 

@@ -80,8 +80,8 @@ def test_perelman_scalar_is_minus_one_on_normalized_cigar():
 def test_perelman_scalar_gaussian_closed_form():
     ctx = build_context("gaussian_shrinker", n_points=16, order=4)
     total = field_data(sum(hk.perelman_scalar_terms(ctx.chart, ctx.f)))
-    xy, t = ctx.points["xy"], ctx.points["t"]
-    r2 = xy[0] ** 2 + xy[1] ** 2
+    x, t = ctx.points["x"], ctx.points["t"]
+    r2 = x[0] ** 2 + x[1] ** 2
     want = -2.0 / t - r2 / (4.0 * t * t)
     assert np.max(np.abs(total - want)) < 1e-11
 
@@ -89,8 +89,8 @@ def test_perelman_scalar_gaussian_closed_form():
 def test_conjugate_density_gaussian_closed_form():
     ctx = build_context("gaussian_shrinker", n_points=16, order=4)
     v = field_data(hk.conjugate_density(ctx.chart, ctx.f))
-    xy, t = ctx.points["xy"], ctx.points["t"]
-    r2 = xy[0] ** 2 + xy[1] ** 2
+    x, t = ctx.points["x"], ctx.points["t"]
+    r2 = x[0] ** 2 + x[1] ** 2
     want = (-2.0 / t - r2 / (4.0 * t * t)) * np.exp(-(r2 / (-4.0 * t) - 1.0))
     assert np.max(np.abs(v - want)) < 1e-10
 
@@ -128,7 +128,7 @@ def test_harnack_p_eps_flat_frozen():
 
 def test_l_eps_operator_terms():
     ctx = build_context("flat_torus", n_points=6, order=5)
-    w = fields.propagate_scalar(ctx, ctx.x.sin(), fields.rhs_heat)
+    w = fields.propagate_scalar(ctx, ctx.coords[0].sin(), fields.rhs_heat)
     v = ctx.space.constant(np.zeros(6))
     terms = hk.l_eps_terms(ctx.chart, ctx.dt, v, w, eps=1.0)
     got = field_data(sum(terms))

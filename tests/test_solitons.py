@@ -28,26 +28,31 @@ def test_catalog_names_frozen():
 @pytest.mark.parametrize("name", JET_NAMES)
 def test_soliton_equation_holds(name):
     ctx = build_context(name, n_points=8, order=4)
-    lam = 0.0
-    if ctx.spec.kind == "shrinking":
-        lam_field = -0.5 * ctx.t.reciprocal()
     hess = geo.hessian(ctx.chart, ctx.f)
-    for i in range(2):
-        for j in range(2):
-            gap = ctx.chart.ricci[i, j] + hess[i, j]
-            if ctx.spec.kind == "shrinking":
-                gap = gap - lam_field * ctx.chart.g[i, j]
-            else:
-                gap = gap - lam * ctx.chart.g[i, j]
+    for i in range(ctx.chart.n):
+        for j in range(ctx.chart.n):
+            gap = ctx.chart.ricci[i, j] + hess[i, j] - ctx.lam * ctx.chart.g[i, j]
             assert _maxabs(gap) < 1e-11, (name, i, j)
+
+
+@pytest.mark.parametrize("name", JET_NAMES)
+def test_soliton_constant(name):
+    ctx = build_context(name, n_points=8, order=4)
+    if ctx.spec.kind == "steady":
+        assert type(ctx.lam) is float and ctx.lam == 0.0
+    else:
+        assert ctx.spec.kind == "shrinking"
+        want = -1.0 / (2.0 * ctx.t)
+        assert np.max(np.abs(ctx.lam.coeffs - want.coeffs)) < 1e-15
+        assert np.array_equal(field_data(ctx.lam), -0.5 / ctx.points["t"])
 
 
 @pytest.mark.parametrize("name", [n for n in JET_NAMES
                                   if CATALOG[n].ricci_flow_exact])
 def test_exact_flows_solve_ricci_flow(name):
     ctx = build_context(name, n_points=8, order=4)
-    for i in range(2):
-        for j in range(2):
+    for i in range(ctx.chart.n):
+        for j in range(ctx.chart.n):
             gap = ctx.dt(ctx.chart.g[i, j]) + 2.0 * ctx.chart.ricci[i, j]
             assert _maxabs(gap) < 1e-11, (name, i, j)
 
@@ -82,12 +87,12 @@ def test_sampling_is_deterministic_and_tagged():
     spec = catalog_get("cigar_static")
     a = sample_points(spec, 5, 16)
     b = sample_points(spec, 5, 16)
-    assert np.array_equal(a["xy"], b["xy"]) and np.array_equal(a["t"], b["t"])
+    assert np.array_equal(a["x"], b["x"]) and np.array_equal(a["t"], b["t"])
     c = sample_points(spec, 6, 16)
-    assert not np.array_equal(a["xy"], c["xy"])
+    assert not np.array_equal(a["x"], c["x"])
     # different solitons draw from independent streams
     d = sample_points(catalog_get("cigar_flow"), 5, 16)
-    assert not np.array_equal(a["xy"], d["xy"])
+    assert not np.array_equal(a["x"], d["x"])
 
 
 def test_sampling_respects_domain():
@@ -95,8 +100,8 @@ def test_sampling_respects_domain():
     pack = sample_points(spec, 0, 64)
     lo = np.array([b[0] for b in spec.sample_box])[:, None]
     hi = np.array([b[1] for b in spec.sample_box])[:, None]
-    assert np.all(pack["xy"] >= lo) and np.all(pack["xy"] <= hi)
-    assert np.all(np.abs(pack["xy"]) >= 0.08)
+    assert np.all(pack["x"] >= lo) and np.all(pack["x"] <= hi)
+    assert np.all(np.abs(pack["x"]) >= 0.08)
 
     shr = catalog_get("gaussian_shrinker")
     tpack = sample_points(shr, 0, 64)
@@ -179,7 +184,7 @@ def test_sample_points_draws_one_coordinate_per_box_axis_plus_time():
     raw = scrambled_halton(stream(5, "pts:cigar_static"), 3, 16)
     pack = sample_points(spec, 5, 16)
     lo, hi = spec.time_interval
-    assert pack["xy"].shape == (2, 16)
+    assert pack["x"].shape == (2, 16)
     assert np.array_equal(pack["t"], lo + (hi - lo) * raw[:, 2])
 
 
