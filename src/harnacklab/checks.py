@@ -143,12 +143,9 @@ class CheckReport:
 
 def _sym2_terms(n, pairs):
     """Component term lists for a symmetric-2-tensor identity from
-    [(tensor, scale), ...]; only the upper triangle enters (components repeat)."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1):
-            out.append([t[i, j] * s for t, s in pairs])
-    return out
+    [(tensor, scale), ...]; only the stored components (i, j), j <= i, enter:
+    the others repeat them."""
+    return [[t[i, j] * s for t, s in pairs] for i, j in geo.sym2_indices(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +200,8 @@ def _run_h1(ctx):
     m = hk.matrix_harnack(ch)
     p = hk.p_tensor(ch)
     gf = geo.gradient(ch, ctx.f)
-    out = []
-    for i in range(ch.n):
-        for j in range(i + 1):
-            out.append([m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
-                       + [ch.ricci[i, j] * -ctx.lam])
+    out = [[m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
+           + [ch.ricci[i, j] * -ctx.lam] for i, j in geo.sym2_indices(ch.n)]
     return {"matrix_harnack_potential": tensor_residual(out)}
 
 

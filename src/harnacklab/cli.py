@@ -238,8 +238,16 @@ def _cmd_report(args) -> int:
     return 1 if n_fail else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as one ``error:`` line and exits 2; subparsers
+    are made of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="harnacklab",
         description="Identity checks for Harnack quantities on Ricci solitons.")
     p.add_argument("--version", action="version", version=__version__)

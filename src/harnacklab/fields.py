@@ -80,10 +80,6 @@ def trig_vector(ctx: SolitonContext, tag: str, time_linear: bool = False):
     return geo.vector_from(lambda i: a[i] + ctx.t * b[i], n, con=True)
 
 
-def rhs_heat(ctx: SolitonContext, u: Jet) -> Jet:
-    return geo.laplacian(ctx.chart, u)
-
-
 def rhs_conjugate_potential(ctx: SolitonContext, u: Jet) -> Jet:
     """d f/dt = -Lap f + |grad f|^2 - R (potential along the conjugate heat flow)."""
     du = geo.differential(ctx.chart, u)
@@ -126,7 +122,7 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
     n = ctx.chart.n
     h = geo.sym2_from(lambda i, j: strip_time(ctx, h0[i, j]), n)
     rhs = geo.lichnerowicz_laplacian(ctx.chart, h)
-    lower = [(i, j) for i in range(n) for j in range(i + 1)]
+    lower = geo.sym2_indices(n)
     order = min(min(rhs[ij].order for ij in lower) + 1,
                 min(h[ij].order for ij in lower))
     return geo.sym2_from(

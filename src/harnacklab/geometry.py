@@ -23,7 +23,11 @@ Conventions, fixed once and verified by the unit-sphere anchor test:
   Ric_pq, which is the form the curvature-reaction terms below use.
 
 Tensor components are stored in object ndarrays with covariant axes first;
-:func:`covariant_derivative` prepends the new covariant axis.
+:func:`covariant_derivative` prepends the new covariant axis. A symmetric
+pair of axes is formed at the components :func:`sym2_indices` lists, j <= i
+in row order, and [j, i] holds the same object as [i, j]: that order fixes
+each builder's summation order, and the sharing lets
+:func:`covariant_derivative` take one partial per distinct object.
 """
 
 from functools import cached_property, reduce
@@ -127,33 +131,19 @@ class MetricChart:
     def ginv(self):
         self.require_positive_definite()
         det = self.det
-        comps = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(i + 1):
-                val = _cofactor(self.g, j, i) / det
-                comps[i, j] = val
-                comps[j, i] = val
-        return comps
+        return sym2_from(lambda i, j: _cofactor(self.g, j, i) / det, self.n).comps
 
     @cached_property
     def christoffels(self):
         n = self.n
         dg = np.empty((n, n, n), dtype=object)  # dg[i][j][l] = d_i g_jl
         for i in range(n):
-            for j in range(n):
-                for l in range(j + 1):
-                    val = self.d(self.g[j, l], i)
-                    dg[i, j, l] = val
-                    dg[i, l, j] = val
+            dg[i] = sym2_from(lambda j, l: self.d(self.g[j, l], i), n).comps
         gam = np.empty((n, n, n), dtype=object)  # gam[k][i][j], symmetric in i,j
         for k in range(n):
-            for i in range(n):
-                for j in range(i + 1):
-                    val = 0.5 * _acc(
-                        self.ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                        for l in range(n))
-                    gam[k, i, j] = val
-                    gam[k, j, i] = val
+            gam[k] = sym2_from(lambda i, j: 0.5 * _acc(
+                self.ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+                for l in range(n)), n).comps
         return gam
 
     @cached_property
@@ -188,14 +178,9 @@ class MetricChart:
     def ricci(self) -> TensorValue:
         n = self.n
         low = self.riem_low
-        comps = np.empty((n, n), dtype=object)
-        for j in range(n):
-            for k in range(j + 1):
-                val = _acc(self.ginv[i, l] * low[i, j, k, l]
-                           for i in range(n) for l in range(n))
-                comps[j, k] = val
-                comps[k, j] = val
-        return TensorValue(2, 0, comps)
+        return sym2_from(lambda j, k: _acc(self.ginv[i, l] * low[i, j, k, l]
+                                           for i in range(n) for l in range(n)),
+                         n)
 
     @cached_property
     def scalar_curvature(self):
@@ -315,12 +300,19 @@ def differential(chart: MetricChart, s) -> TensorValue:
     return covariant_derivative(chart, scalar_tensor(s))
 
 
-def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
+def _raise_first(chart: MetricChart, comps: np.ndarray) -> np.ndarray:
+    """g^{il} comps[l, ...]: the first axis of a component array raised."""
     n = chart.n
-    comps = np.empty((n,), dtype=object)
+    out = np.empty(comps.shape, dtype=object)
     for i in range(n):
-        comps[i] = _acc(chart.ginv[i, j] * v[j] for j in range(n))
-    return TensorValue(0, 1, comps)
+        for rest in np.ndindex(*comps.shape[1:]):
+            out[(i,) + rest] = _acc(chart.ginv[i, l] * comps[(l,) + rest]
+                                    for l in range(n))
+    return out
+
+
+def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
+    return TensorValue(0, 1, _raise_first(chart, v.comps))
 
 
 def gradient(chart: MetricChart, s) -> TensorValue:
@@ -352,8 +344,7 @@ def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
 
 
 def trace_sym2(chart: MetricChart, h: TensorValue):
-    n = chart.n
-    return _acc(chart.ginv[i, j] * h[i, j] for i in range(n) for j in range(n))
+    return _trace_first_pair(chart, h, ())
 
 
 def raise_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
@@ -395,24 +386,13 @@ def sym2_apply(chart: MetricChart, a: TensorValue, u: TensorValue, w: TensorValu
 
 def mixed_ricci(chart: MetricChart) -> np.ndarray:
     """R^i_j = g^{il} Ric_lj as an (n, n) object array, first index raised."""
-    n = chart.n
-    ric = chart.ricci
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            comps[i, j] = _acc(chart.ginv[i, l] * ric[l, j] for l in range(n))
-    return comps
+    return _raise_first(chart, chart.ricci.comps)
 
 
 def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
     """(div h)_i = g^{jk} (nabla_j h)_{ki}, a covariant vector."""
-    n = chart.n
     dh = covariant_derivative(chart, h)  # dh[j][k][i]
-    comps = np.empty((n,), dtype=object)
-    for i in range(n):
-        comps[i] = _acc(chart.ginv[j, k] * dh.comps[j, k, i]
-                        for j in range(n) for k in range(n))
-    return TensorValue(1, 0, comps)
+    return vector_from(lambda i: _trace_first_pair(chart, dh, (i,)), chart.n)
 
 
 def divergence_vec(chart: MetricChart, v: TensorValue):
@@ -427,34 +407,33 @@ def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     """Delta_L h_pq = Delta h_pq + 2 riem_low[p,i,j,q] h^{ij}
                       - Ric_p^k h_kq - Ric_q^k h_pk.
 
-    Only the components with q <= p are formed, the rough Laplacian's too;
-    [q, p] shares the [p, q] object."""
+    Only the components with q <= p are formed, the rough Laplacian's too."""
     n = chart.n
     dd = covariant_derivative(chart, covariant_derivative(chart, h))
     hup = raise_sym2(chart, h)
     low = chart.riem_low
     mixed = mixed_ricci(chart)  # mixed[k, p] = R^k_p = Ric_p^k
-    comps = np.empty((n, n), dtype=object)
-    for p in range(n):
-        for q in range(p + 1):
-            val = _trace_first_pair(chart, dd, (p, q)) \
-                + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
-                             for i in range(n) for j in range(n)) \
-                - _acc(mixed[k, p] * h[k, q] for k in range(n)) \
-                - _acc(mixed[k, q] * h[p, k] for k in range(n))
-            comps[p, q] = val
-            comps[q, p] = val
-    return TensorValue(2, 0, comps)
+    return sym2_from(
+        lambda p, q: _trace_first_pair(chart, dd, (p, q))
+        + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
+                     for i in range(n) for j in range(n))
+        - _acc(mixed[k, p] * h[k, q] for k in range(n))
+        - _acc(mixed[k, q] * h[p, k] for k in range(n)),
+        n)
+
+
+def sym2_indices(n: int) -> list:
+    """The components (i, j), j <= i, in row order, that a symmetric pair of
+    axes forms; [j, i] holds the same object as [i, j]."""
+    return [(i, j) for i in range(n) for j in range(i + 1)]
 
 
 def sym2_from(fn, n: int) -> TensorValue:
-    """Build a covariant symmetric 2-tensor from fn(i, j), calling j <= i once."""
+    """Build a covariant symmetric 2-tensor from fn(i, j), calling each
+    (i, j) of ``sym2_indices(n)`` once."""
     comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i + 1):
-            val = fn(i, j)
-            comps[i, j] = val
-            comps[j, i] = val
+    for i, j in sym2_indices(n):
+        comps[i, j] = comps[j, i] = fn(i, j)
     return TensorValue(2, 0, comps)
 
 

@@ -278,8 +278,9 @@ def _flat_chart() -> geo.MetricChart:
     return geo.MetricChart([[1.0, 0.0], [0.0, 1.0]])
 
 
-# A symmetric 2-tensor is kept in the state as its upper triangle: key
-# prefix + "00", "01", "11". sym2_from calls (i, j) with j <= i.
+# A symmetric 2-tensor is kept in the state as its components
+# geo.sym2_indices lists, (i, j) with j <= i, under key prefix + f"{j}{i}":
+# "00", "01", "11".
 
 def _sym2_from_state(grid: TorusGrid, state: dict, prefix: str) -> geo.TensorValue:
     return geo.sym2_from(
@@ -288,7 +289,7 @@ def _sym2_from_state(grid: TorusGrid, state: dict, prefix: str) -> geo.TensorVal
 
 def _state_from_sym2(prefix: str, t: geo.TensorValue) -> dict:
     return {f"{prefix}{j}{i}": t[j, i].values
-            for i in range(2) for j in range(i + 1)}
+            for i, j in geo.sym2_indices(len(t.comps))}
 
 
 def _chart_from_state(grid: TorusGrid, state: dict) -> geo.MetricChart:

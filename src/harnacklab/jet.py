@@ -10,8 +10,8 @@ Coefficients are stored densely in graded lexicographic order as an array of
 shape (n_terms, batch): one jet value carries the expansions of f at a whole
 batch of base points, and every operation vectorizes over that axis.
 
-Arithmetic (+, -, *, /) and the analytic functions exp, log, sqrt, sin, cos,
-and real powers are exact on truncated series: if the inputs carry the true
+Arithmetic (+, -, *, /) and the analytic functions exp, log, sin, cos and real
+powers are exact on truncated series: if the inputs carry the true
 Taylor coefficients of their functions up to some order, the result carries
 the true coefficients of the composite up to the propagated validity order.
 Validity shrinks only under differentiation (by one) and is tracked on each
@@ -113,9 +113,6 @@ class JetSpace:
         self.exponents = np.array(exps, dtype=np.int64)
         self.size = len(exps)
         self.degrees = self.exponents.sum(axis=1)
-        self.factorials = np.array(
-            [math.prod(math.factorial(int(k)) for k in e) for e in exps],
-            dtype=float)
 
         # Integer keys in base (order+1) are collision-free: each component of a
         # representable multi-index is <= order.
@@ -290,9 +287,6 @@ class Jet:
                                   v, self.space.caps[v])
         return self.coeffs[idx].copy()
 
-    def deriv(self, alpha) -> np.ndarray:
-        return self.coeff(alpha) * self.space.factorials[self.space.lookup(alpha)]
-
     def partial(self, v: int) -> "Jet":
         if self.order < 1:
             raise JetOrderError("cannot differentiate a jet of validity order 0")
@@ -436,9 +430,6 @@ class Jet:
         for m in range(1, self.order + 1):
             series.append(series[-1] * (a - m + 1) / (m * c0))
         return self._compose(series)
-
-    def sqrt(self) -> "Jet":
-        return self.pow_real(0.5)
 
     def sin(self) -> "Jet":
         c0 = self.coeffs[0]

@@ -19,7 +19,10 @@ from harnacklab.cli import _json_doc, build_parser, main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse's own exits: usage errors, --help
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -31,6 +34,12 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         build_parser().parse_args([])
     assert e.value.code == 2
+
+
+def test_help_keeps_its_usage_text(capsys):
+    code, out, err = run_cli(capsys, "check", "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: harnacklab check") and "--points" in out
 
 
 def test_list_text_and_json(capsys):
@@ -169,6 +178,12 @@ def test_grid_unknown_scenario_exit_two(capsys):
     ("check", "CHK-NOPE"),
     ("check", "CHK-S1", "--soliton", "nope"),
     ("grid", "CHK-S1"),
+    # rejected by argparse itself
+    ("check", "--points", "abc"),
+    ("report", "--format", "csv"),
+    ("bogus",),
+    ("check", "--bogus"),
+    (),
 ])
 def test_bad_input_exit_two_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

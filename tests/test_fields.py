@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,14 @@ def _maxabs(elem):
     return float(np.max(np.abs(field_data(elem))))
 
 
+def _rhs_heat(ctx, u):
+    return geo.laplacian(ctx.chart, u)
+
+
 def test_heat_propagation_matches_closed_form():
     ctx = build_context("flat_torus", n_points=6, order=6)
     u0 = ctx.coords[0].sin()
-    u = fields.propagate_scalar(ctx, u0, fields.rhs_heat)
+    u = fields.propagate_scalar(ctx, u0, _rhs_heat)
     exact = ctx.coords[0].sin() * (-ctx.t).exp()
     # every derivative with total degree inside the validity order (the
     # space carries at most one time differentiation) must be exact
@@ -22,14 +28,16 @@ def test_heat_propagation_matches_closed_form():
     for e, alpha in enumerate(ctx.space.exponents):
         if ctx.space.degrees[e] > u.order:
             continue
-        got, want = u.deriv(alpha), exact.deriv(alpha)
+        # compare derivatives d^alpha = c_alpha * alpha!
+        fact = math.prod(math.factorial(int(k)) for k in alpha)
+        got, want = u.coeff(alpha) * fact, exact.coeff(alpha) * fact
         assert np.max(np.abs(got - want)) < 1e-12, tuple(alpha)
 
 
 def test_propagation_solves_its_equation():
     ctx = build_context("cigar_flow", n_points=6, order=5)
     u0 = fields.trig_scalar(ctx, "u")
-    u = fields.propagate_scalar(ctx, u0, fields.rhs_heat)
+    u = fields.propagate_scalar(ctx, u0, _rhs_heat)
     gap = ctx.dt(u) - geo.laplacian(ctx.chart, u)
     # pointwise defect: the value of dt(u) is a t-degree-1 row the step set,
     # and the Laplacian's value reads only t-degree-0 rows, so the equation
@@ -41,9 +49,9 @@ def test_propagation_is_linear():
     ctx = build_context("flat_torus", n_points=5, order=5)
     a = fields.trig_scalar(ctx, "a")
     b = fields.trig_scalar(ctx, "b")
-    pa = fields.propagate_scalar(ctx, a, fields.rhs_heat)
-    pb = fields.propagate_scalar(ctx, b, fields.rhs_heat)
-    pab = fields.propagate_scalar(ctx, a + 2.0 * b, fields.rhs_heat)
+    pa = fields.propagate_scalar(ctx, a, _rhs_heat)
+    pb = fields.propagate_scalar(ctx, b, _rhs_heat)
+    pab = fields.propagate_scalar(ctx, a + 2.0 * b, _rhs_heat)
     assert np.max(np.abs(pab.coeffs - (pa.coeffs + 2.0 * pb.coeffs))) < 1e-12
 
 
@@ -117,7 +125,7 @@ def test_rhs_linear_heat_reduces_to_heat_plus_reaction():
     ctx = build_context("cigar_flow", n_points=5, order=4)
     u = fields.trig_scalar(ctx, "u")
     a = fields.rhs_linear_heat(1.0)(ctx, u)
-    b = fields.rhs_heat(ctx, u) + ctx.chart.scalar_curvature * u
+    b = _rhs_heat(ctx, u) + ctx.chart.scalar_curvature * u
     assert _maxabs(a - b) < 1e-13
 
 
@@ -125,7 +133,7 @@ def test_propagation_requires_time_variable():
     ctx = build_context("cigar_static", n_points=4, order=4, time="const")
     u0 = ctx.coords[0].sin()
     with pytest.raises(ValueError):
-        fields.propagate_scalar(ctx, u0, fields.rhs_heat)
+        fields.propagate_scalar(ctx, u0, _rhs_heat)
     with pytest.raises(ValueError):
         fields.propagate_sym2(ctx, fields.trig_sym2(ctx, "h"))
 
@@ -163,7 +171,7 @@ def test_second_time_derivative_past_the_cap_raises():
     # the context carries t to degree 1: a second d/dt has no rows to read,
     # and reading them anyway used to return zeros
     ctx = build_context("cigar_flow", n_points=4, order=5)
-    u = fields.propagate_scalar(ctx, fields.trig_scalar(ctx, "u"), fields.rhs_heat)
+    u = fields.propagate_scalar(ctx, fields.trig_scalar(ctx, "u"), _rhs_heat)
     g00 = ctx.chart.g[0, 0]
     for elem in (u, g00):
         with pytest.raises(JetOrderError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab import geometry as geo
+from harnacklab import geometry as geo, gridlab as gl
 from harnacklab.fields import trig_params
 from harnacklab.geometry import MetricError, field_data
 from harnacklab.gridlab import TorusGrid, eval_trig
@@ -264,6 +264,29 @@ def test_sheared_cylinder_curvature_in_three_dimensions():
             assert _maxabs(ch.ricci[i, j] - want_ricci[i, j]) < 1e-12, (i, j)
             ginv_g = sum(ch.ginv[i, k] * ch.g[k, j] for k in range(3))
             assert _maxabs(ginv_g - float(i == j)) < 1e-13, (i, j)
+
+
+def _grid_chart():
+    """A GridField chart built the way the grid march builds one."""
+    grid = TorusGrid(32)
+    g = gl._perturbation_state(grid, 1, "g", 0.12)
+    return gl._chart_from_state(grid, {**g, "g00": 1.0 + g["g00"],
+                                       "g11": 1.0 + g["g11"]})
+
+
+def test_symmetric_components_are_one_object():
+    # covariant_derivative takes one partial per distinct object, so the grid
+    # march's cost rests on [j, i] being the [i, j] object
+    assert geo.sym2_indices(3) == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+    for ch in (generic_chart()[0], sheared_cylinder_chart()[0], _grid_chart()):
+        n = ch.n
+        arrays = {"ginv": ch.ginv, "ricci": ch.ricci.comps,
+                  "lichnerowicz": geo.lichnerowicz_laplacian(ch, ch.ricci).comps}
+        arrays |= {f"christoffels[{k}]": ch.christoffels[k] for k in range(n)}
+        for name, comps in arrays.items():
+            assert comps.shape == (n, n)
+            for i, j in geo.sym2_indices(n):
+                assert comps[j, i] is comps[i, j], (n, name, i, j)
 
 
 def test_covariant_derivative_prepends_axis():

@@ -128,7 +128,8 @@ def test_harnack_p_eps_flat_frozen():
 
 def test_l_eps_operator_terms():
     ctx = build_context("flat_torus", n_points=6, order=5)
-    w = fields.propagate_scalar(ctx, ctx.coords[0].sin(), fields.rhs_heat)
+    w = fields.propagate_scalar(ctx, ctx.coords[0].sin(),
+                                lambda c, u: geo.laplacian(c.chart, u))
     v = ctx.space.constant(np.zeros(6))
     terms = hk.l_eps_terms(ctx.chart, ctx.dt, v, w, eps=1.0)
     got = field_data(sum(terms))

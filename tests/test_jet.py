@@ -81,7 +81,8 @@ def test_derivatives_match_finite_differences():
 
     fd = (-dx(f, p[0], p[1] + 2 * h) * 1.0 + 8 * dx(f, p[0], p[1] + h)
           - 8 * dx(f, p[0], p[1] - h) + dx(f, p[0], p[1] - 2 * h)) / (12 * h)
-    assert u.deriv((1, 1))[0] == pytest.approx(fd, rel=1e-7)
+    # d^alpha f(p) = c_alpha * alpha!, and (1, 1)! = 1
+    assert u.coeff((1, 1))[0] == pytest.approx(fd, rel=1e-7)
     assert u.value()[0] == pytest.approx(f(*p), rel=1e-14)
 
 
@@ -165,7 +166,7 @@ def test_singular_point_guards():
     with pytest.raises(SingularPointError):
         x.log()
     with pytest.raises(SingularPointError):
-        (x - 1.0).sqrt()
+        (x - 1.0).pow_real(0.5)
     with pytest.raises(SingularPointError):
         (-1.0 + x).pow_real(1.5)
 
