@@ -28,6 +28,7 @@ from .jet import JetOrderError
 from .solitons import CATALOG, UnknownSolitonError
 
 _FORMATS = ("text", "json", "csv")
+_ORDER = 6  # default and highest --order; every check works at order <= 5
 
 
 def _write(text: str, output: str | None):
@@ -73,6 +74,8 @@ def _args_error(args) -> str | None:
         value = getattr(args, name, least)
         if value < least:
             return f"--{name} must be at least {least}, got {value}"
+    if getattr(args, "order", _ORDER) > _ORDER:
+        return f"--order must be at most {_ORDER}, got {args.order}"
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
         return f"--tolerance must be a finite number > 0, got {tolerance}"
@@ -147,8 +150,6 @@ def _grid_rows_csv(reports) -> list:
 
 
 def _cmd_list(args) -> int:
-    if (bad := _args_error(args)):
-        return _usage_error(bad)
     doc = {
         "solitons": {name: {"kind": spec.kind,
                             "description": spec.description,
@@ -178,8 +179,6 @@ def _cmd_check(args) -> int:
     if args.suite:
         check_ids = None
     solitons = args.soliton or None
-    if (bad := _args_error(args)):
-        return _usage_error(bad)
     try:
         reports = checks.run_suite(
             checks=check_ids, solitons=solitons, seed=args.seed,
@@ -197,8 +196,6 @@ def _cmd_check(args) -> int:
 def _cmd_grid(args) -> int:
     check_ids = args.checks or list(gridlab.GRID_CHECKS)
     sizes = tuple(args.sizes)
-    if (bad := _args_error(args)):
-        return _usage_error(bad)
     try:
         reports = [gridlab.run_grid_check(c, seed=args.seed, grid_sizes=sizes)
                    for c in check_ids]
@@ -211,8 +208,6 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if (bad := _args_error(args)):
-        return _usage_error(bad)
     try:
         srep = checks.run_suite(seed=args.seed, n_points=args.points,
                                 order=args.order)
@@ -267,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to this soliton (repeatable)")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--points", type=int, default=32)
-    pc.add_argument("--order", type=int, default=6)
+    pc.add_argument("--order", type=int, default=_ORDER)
     pc.add_argument("--tolerance", type=float, default=None,
                     help="pass threshold for every check run (default: each "
                          f"check's own); a value above {checks.TOLERANCE_CAP:g} "
@@ -289,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="run both routes, emit a combined report")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--points", type=int, default=32)
-    pr.add_argument("--order", type=int, default=6)
+    pr.add_argument("--order", type=int, default=_ORDER)
     pr.add_argument("--format", choices=("text", "json"), default="json")
     pr.add_argument("--output", default=None)
     pr.set_defaults(fn=_cmd_report)
@@ -298,6 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if (bad := _args_error(args)):
+        return _usage_error(bad)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed reader shows up here, not at exit

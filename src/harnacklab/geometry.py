@@ -28,6 +28,10 @@ pair of axes is formed at the components :func:`sym2_indices` lists, j <= i
 in row order, and [j, i] holds the same object as [i, j]: that order fixes
 each builder's summation order, and the sharing lets
 :func:`covariant_derivative` take one partial per distinct object.
+
+Each operation takes a vector in one index position and raises TypeError on
+the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
+:func:`divergence_vec` take vectors), so a caller raises or lowers once.
 """
 
 from functools import cached_property, reduce
@@ -336,7 +340,11 @@ def _trace_first_pair(chart: MetricChart, dd: TensorValue, idx: tuple):
 
 
 def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
+    """g^{ij} nabla_i nabla_j t. A covariant 2-tensor is symmetric here: only
+    its ``sym2_indices`` components are formed."""
     dd = covariant_derivative(chart, covariant_derivative(chart, t))
+    if (t.cov, t.con) == (2, 0):
+        return sym2_from(lambda p, q: _trace_first_pair(chart, dd, (p, q)), chart.n)
     comps = np.empty(t.comps.shape, dtype=object)
     for idx in np.ndindex(*t.comps.shape):
         comps[idx] = _trace_first_pair(chart, dd, idx)
@@ -365,23 +373,20 @@ def inner_sym2(chart: MetricChart, a: TensorValue, b: TensorValue):
 
 
 def inner_vec(chart: MetricChart, a: TensorValue, b: TensorValue):
-    """Metric pairing of two vectors given in any index positions."""
+    """<a, b> = g^{ij} a_i b_j for two covectors."""
+    if (a.cov, a.con) != (1, 0) or (b.cov, b.con) != (1, 0):
+        raise TypeError("inner_vec pairs two covectors; lower a vector first")
     n = chart.n
-    if a.cov == 1 and b.con == 1 or a.con == 1 and b.cov == 1:
-        return _acc(a[i] * b[i] for i in range(n))
-    if a.cov == 1:
-        return _acc(chart.ginv[i, j] * a[i] * b[j]
-                    for i in range(n) for j in range(n))
-    return _acc(chart.g[i, j] * a[i] * b[j]
+    return _acc(chart.ginv[i, j] * a[i] * b[j]
                 for i in range(n) for j in range(n))
 
 
 def sym2_apply(chart: MetricChart, a: TensorValue, u: TensorValue, w: TensorValue):
-    """A(U, W) for a covariant symmetric 2-tensor; vectors in any index position."""
+    """A(U, W) = A_ij U^i W^j for a covariant symmetric 2-tensor and two vectors."""
+    if (u.cov, u.con) != (0, 1) or (w.cov, w.con) != (0, 1):
+        raise TypeError("sym2_apply takes two vectors; raise a covector first")
     n = chart.n
-    uc = u if u.con == 1 else raise_vector(chart, u)
-    wc = w if w.con == 1 else raise_vector(chart, w)
-    return _acc(a[i, j] * uc[i] * wc[j] for i in range(n) for j in range(n))
+    return _acc(a[i, j] * u[i] * w[j] for i in range(n) for j in range(n))
 
 
 def mixed_ricci(chart: MetricChart) -> np.ndarray:
@@ -396,10 +401,11 @@ def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
 
 
 def divergence_vec(chart: MetricChart, v: TensorValue):
-    """div X = nabla_i X^i; accepts the vector in either index position."""
+    """div X = nabla_i X^i of a vector."""
+    if (v.cov, v.con) != (0, 1):
+        raise TypeError("divergence_vec takes a vector; raise a covector first")
     n = chart.n
-    vc = v if v.con == 1 else raise_vector(chart, v)
-    dv = covariant_derivative(chart, vc)  # dv[i][^j]
+    dv = covariant_derivative(chart, v)  # dv[i][^j]
     return _acc(dv.comps[i, i] for i in range(n))
 
 
@@ -409,14 +415,13 @@ def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
 
     Only the components with q <= p are formed, the rough Laplacian's too."""
     n = chart.n
-    dd = covariant_derivative(chart, covariant_derivative(chart, h))
+    lap = rough_laplacian(chart, h)
     hup = raise_sym2(chart, h)
     low = chart.riem_low
     mixed = mixed_ricci(chart)  # mixed[k, p] = R^k_p = Ric_p^k
     return sym2_from(
-        lambda p, q: _trace_first_pair(chart, dd, (p, q))
-        + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
-                     for i in range(n) for j in range(n))
+        lambda p, q: lap[p, q] + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
+                                            for i in range(n) for j in range(n))
         - _acc(mixed[k, p] * h[k, q] for k in range(n))
         - _acc(mixed[k, q] * h[p, k] for k in range(n)),
         n)

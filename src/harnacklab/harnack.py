@@ -138,8 +138,10 @@ def evolution_rhs_groups(chart, h, x, dxdt, hup, p, divh, hx, dx, lap_x,
     # partials, also where w = div h + hX itself vanishes
     w = geo.vector_from(lambda i: divh[i] + hx[i], n)
     dw = geo.covariant_derivative(chart, w)    # dw[j][i]  = grad_j w_i
+    # a[j][i] = grad_j X^i - R^i_j, the bracket that groups 2 and 4 share
+    a = [[dx.comps[j, i] - mixed[i, j] for i in range(n)] for j in range(n)]
     term2 = -4.0 * _acc(
-        (dx.comps[j, i] - mixed[i, j]) * chart.ginv[j, l] * dw.comps[l, i]
+        a[j][i] * chart.ginv[j, l] * dw.comps[l, i]
         for i in range(n) for j in range(n) for l in range(n))
 
     term3 = 2.0 * _acc(
@@ -147,8 +149,7 @@ def evolution_rhs_groups(chart, h, x, dxdt, hup, p, divh, hx, dx, lap_x,
         for j in range(n))
 
     term4 = 2.0 * _acc(
-        h[i, j] * (dx.comps[pp, i] - mixed[i, pp])
-        * chart.ginv[pp, l] * (dx.comps[l, j] - mixed[j, l])
+        h[i, j] * a[pp][i] * chart.ginv[pp, l] * a[l][j]
         for i in range(n) for j in range(n) for pp in range(n) for l in range(n))
 
     return [term1, term2, term3, term4]
@@ -204,10 +205,10 @@ def l_eps_terms(chart, dt, v, w, eps: float = 1.0) -> list:
 def lq_production_terms(chart, v, f) -> list:
     """|Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f))."""
     hv = geo.hessian(chart, v)
-    dvf = geo.differential(chart, v - f)
+    gvf = geo.gradient(chart, v - f)
     return [geo.inner_sym2(chart, hv, hv),
             geo.inner_sym2(chart, chart.ricci, hv),
-            geo.sym2_apply(chart, chart.ricci, dvf, dvf)]
+            geo.sym2_apply(chart, chart.ricci, gvf, gvf)]
 
 
 def grad2r_production_terms(chart, v) -> list:
@@ -220,9 +221,9 @@ def grad2r_production_terms(chart, v) -> list:
 def lp_production_terms(chart, v, f) -> list:
     """|Hess v + Rc|^2 + 2 Rc(grad(v-f), grad(v-f))."""
     s = geo.tensor_map(lambda a, b: a + b, geo.hessian(chart, v), chart.ricci)
-    dvf = geo.differential(chart, v - f)
+    gvf = geo.gradient(chart, v - f)
     return [geo.inner_sym2(chart, s, s),
-            2.0 * geo.sym2_apply(chart, chart.ricci, dvf, dvf)]
+            2.0 * geo.sym2_apply(chart, chart.ricci, gvf, gvf)]
 
 
 def leps_production_terms(chart, v, f, eps: float) -> list:
@@ -234,14 +235,14 @@ def leps_production_terms(chart, v, f, eps: float) -> list:
     """
     hv = geo.hessian(chart, v)
     ric = chart.ricci
-    d1 = geo.differential(chart, v - eps * f)
-    d2 = geo.differential(chart, v + f)
+    g1 = geo.gradient(chart, v - eps * f)
+    g2 = geo.gradient(chart, v + f)
     ie = 1.0 / eps
     return [ie * geo.inner_sym2(chart, hv, hv),
             2.0 * geo.inner_sym2(chart, ric, hv),
             ie * geo.inner_sym2(chart, ric, ric),
-            2.0 * ie * geo.sym2_apply(chart, ric, d1, d1),
-            (1.0 - ie) * geo.sym2_apply(chart, ric, d2, d2)]
+            2.0 * ie * geo.sym2_apply(chart, ric, g1, g1),
+            (1.0 - ie) * geo.sym2_apply(chart, ric, g2, g2)]
 
 
 def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps: float):
@@ -251,12 +252,12 @@ def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps: float):
       == (1 + eps^{-1}) A(grad(v - f), .) + 2 (eps - eps^{-1}) A(grad f, grad f).
     """
     ie = 1.0 / eps
-    d1 = geo.differential(chart, v - eps * f)
-    d2 = geo.differential(chart, v + f)
-    d3 = geo.differential(chart, v - f)
-    d4 = geo.differential(chart, f)
-    lhs = [2.0 * ie * geo.sym2_apply(chart, a, d1, d1),
-           (1.0 - ie) * geo.sym2_apply(chart, a, d2, d2)]
-    rhs = [(1.0 + ie) * geo.sym2_apply(chart, a, d3, d3),
-           2.0 * (eps - ie) * geo.sym2_apply(chart, a, d4, d4)]
+    g1 = geo.gradient(chart, v - eps * f)
+    g2 = geo.gradient(chart, v + f)
+    g3 = geo.gradient(chart, v - f)
+    g4 = geo.gradient(chart, f)
+    lhs = [2.0 * ie * geo.sym2_apply(chart, a, g1, g1),
+           (1.0 - ie) * geo.sym2_apply(chart, a, g2, g2)]
+    rhs = [(1.0 + ie) * geo.sym2_apply(chart, a, g3, g3),
+           2.0 * (eps - ie) * geo.sym2_apply(chart, a, g4, g4)]
     return lhs, rhs

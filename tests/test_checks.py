@@ -295,6 +295,20 @@ def test_eq1_builds_the_chart_inputs_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_covector_is_raised_once(monkeypatch):
+    # geometry takes each vector in one index position, so a caller raises a
+    # covector once and hands the vector to every use
+    real, calls, alive = geo.raise_vector, [], []
+
+    def spy(chart, v):
+        alive.append((chart, v))  # so that no id is reused
+        calls.append((id(chart), id(v)))
+        return real(chart, v)
+    monkeypatch.setattr(geo, "raise_vector", spy)
+    run_suite(checks=("CHK-B2", "CHK-B4", "CHK-B6", "CHK-B7"), seed=0, n_points=2)
+    assert calls and len(set(calls)) == len(calls)
+
+
 def test_eps_family_parts():
     rep = run_check("CHK-B6", "flat_torus", n_points=6, order=5)
     eps_parts = [k for k in rep.parts if k.startswith("eps(")]

@@ -206,6 +206,22 @@ def test_tolerance_not_finite_and_positive_exit_two(capsys, monkeypatch,
     assert err.startswith("error: --tolerance")
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "CHK-S1", "--points", "2", "--order", "7"),
+    ("report", "--order", "100"),
+])
+def test_order_above_the_default_exit_two(capsys, monkeypatch, argv):
+    # each check's lowest working order is at most the default, and a far
+    # higher one builds a product table too large for memory
+    def no_work(*args, **kwargs):
+        raise AssertionError("checks ran")
+    monkeypatch.setattr(harnacklab.checks, "run_suite", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: --order")
+
+
 def test_too_low_order_names_the_check(capsys):
     _, _, err = run_cli(capsys, "check", "CHK-EQ1", "--order", "3")
     assert "CHK-EQ1" in err and "order 3" in err
