@@ -20,7 +20,7 @@ partial of one. That sum is not written out here: it is the identity's own
 term builder evaluated on ``geometry.Magnitude`` inputs, and it stays bounded
 away from zero whenever the underlying curvature does.
 
-A soliton identity is written once: its shrinking form adds terms in the
+A soliton identity is one check: its shrinking form adds terms in the
 context's soliton constant ``lam``, which are exact zeros on a steady chart.
 
 A ``CheckSpec`` states a check's identity, the predicate on ``SolitonSpec``
@@ -59,7 +59,6 @@ def _where(**values):
 
 
 _any = _where()
-_steady = _where(kind="steady")
 _shrinking = _where(kind="shrinking")
 _normalized = _where(normalized_steady=True)
 _exact_flow = _where(ricci_flow_exact=True)
@@ -451,33 +450,21 @@ def _make_registry():
             _normalized, _run_s3),
         CheckSpec(
             "CHK-H1",
-            "M_pq = P_ipq grad^i f on a steady gradient soliton",
-            _steady, _run_h1),
-        CheckSpec(
-            "CHK-H1s",
-            "shrinking form of the matrix Harnack contraction: "
-            "M_pq + R_pq/(2t) = P_ipq grad^i f",
-            _shrinking, _run_h1),
+            "M_pq - lam R_pq = P_ipq grad^i f "
+            "(lam = 0 steady, -1/(2t) shrinking)",
+            _any, _run_h1),
         CheckSpec(
             "CHK-H2",
             "P_ipq = riem[p,i,j,q] grad^j f on any gradient soliton",
             _any, _run_h2),
         CheckSpec(
             "CHK-H3",
-            "((d/dt - Lap) grad f)^j = R^j_k grad^k f on a steady soliton",
-            _steady, _run_h3),
-        CheckSpec(
-            "CHK-H3s",
-            "((d/dt - Lap) grad f)^j - R^j_k grad^k f = -(1/t) grad^j f (shrinking)",
-            _shrinking, _run_h3),
+            "((d/dt - Lap) grad f)^j - R^j_k grad^k f = 2 lam grad^j f",
+            _any, _run_h3),
         CheckSpec(
             "CHK-H4",
-            "Z(Rc, -grad f) = 0 on a steady gradient soliton",
-            _steady, _run_h4),
-        CheckSpec(
-            "CHK-H4s",
-            "Z(Rc, -grad f) + R/(2t) = 0 on a shrinking gradient soliton",
-            _shrinking, _run_h4),
+            "Z(Rc, -grad f) = lam R",
+            _any, _run_h4),
         CheckSpec(
             "CHK-H4t",
             "2 Z(Rc, X) = Lap R + 2|Rc|^2 + 2<grad R, X> + 2 Rc(X,X) for any X",

@@ -9,7 +9,8 @@ Subcommands:
 Exit status: 0 when everything passed or was skipped as not applicable,
 1 when any check failed or a convergence run was inconclusive, 2 on usage
 errors (a one-line ``error:`` message on stderr, never a traceback), and 1
-without a traceback when the reader closes standard output early. JSON
+without a traceback when the reader closes standard output early or the
+output cannot be written (a one-line ``error:`` message for the latter). JSON
 output is always valid JSON, emitted with sorted keys so two runs with the
 same arguments differ only in the timing fields; a non-finite number is
 written as null and marks its report as failed.
@@ -31,14 +32,20 @@ _FORMATS = ("text", "json", "csv")
 _ORDER = 6  # default and highest --order; every check works at order <= 5
 
 
+class _WriteError(Exception):
+    """An OSError from writing the output; its cause is that error."""
+
+
 def _write(text: str, output: str | None):
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(output, "w") as f:
-            f.write(text)
+    try:
+        if output is None:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()  # a failed write shows up here, not at exit
+        else:
+            with open(output, "w") as f:
+                f.write(text)
+    except OSError as e:
+        raise _WriteError(e) from e
 
 
 def _usage_error(message: str) -> int:
@@ -276,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("checks", nargs="*", metavar="CHECK_ID",
                     help="grid scenario ids (default: all)")
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 128])
+    pg.add_argument("--sizes", type=int, nargs="+", default=gridlab.GRID_SIZES)
     pg.add_argument("--format", choices=_FORMATS, default="text")
     pg.add_argument("--output", default=None)
     pg.set_defaults(fn=_cmd_grid)
@@ -296,13 +303,15 @@ def main(argv=None) -> int:
     if (bad := _args_error(args)):
         return _usage_error(bad)
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed reader shows up here, not at exit
-    except BrokenPipeError:
-        # Point stdout at devnull so the interpreter's final flush is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return args.fn(args)
+    except _WriteError as e:
+        # a reader that closed standard output early is not an error
+        if not isinstance(e.__cause__, BrokenPipeError):
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+        if args.output is None:
+            # Point stdout at devnull so the interpreter's final flush is quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return code
 
 
 if __name__ == "__main__":

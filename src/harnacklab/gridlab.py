@@ -53,6 +53,7 @@ from .fields import trig_params
 DT_SAFETY = 0.8
 SLICE_SPACING_FACTOR = 0.1
 T_STAR = 0.05
+GRID_SIZES = (32, 64, 128)  # the resolutions of a default convergence run
 
 
 class GridStabilityError(RuntimeError):
@@ -435,7 +436,7 @@ def _raise_mmap_threshold():
 
 
 def run_grid_check(check_id: str, seed: int = 0,
-                   grid_sizes: tuple = (32, 64, 128)) -> ConvergenceReport:
+                   grid_sizes: tuple = GRID_SIZES) -> ConvergenceReport:
     """Run one convergence scenario across resolutions and fit the order.
 
     Status: pass when refinement is monotone and the fitted order sits inside
@@ -485,6 +486,6 @@ def run_grid_check(check_id: str, seed: int = 0,
 
 
 def run_grid_suite(checks=None, seed: int = 0,
-                   grid_sizes: tuple = (32, 64, 128)) -> list:
+                   grid_sizes: tuple = GRID_SIZES) -> list:
     return [run_grid_check(c, seed=seed, grid_sizes=grid_sizes)
             for c in (checks or GRID_CHECKS)]

@@ -19,7 +19,6 @@ from harnacklab.jet import jet_space
 from harnacklab.solitons import CATALOG, build_context
 
 JET_CHARTS = [n for n, s in CATALOG.items() if not s.grid_only]
-STEADY = [n for n in JET_CHARTS if CATALOG[n].kind == "steady"]
 SHRINKING = [n for n in JET_CHARTS if CATALOG[n].kind == "shrinking"]
 STEADY_SYSTEM = ["cigar_flow", "cigar_flow_v2", "flat_steady_linear",
                  "flat_torus"]
@@ -59,12 +58,9 @@ def test_accept_02_matrix_harnack_contractions():
 
 
 def test_accept_03_harnack_vanishing_on_solitons():
-    steady = _ran(run_suite(checks=("CHK-H4",), solitons=STEADY))
-    assert len(steady) == len(STEADY)
-    _assert_all(steady, 1e-8)
-    shrink = _ran(run_suite(checks=("CHK-H4s",), solitons=SHRINKING))
-    assert len(shrink) == len(SHRINKING)
-    _assert_all(shrink, 1e-8)
+    h4 = _ran(run_suite(checks=("CHK-H4",), solitons=JET_CHARTS))
+    assert len(h4) == 7
+    _assert_all(h4, 1e-8)
     trace = _ran(run_suite(checks=("CHK-H4t",), solitons=JET_CHARTS))
     assert len(trace) == 7
     _assert_all(trace, 1e-9)

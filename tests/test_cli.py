@@ -49,7 +49,7 @@ def test_list_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "list", "--format", "json")
     doc = json.loads(out)
     assert doc["version"] == __version__
-    assert len(doc["checks"]) == 24 and len(doc["solitons"]) == 8
+    assert len(doc["checks"]) == 21 and len(doc["solitons"]) == 8
     assert doc["grid_checks"] == ["CHK-L1", "CHK-B2", "CHK-EQ1"]
 
 
@@ -96,7 +96,7 @@ def test_check_json_deterministic_mod_millis(capsys):
 
 
 def test_check_csv_rows(capsys):
-    code, out, _ = run_cli(capsys, "check", "CHK-H4", "CHK-H4s", "--soliton",
+    code, out, _ = run_cli(capsys, "check", "CHK-H4", "CHK-L2", "--soliton",
                            "cigar_static", "--points", "5", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -356,3 +356,29 @@ def test_closed_stdout_exits_one_without_traceback():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Error" not in proc.stderr, \
         proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("list",),
+    ("check", "CHK-S1", "--soliton", "cigar_static", "--points", "2",
+     "--format", "json"),
+])
+def test_full_stdout_exits_one_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "harnacklab", *argv],
+                              env=_child_env(), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_output_file_exits_one_with_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "harnacklab", "list", "--output", "/dev/full"],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
