@@ -185,10 +185,9 @@ def _run_s2(ctx):
 def _run_s3(ctx):
     ch = ctx.chart
     df = geo.differential(ch, ctx.f)
-    one = ctx.space.constant(np.ones(ctx.n_points))
     return {
         "normalization": rel_residual(
-            [ch.scalar_curvature, geo.inner_vec(ch, df, df), -one]),
+            [ch.scalar_curvature, geo.inner_vec(ch, df, df), -1.0]),
         "trace_equation": rel_residual(
             [ch.scalar_curvature, geo.laplacian(ch, ctx.f)]),
     }

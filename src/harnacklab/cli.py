@@ -183,8 +183,6 @@ def _cmd_list(args) -> int:
 
 def _cmd_check(args) -> int:
     check_ids = args.checks or None
-    if args.suite:
-        check_ids = None
     solitons = args.soliton or None
     try:
         reports = checks.run_suite(
@@ -263,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("check", help="run identity checks on soliton charts")
     pc.add_argument("checks", nargs="*", metavar="CHECK_ID",
                     help="check ids to run (default: whole registry)")
-    pc.add_argument("--suite", action="store_true",
-                    help="run the whole registry even if ids are given")
     pc.add_argument("--soliton", action="append",
                     help="restrict to this soliton (repeatable)")
     pc.add_argument("--seed", type=int, default=0)

@@ -54,7 +54,7 @@ def trig_scalar(ctx: SolitonContext, tag: str, amplitude: float = 0.4,
                 base: float = 0.0) -> Jet:
     """Trigonometric polynomial in the chart's coordinates drawn from
     (ctx.seed, tag)."""
-    out = ctx.space.constant(np.full(ctx.n_points, base))
+    out = base
     for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(ctx.coords),
                                    amplitude):
         terms = [wk * c for wk, c in zip(w, ctx.coords)]

@@ -10,6 +10,14 @@ positive definite when every leading principal minor is positive (Sylvester's
 criterion); ``MetricChart.require_positive_definite`` is that one test, for
 ``ginv`` and for the grid march's guard.
 
+A constant is a plain number on both routes, never an element: its
+:func:`partial` is 0.0, and every element type folds the same five scalar
+identities, with the operands of a sum or a product in either order:
+``x * 0.0`` is the number 0.0, and ``x + 0.0``, ``x - 0.0``, ``x * 1.0`` and
+``x / 1.0`` are ``x`` itself. A diagonal metric's off-diagonal entries and a
+flat chart's curvature are therefore numbers through every formula here, and
+no product with them is formed.
+
 Conventions, fixed once and verified by the unit-sphere anchor test:
 
 * Christoffel symbols  Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
@@ -51,6 +59,13 @@ class ChartDomainError(ValueError):
 
 def _acc(terms):
     return reduce(lambda a, b: a + b, terms)
+
+
+def partial(elem, i: int):
+    """d_i of an element; a plain number is a constant, whose partial is 0.0."""
+    if isinstance(elem, (int, float)):
+        return 0.0
+    return elem.partial(i)
 
 
 def field_data(elem) -> np.ndarray:
@@ -95,6 +110,11 @@ def tensor_map(fn, *tensors: TensorValue) -> TensorValue:
     return TensorValue(first.cov, first.con, comps)
 
 
+def flat_metric(n: int) -> list:
+    """The Euclidean metric's components: the identity matrix as floats."""
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
 class MetricChart:
     """A metric given by its components in one coordinate chart.
 
@@ -112,11 +132,6 @@ class MetricChart:
                 comps[i, j] = g[i][j]
         self.n = comps.shape[0]
         self.g = comps
-
-    def d(self, elem, i: int):
-        if isinstance(elem, (int, float)):
-            return 0.0
-        return elem.partial(i)
 
     @cached_property
     def det(self):
@@ -142,7 +157,7 @@ class MetricChart:
         n = self.n
         dg = np.empty((n, n, n), dtype=object)  # dg[i][j][l] = d_i g_jl
         for i in range(n):
-            dg[i] = sym2_from(lambda j, l: self.d(self.g[j, l], i), n).comps
+            dg[i] = sym2_from(lambda j, l: partial(self.g[j, l], i), n).comps
         gam = np.empty((n, n, n), dtype=object)  # gam[k][i][j], symmetric in i,j
         for k in range(n):
             gam[k] = sym2_from(lambda i, j: 0.5 * _acc(
@@ -160,12 +175,13 @@ class MetricChart:
                 for l in range(n):
                     for k in range(n):
                         if i == j:
-                            rup[l, k, i, j] = 0.0 * gam[0, 0, 0]
+                            rup[l, k, i, j] = 0.0
                         elif i > j:
                             rup[l, k, i, j] = -rup[l, k, j, i]
                         else:
                             rup[l, k, i, j] = (
-                                self.d(gam[l, j, k], i) - self.d(gam[l, i, k], j)
+                                partial(gam[l, j, k], i)
+                                - partial(gam[l, i, k], j)
                                 + _acc(gam[l, i, p] * gam[p, j, k]
                                        - gam[l, j, p] * gam[p, i, k]
                                        for p in range(n)))
@@ -229,7 +245,7 @@ class Magnitude:
     def partial(self, v: int) -> "Magnitude":
         if self.sources is None:
             raise TypeError("a product of magnitudes has no partial")
-        return _acc(Magnitude.of(s.partial(v)) for s in self.sources)
+        return _acc(Magnitude.of(partial(s, v)) for s in self.sources)
 
     def __add__(self, other):
         both = self.sources is not None and other.sources is not None
@@ -263,8 +279,6 @@ class MagnitudeChart:
         self.ginv = magnitudes(chart.ginv)
         self.christoffels = magnitudes(chart.christoffels)
 
-    d = MetricChart.d
-
 
 def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
     """Levi-Civita covariant derivative; the new covariant axis comes first.
@@ -281,7 +295,7 @@ def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
             elem = t.comps[idx]
             val = partials.get(id(elem))
             if val is None:
-                val = partials[id(elem)] = chart.d(elem, i)
+                val = partials[id(elem)] = partial(elem, i)
             for a in range(t.cov):
                 val = val - _acc(gam[p, i, idx[a]]
                                  * t.comps[idx[:a] + (p,) + idx[a + 1:]]

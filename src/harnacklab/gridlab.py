@@ -29,14 +29,13 @@ every group of the identity's right side folds to 0.0. Every scenario's
 residual follows one rule (``_sup_residual``), and the march's metric guard
 is the chart's own definiteness test.
 
-Constants are numbers, not fields. The flat chart's metric is the floats 1.0
-and 0.0, so its Christoffel symbols and curvature come out as exact 0.0
-(``MetricChart.d`` of a number is 0.0), and ``GridField`` arithmetic folds the
-scalar identities: ``x * 0.0`` is 0.0, and ``x + 0.0``, ``x - 0.0``,
-``x * 1.0``, ``x / 1.0`` are ``x`` itself. The folds are exact up to the sign
-of a zero (and a non-finite ``x * 0.0``, which IEEE makes NaN, folds to 0.0),
-so residuals keep every bit. Folding returns shared objects: a field's
-``values`` is never modified in place. The stencil reads its four shifted
+Constants are numbers, not fields, under the rule ``geometry`` states: the
+flat chart's metric is ``geo.flat_metric``, so its Christoffel symbols and
+curvature come out as exact 0.0, and ``GridField`` folds the scalar
+identities. The folds are exact up to the sign of a zero (and a non-finite
+``x * 0.0``, which IEEE makes NaN, folds to 0.0), so residuals keep every
+bit. Folding returns shared objects: a field's ``values`` is never modified
+in place. The stencil reads its four shifted
 operands as slices of one wrap-padded copy, in the order of the formula.
 """
 
@@ -276,7 +275,7 @@ def time_derivative(slice_values: list, tau: float) -> np.ndarray:
 def _flat_chart() -> geo.MetricChart:
     """The flat torus metric, its components plain numbers: its curvature
     comes out as exact 0.0 and the arithmetic on it folds away."""
-    return geo.MetricChart([[1.0, 0.0], [0.0, 1.0]])
+    return geo.MetricChart(geo.flat_metric(2))
 
 
 # A symmetric 2-tensor is kept in the state as its components

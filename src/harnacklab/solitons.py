@@ -47,35 +47,26 @@ def _build_cigar(x, y, t, moving: bool, gauge: bool):
     r2 = x * x + y * y
     denom = (t.exp() + r2) if moving else (1.0 + r2)
     conf = 4.0 / denom
-    zero = 0.0 * conf
     log = denom.log()
-    return [[conf, zero], [zero, conf]], (t - log if gauge else -log)
+    return [[conf, 0.0], [0.0, conf]], (t - log if gauge else -log)
 
 
 def _build_flat_linear(x, y, t):
-    one = 1.0 + 0.0 * x
-    zero = 0.0 * x
-    return [[one, zero], [zero, one]], 0.6 * x + 0.8 * y + t
+    return geo.flat_metric(2), 0.6 * x + 0.8 * y + t
 
 
 def _build_gaussian(x, y, t):
-    one = 1.0 + 0.0 * x
-    zero = 0.0 * x
-    f = (x * x + y * y) / (-4.0 * t) - 1.0
-    return [[one, zero], [zero, one]], f
+    return geo.flat_metric(2), (x * x + y * y) / (-4.0 * t) - 1.0
 
 
 def _build_sphere_shrinker(x, y, t):
     r2 = x * x + y * y
     conf = (-2.0 * t) * 4.0 / ((1.0 + r2) * (1.0 + r2))
-    zero = 0.0 * conf
-    return [[conf, zero], [zero, conf]], 0.0 * x
+    return [[conf, 0.0], [0.0, conf]], 0.0
 
 
 def _build_flat_torus(x, y, t):
-    one = 1.0 + 0.0 * x
-    zero = 0.0 * x
-    return [[one, zero], [zero, one]], 0.0 * x
+    return geo.flat_metric(2), 0.0
 
 
 CATALOG = {
@@ -259,17 +250,19 @@ class SolitonContext:
 
         g, f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
-        self.f = f
+        # a constant potential is still a jet: the checks compose exp with it
+        self.f = self.space.constant(np.full(n_points, f)) \
+            if isinstance(f, float) else f
 
     def dt(self, elem):
         if self.time_index is None:
             raise ValueError("context built with constant time; no d/dt")
-        return elem.partial(self.time_index)
+        return geo.partial(elem, self.time_index)
 
     def ds(self, elem):
         if self.deform_index is None:
             raise ValueError("context built without a deformation variable")
-        return elem.partial(self.deform_index)
+        return geo.partial(elem, self.deform_index)
 
 
 @lru_cache(maxsize=64)

@@ -168,7 +168,7 @@ def test_accept_10_grid_convergence_orders():
 
 
 def test_accept_11_report_determinism():
-    argv = [sys.executable, "-m", "harnacklab.cli", "check", "--suite",
+    argv = [sys.executable, "-m", "harnacklab.cli", "check",
             "--points", "8", "--format", "json"]
     a = subprocess.run(argv, capture_output=True, text=True)
     b = subprocess.run(argv, capture_output=True, text=True)

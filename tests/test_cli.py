@@ -176,6 +176,7 @@ def test_grid_unknown_scenario_exit_two(capsys):
     ("grid", "--sizes", "32", "32"),
     ("grid", "CHK-B2", "--sizes", "32", "32", "--format", "json"),
     ("check", "CHK-NOPE"),
+    ("check", "--suite"),
     ("check", "CHK-S1", "--soliton", "nope"),
     ("grid", "CHK-S1"),
     # rejected by argparse itself

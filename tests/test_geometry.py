@@ -304,8 +304,8 @@ def test_covariant_derivative_prepends_axis():
     assert dv.cov == 1 and dv.con == 1
     assert dv.comps.shape == (2, 2)
     # new covariant slot first: dv[i, j] = nabla_i v^j
-    manual = ch.d(v[1], 0) + sum(ch.christoffels[1, 0, p] * v[p]
-                                 for p in range(2))
+    manual = geo.partial(v[1], 0) + sum(ch.christoffels[1, 0, p] * v[p]
+                                        for p in range(2))
     assert _maxabs(dv.comps[0, 1] - manual) < 1e-13
 
 

@@ -6,9 +6,12 @@ import pytest
 
 from harnacklab import checks, geometry as geo, gridlab as gl
 from harnacklab.fields import trig_params
+from harnacklab.geometry import field_data
 from harnacklab.gridlab import (GridField, GridStabilityError, TorusGrid,
                                 eval_trig, evolve_slices, run_grid_check,
                                 time_derivative)
+from harnacklab.jet import jet_space
+from harnacklab.solitons import build_context
 
 
 def test_partial_fourth_order():
@@ -319,23 +322,27 @@ def test_partial_bit_equal_to_roll_formula(n):
 
 def test_scalar_identities_fold():
     grid = TorusGrid(8)
-    x = eval_trig(grid, trig_params(0, "fold", 2))
-    for zero in (x * 0.0, 0.0 * x, x * 0):
-        assert type(zero) is float and zero == 0.0
-    for same in (x + 0.0, 0.0 + x, x - 0.0, x * 1.0, 1.0 * x, x / 1.0):
-        assert same is x
-    assert geo.MetricChart([[1.0, 0.0], [0.0, 1.0]]).d(2.5, 0) == 0.0
-    # other scalars still compute
-    assert np.array_equal((x * 2.0).values, x.values * 2.0)
-    assert np.array_equal((1.0 - x).values, 1.0 - x.values)
-    assert np.array_equal((0.0 - x).values, 0.0 - x.values)
+    a, b = jet_space(2, 3).variables([[0.3, 1.1], [0.7, -0.4]])
+    for x in (eval_trig(grid, trig_params(0, "fold", 2)), (a * b).sin()):
+        for zero in (x * 0.0, 0.0 * x, x * 0):
+            assert type(zero) is float and zero == 0.0
+        for same in (x + 0.0, 0.0 + x, x - 0.0, x * 1.0, 1.0 * x, x / 1.0):
+            assert same is x
+        # other scalars still compute
+        assert np.array_equal(field_data(x * 2.0), field_data(x) * 2.0)
+        assert np.array_equal(field_data(1.0 - x), 1.0 - field_data(x))
+        assert np.array_equal(field_data(0.0 - x), 0.0 - field_data(x))
+        assert np.array_equal(field_data(2.0 / x), 2.0 / field_data(x))
+    assert geo.partial(2.5, 0) == 0.0
 
 
 def test_flat_chart_curvature_is_numbers():
-    chart = gl._flat_chart()
-    assert all(type(g) is float and g == 0.0
-               for g in chart.christoffels.flat)
-    assert all(type(r) is float and r == 0.0 for r in chart.ricci.comps.flat)
+    charts = [gl._flat_chart()] + [
+        build_context(name, n_points=4, order=4).chart
+        for name in ("flat_steady_linear", "gaussian_shrinker", "flat_torus")]
+    for chart in charts:
+        for comps in (chart.christoffels, chart.riem_low, chart.ricci.comps):
+            assert all(type(c) is float and c == 0.0 for c in comps.flat)
 
 
 def test_covariant_derivative_one_partial_per_distinct_component(monkeypatch):
