@@ -336,7 +336,7 @@ def _run_r2(ctx):
     def residual(f):
         v = hk.conjugate_density(ch, f)
         lhs = hk.box_star_terms(ch, ctx.dt, v)
-        rhs = -2.0 * hk.soliton_defect_norm2(ch, f) * (-f).exp()
+        rhs = -2.0 * hk.soliton_defect_norm2(ch, f) * geo.exp(-f)
         return rel_residual(lhs + [-rhs])
 
     f0 = fields.trig_scalar(ctx, "r2.f0", base=0.5)
@@ -355,7 +355,7 @@ def _log_solution(ctx, eps):
 
 def _run_b1(ctx):
     ch = ctx.chart
-    u = ctx.f.exp()
+    u = geo.exp(ctx.f)
     return {"potential_solution": rel_residual(
         [ctx.dt(u), -geo.laplacian(ch, u), -ch.scalar_curvature * u])}
 

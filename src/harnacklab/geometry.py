@@ -10,13 +10,15 @@ positive definite when every leading principal minor is positive (Sylvester's
 criterion); ``MetricChart.require_positive_definite`` is that one test, for
 ``ginv`` and for the grid march's guard.
 
-A constant is a plain number on both routes, never an element: its
-:func:`partial` is 0.0, and every element type folds the same five scalar
-identities, with the operands of a sum or a product in either order:
-``x * 0.0`` is the number 0.0, and ``x + 0.0``, ``x - 0.0``, ``x * 1.0`` and
-``x / 1.0`` are ``x`` itself. A diagonal metric's off-diagonal entries and a
-flat chart's curvature are therefore numbers through every formula here, and
-no product with them is formed.
+A constant is a plain number (``jet.NUMBER``) on both routes, never an
+element: its :func:`partial` is 0.0 and its :func:`exp` a number, the one
+place a number meets an analytic function. Every element type folds the
+same five scalar identities, with the operands of a sum or a product in
+either order: ``x * 0.0`` is the number 0.0, and ``x + 0.0``, ``x - 0.0``,
+``x * 1.0`` and ``x / 1.0`` are ``x`` itself. A diagonal metric's
+off-diagonal entries, a flat chart's curvature and a vanishing potential
+are therefore numbers through every formula here, and no product with them
+is formed.
 
 Conventions, fixed once and verified by the unit-sphere anchor test:
 
@@ -42,11 +44,12 @@ the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 :func:`divergence_vec` take vectors), so a caller raises or lowers once.
 """
 
+import math
 from functools import cached_property, reduce
 
 import numpy as np
 
-from .jet import Jet
+from .jet import NUMBER, Jet
 
 
 class MetricError(ValueError):
@@ -63,16 +66,23 @@ def _acc(terms):
 
 def partial(elem, i: int):
     """d_i of an element; a plain number is a constant, whose partial is 0.0."""
-    if isinstance(elem, (int, float)):
+    if isinstance(elem, NUMBER):
         return 0.0
     return elem.partial(i)
+
+
+def exp(elem):
+    """e^elem; a plain number's is a number."""
+    if isinstance(elem, NUMBER):
+        return math.exp(elem)
+    return elem.exp()
 
 
 def field_data(elem) -> np.ndarray:
     """Pointwise values of an element, for guards and reporting."""
     if isinstance(elem, Jet):
         return elem.value()
-    if isinstance(elem, (int, float, np.floating, np.ndarray)):
+    if isinstance(elem, NUMBER + (np.ndarray,)):
         return np.asarray(elem, dtype=float)
     values = getattr(elem, "values", None)
     if values is not None:

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import geometry as geo, harnack as hk
 from .fields import trig_params
+from .jet import NUMBER
 
 DT_SAFETY = 0.8
 SLICE_SPACING_FACTOR = 0.1
@@ -87,7 +88,7 @@ class GridField:
     def _coerce(self, other):
         if isinstance(other, GridField):
             return other.values
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, NUMBER):
             return float(other)
         return None
 
@@ -132,8 +133,11 @@ class GridField:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.__class__ is float and o == 1.0:
-            return self
+        if o.__class__ is float:
+            if o == 0.0:
+                raise ZeroDivisionError("grid field divided by zero")
+            if o == 1.0:
+                return self
         return GridField(self.values / o, self.dx)
 
     def __rtruediv__(self, other):

@@ -167,7 +167,7 @@ def conjugate_density(chart, f):
     """V = (2 Lap f - |grad f|^2 + R) e^{-f}."""
     df = geo.differential(chart, f)
     return (2.0 * geo.laplacian(chart, f) - geo.inner_vec(chart, df, df)
-            + chart.scalar_curvature) * (-f).exp()
+            + chart.scalar_curvature) * geo.exp(-f)
 
 
 def box_star_terms(chart, dt, u) -> list:

@@ -20,13 +20,16 @@ of returning a number that merely looks plausible.
 
 Jets are values: nothing writes into a jet's coefficients or rebinds its
 attributes once it is built, so an operation returns a new jet or, where it
-folds, an existing value. A plain number is a constant and folds the scalar
-identities as ``gridlab``'s fields do, with the operands of a sum or a
-product in either order: ``x * 0.0`` is the number 0.0, and ``x + 0.0``,
-``x - 0.0``, ``x * 1.0`` and ``x / 1.0`` are ``x`` itself; ``c - x``
-computes, and ``c / x`` is c times ``x.reciprocal()``, so ``0.0 / x`` is 0.0
-once x is found nonzero. A jet that has been read can be read again, or
-shared between tensors, without going stale.
+folds, an existing value. A plain number (:data:`NUMBER`) is a constant and
+folds the scalar identities as ``gridlab``'s fields do, with the operands of
+a sum or a product in either order: ``x * 0.0`` is the number 0.0, and
+``x + 0.0``, ``x - 0.0``, ``x * 1.0`` and ``x / 1.0`` are ``x`` itself. Any
+other number moves the value row only (``x + c``, ``x - c``, ``c - x``) or
+scales every row (``x * c``, ``x / c``); ``x / 0.0`` raises
+ZeroDivisionError, as it does for a float. ``c / x`` is c times
+``x.reciprocal()``, so ``0.0 / x`` is 0.0 once x is found nonzero. A jet
+that has been read can be read again, or shared between tensors, without
+going stale.
 
 Products and the analytic functions are truncated at the validity order
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13): a product of jets
@@ -34,15 +37,6 @@ valid to order d forms only the coefficient pairs whose target degree is
 <= d, and its rows past d are zero. Graded storage makes this a prefix: the
 rows of degree <= d are ``[0, n_upto[d])`` and the pairs that feed them are
 ``[0, pairs_upto[d])`` of the target-sorted multiplication table.
-
-A product with an operand that is zero on those rows forms no pairs at all:
-it is zeros (the same sparsity rule, at the level of a whole operand). Since
-constant metric entries and curvature are numbers, such an operand is a zero
-that was computed, such as the gradient of a constant potential: at seed
-1000, 326 of a registry pass's 12,402 products and 84 of 4,698 in the
-benchmark's ``jet_wide`` pass. The fold is exact up to the sign of a zero,
-except that a non-finite coefficient times a zero jet folds to 0.0 where
-IEEE gives NaN, the same rule as ``x * 0.0``.
 
 A space may also cap the degree of single variables: ``jet_space(n_vars,
 order, caps)`` keeps only the exponents with ``e[v] <= caps[v]`` (a time
@@ -61,6 +55,10 @@ import itertools
 import math
 
 import numpy as np
+
+
+# A plain number: what arithmetic on a field element treats as a constant.
+NUMBER = (int, float, np.floating, np.integer)
 
 
 class JetError(ValueError):
@@ -188,36 +186,24 @@ class JetSpace:
         return self._lookup(exps)
 
     def mul_raw(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Product of coefficient arrays holding the rows ``[0, n_upto[d])``.
+        """Product of two coefficient arrays of one shape (n, batch), holding
+        the rows ``[0, n)`` with n = ``n_upto[d]``.
 
-        The row count gives the validity d (all ``size`` rows for d = order);
-        a batch-1 operand broadcasts. Only the pairs feeding degree <= d are
-        formed, in two gather buffers kept on the space (so one space must not
-        multiply in two threads at once); the result is a fresh (size, batch)
-        array, zero past row ``n_upto[d]``.
-
-        An operand whose rows are all zero forms no pairs: the product is
-        zeros. This matches the pairs' sum up to the sign of a zero, except
-        that a non-finite coefficient of the other operand folds to 0.0 where
-        IEEE makes its product with zero NaN.
+        The row count gives the validity d (all ``size`` rows for d = order).
+        Only the pairs feeding degree <= d are formed, in two gather buffers
+        kept on the space (so one space must not multiply in two threads at
+        once); the result is a fresh (size, batch) array, zero past row n.
         """
-        n = a.shape[0]
+        n, batch = a.shape
         d = self._validity_of_rows.get(n)
-        if d is None or b.shape[0] != n:
-            raise JetError(f"operands of {n} and {b.shape[0]} rows are not "
-                           "a validity prefix of this space")
-        batch = max(a.shape[1], b.shape[1])
-        if not (a.any() and b.any()):
-            return np.zeros((self.size, batch))
+        if d is None or b.shape != a.shape:
+            raise JetError(f"operands of shapes {a.shape} and {b.shape} are "
+                           "not one validity prefix of this space")
         p = self.pairs_upto[d]
         if self._scratch.shape[1] < len(self._mul_i) * batch:
             self._scratch = np.empty((2, len(self._mul_i) * batch))
         ta = self._scratch[0, :p * batch].reshape(p, batch)
         tb = self._scratch[1, :p * batch].reshape(p, batch)
-        if a.shape[1] != batch:
-            a = np.broadcast_to(a, (n, batch))
-        if b.shape[1] != batch:
-            b = np.broadcast_to(b, (n, batch))
         # mode="clip" keeps np.take from buffering ``out``; indices are in range
         np.take(a, self._mul_i[:p], axis=0, out=ta, mode="clip")
         np.take(b, self._mul_j[:p], axis=0, out=tb, mode="clip")
@@ -227,10 +213,10 @@ class JetSpace:
         out[n:] = 0.0
         return out
 
-    def constant(self, value) -> "Jet":
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        coeffs = np.zeros((self.size, value.shape[0]))
-        coeffs[0] = value
+    def constant(self, values) -> "Jet":
+        """The constant jet with value ``values[k]`` at base point k."""
+        coeffs = np.zeros((self.size, len(values)))
+        coeffs[0] = values
         return Jet(self, coeffs, self.order)
 
     def variables(self, point) -> list:
@@ -311,28 +297,28 @@ class Jet:
         return Jet(sp, out, self.order - 1, left)
 
     def _coerce(self, other):
-        """A plain number as a float, an array as a constant jet, a jet of this
-        space as itself; None for anything else."""
+        """A plain number as a float, a jet of this space as itself; None for
+        anything else."""
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise JetError("jets from different spaces")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, NUMBER):
             return float(other)
-        if isinstance(other, np.ndarray):
-            return self.space.constant(other)
         return None
 
-    def _as_jet(self, o):
-        return self.space.constant(o) if o.__class__ is float else o
+    def _shifted(self, coeffs: np.ndarray, c: float) -> "Jet":
+        """A jet like this one with coefficients ``coeffs`` (a fresh array)
+        and ``c`` added to its value row."""
+        coeffs[0] += c
+        return Jet(self.space, coeffs, self.order, self.left)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.__class__ is float and o == 0.0:
-            return self
-        o = self._as_jet(o)
+        if o.__class__ is float:
+            return self if o == 0.0 else self._shifted(self.coeffs.copy(), o)
         return Jet(self.space, self.coeffs + o.coeffs, min(self.order, o.order),
                    _meet(self.left, o.left))
 
@@ -342,9 +328,8 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.__class__ is float and o == 0.0:
-            return self
-        o = self._as_jet(o)
+        if o.__class__ is float:
+            return self if o == 0.0 else self._shifted(self.coeffs.copy(), -o)
         return Jet(self.space, self.coeffs - o.coeffs, min(self.order, o.order),
                    _meet(self.left, o.left))
 
@@ -352,9 +337,7 @@ class Jet:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        o = self._as_jet(o)
-        return Jet(self.space, o.coeffs - self.coeffs, min(self.order, o.order),
-                   _meet(self.left, o.left))
+        return self._shifted(-self.coeffs, o)
 
     def __neg__(self):
         return Jet(self.space, -self.coeffs, self.order, self.left)
@@ -381,6 +364,8 @@ class Jet:
         if o is None:
             return NotImplemented
         if o.__class__ is float:
+            if o == 0.0:
+                raise ZeroDivisionError("jet divided by zero")
             if o == 1.0:
                 return self
             return Jet(self.space, self.coeffs / o, self.order, self.left)
@@ -396,7 +381,7 @@ class Jet:
         if isinstance(n, (int, np.integer)):
             if n < 0:
                 return self.reciprocal() ** (-int(n))
-            result = self.space.constant(np.ones(self.batch))
+            result = 1.0
             base = self
             n = int(n)
             while n:

@@ -210,7 +210,8 @@ class SolitonContext:
     layout: x1, ..., xn[, t][, s], so ``time_index`` is n when t is a variable.
 
     ``lam`` is the soliton constant of Ric + Hess f = lam g: the number 0.0 on
-    a steady chart, the jet -1/(2t) on a shrinking one.
+    a steady chart, the jet -1/(2t) on a shrinking one. ``f`` is the
+    potential as the builder returns it: the number 0.0 where it vanishes.
 
     The identities are first order in t and s, so the space caps the degree
     in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
@@ -248,11 +249,8 @@ class SolitonContext:
         self.s = jets[self.deform_index] if deform else None
         self.lam = -0.5 * self.t.reciprocal() if spec.kind == "shrinking" else 0.0
 
-        g, f = spec.builder(*self.coords, self.t)
+        g, self.f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
-        # a constant potential is still a jet: the checks compose exp with it
-        self.f = self.space.constant(np.full(n_points, f)) \
-            if isinstance(f, float) else f
 
     def dt(self, elem):
         if self.time_index is None:

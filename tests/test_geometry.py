@@ -52,6 +52,12 @@ def test_flat_chart_is_flat():
     assert all(_maxabs(ch.ricci[i, j]) == 0.0 for i in range(2) for j in range(2))
 
 
+def test_integer_identity_chart_has_zero_ricci():
+    # numpy integer entries are plain numbers, as Python ints are
+    ch = geo.MetricChart(np.eye(2, dtype=int))
+    assert all(c == 0.0 for c in ch.ricci.comps.flat)
+
+
 def test_sphere_scalar_curvature_is_two():
     ch, _, _ = sphere_chart()
     r = field_data(ch.scalar_curvature)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -333,7 +334,12 @@ def test_scalar_identities_fold():
         assert np.array_equal(field_data(1.0 - x), 1.0 - field_data(x))
         assert np.array_equal(field_data(0.0 - x), 0.0 - field_data(x))
         assert np.array_equal(field_data(2.0 / x), 2.0 / field_data(x))
-    assert geo.partial(2.5, 0) == 0.0
+        with pytest.raises(ZeroDivisionError):
+            x / 0.0
+    # every kind of plain number is a constant
+    for c in (2, 2.5, np.int64(2), np.float32(2.5)):
+        assert geo.partial(c, 0) == 0.0 and geo.exp(c) == math.exp(c) \
+            and field_data(c) == c
 
 
 def test_flat_chart_curvature_is_numbers():

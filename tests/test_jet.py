@@ -292,17 +292,6 @@ def test_prefix_tables_count_independently(n_vars, order):
     assert sp.pairs_upto[order] == len(sp._mul_i)
 
 
-def test_batch_one_constant_broadcasts():
-    sp = jet_space(2, 4)
-    x, y = sp.variables(np.array([[0.2, 1.1, -0.4], [0.9, -0.3, 0.6]]))
-    u = x * y + x.exp()
-    c = sp.constant(2.5)
-    assert c.batch == 1
-    for got in (c * u, u * c):
-        assert got.coeffs.shape == (sp.size, 3)
-        assert np.array_equal(got.coeffs, 2.5 * u.coeffs)
-
-
 def test_products_do_not_alias_the_shared_scratch():
     sp = jet_space(3, 6)
     rng = np.random.default_rng(2)
@@ -316,7 +305,7 @@ def test_products_do_not_alias_the_shared_scratch():
 
 
 @pytest.mark.parametrize("space", KERNEL_SPACES + [(3, 6, (None, None, 1))])
-def test_zero_operand_folds_to_the_full_table(space):
+def test_zero_operand_matches_the_full_table(space):
     sp = jet_space(*space)
     rng = np.random.default_rng(17)
     other = _noisy_coeffs(sp, rng)
@@ -331,7 +320,7 @@ def test_zero_operand_folds_to_the_full_table(space):
             assert got.coeffs.shape == (sp.size, 3)
             assert np.array_equal(got.coeffs[:n], ref[:n]), (d1, d2)
             assert not got.coeffs[n:].any(), (d1, d2)
-    c = sp.constant(0.0)
+    c = sp.constant(np.zeros(3))
     for d in range(sp.order + 1):
         u = Jet(sp, other, d)
         for got in (c * u, u * c):
@@ -339,7 +328,7 @@ def test_zero_operand_folds_to_the_full_table(space):
             assert not got.coeffs.any()
 
 
-def test_zero_on_the_validity_prefix_folds_without_the_scratch():
+def test_zero_on_the_validity_prefix_gives_zero():
     sp = JetSpace(3, 6, (None, None, 1))
     rng = np.random.default_rng(19)
     u = Jet(sp, _noisy_coeffs(sp, rng), sp.order)
@@ -348,18 +337,21 @@ def test_zero_on_the_validity_prefix_folds_without_the_scratch():
     for zero in (Jet(sp, past, 3), sp.constant(np.zeros(3))):
         got = zero * u
         assert got.order == zero.order and not got.coeffs.any()
-        assert sp._scratch.shape == (2, 0)
-    assert (u * u).coeffs.any()
-    assert sp._scratch.shape[1] >= sp.pairs_upto[-1] * 3
 
 
-def test_zero_times_non_finite_folds_to_zero():
-    # IEEE makes 0.0 * inf NaN; a zero operand forms no pairs, so 0.0 rows
+def test_zero_jet_does_not_hide_a_non_finite_coefficient():
+    # every pair is formed, so IEEE's 0.0 * inf and 0.0 * nan are NaN in
+    # each row that an inf or nan coefficient feeds, and only there
     sp = jet_space(2, 4)
     c = _noisy_coeffs(sp, np.random.default_rng(23))
     c[0, 0], c[3, 1] = np.inf, np.nan
-    got = sp.constant(0.0) * Jet(sp, c, sp.order)
-    assert np.array_equal(got.coeffs, np.zeros((sp.size, 3)))
+    with np.errstate(invalid="ignore"):
+        got = sp.constant(np.zeros(3)) * Jet(sp, c, sp.order)
+    fed_by_3 = np.all(sp.exponents >= sp.exponents[3], axis=1)
+    assert np.isnan(got.coeffs[:, 0]).all()
+    assert np.array_equal(np.isnan(got.coeffs[:, 1]), fed_by_3)
+    assert not got.coeffs[~fed_by_3, 1].any()
+    assert not got.coeffs[:, 2].any()
 
 
 def test_mul_raw_rejects_rows_off_the_validity_prefix():
@@ -369,6 +361,9 @@ def test_mul_raw_rejects_rows_off_the_validity_prefix():
         sp.mul_raw(a[:4], a[:4])
     with pytest.raises(JetError):
         sp.mul_raw(a[:sp.n_upto[2]], a[:sp.n_upto[3]])
+    # one shape: a batch-1 operand does not broadcast
+    with pytest.raises(JetError):
+        sp.mul_raw(a, np.ones((sp.size, 3)))
 
 
 def test_lookup_one_exponent_or_rows_and_refuses_the_unrepresentable():

@@ -226,3 +226,11 @@ def test_catalog_off_diagonal_metric_is_the_number_zero(name):
     for comps in (chart.g, chart.ginv):
         for c in (comps[0, 1], comps[1, 0]):
             assert type(c) is float and c == 0.0
+
+
+@pytest.mark.parametrize("name", ["sphere_shrinker", "flat_torus"])
+def test_constant_potential_is_the_number_zero(name):
+    ctx = build_context(name, n_points=4, order=4)
+    assert type(ctx.f) is float and ctx.f == 0.0
+    grad = geo.gradient(ctx.chart, ctx.f)
+    assert all(type(c) is float and c == 0.0 for c in grad.comps.flat)
