@@ -2,7 +2,10 @@
 
 Random fields are trigonometric polynomials with seeded coefficients, so they
 are globally smooth on every chart and reproducible from (seed, tag). The
-grid route samples the same draws (``trig_params``) on its torus.
+grid route samples the same draws (``trig_params``) on its torus. On the jet
+route they are written from their derivatives: the Taylor coefficients of a
+term a sin(w . x + phase) are known in closed form (``JetSpace.sinusoid``),
+so building a field forms no jet product.
 
 The propagation helpers turn a time-independent jet into the jet of the
 solution of an evolution equation d(field)/dt = RHS(field) by one first-order
@@ -53,12 +56,16 @@ def trig_params(seed: int, tag: str, dim: int, amplitude: float = 0.4) -> list:
 def trig_scalar(ctx: SolitonContext, tag: str, amplitude: float = 0.4,
                 base: float = 0.0) -> Jet:
     """Trigonometric polynomial in the chart's coordinates drawn from
-    (ctx.seed, tag)."""
+    (ctx.seed, tag), written from its derivatives: the term a sin(w . x +
+    phase) is ``a * ctx.space.sinusoid(w, theta)``, with w zero on t and s
+    and theta = w . p + phase at each sample point p, so no jet product is
+    formed."""
+    x = ctx.points["x"]
+    pad = (0,) * (ctx.space.n_vars - len(x))
     out = base
-    for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(ctx.coords),
-                                   amplitude):
-        terms = [wk * c for wk, c in zip(w, ctx.coords)]
-        out = out + a * (sum(terms[1:], terms[0]) + phase).sin()
+    for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(x), amplitude):
+        theta = sum(wk * xk for wk, xk in zip(w, x) if wk) + phase
+        out = out + a * ctx.space.sinusoid(w + pad, theta)
     return out
 
 

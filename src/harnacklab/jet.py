@@ -241,6 +241,39 @@ class JetSpace:
             out.append(Jet(self, coeffs, self.order))
         return out
 
+    def sinusoid(self, w, theta) -> "Jet":
+        """The jet of sin(theta_k + w . (x - p_k)) at each base point p_k.
+
+        ``w`` holds one frequency per variable and ``theta`` (batch,) the
+        phase at each base point. The Taylor coefficients of sin of an affine
+        argument are known exactly (Griewank & Walther, ch. 13): row alpha is
+        sin^{(|alpha|)}(theta) * w^alpha / alpha!, written here without
+        forming a product. A row with a zero factor w_v^{alpha_v} is exactly
+        0.0, so a variable of frequency 0 (a time or deformation variable)
+        has zero rows. The jet is an exact function: full validity order.
+        """
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.n_vars,):
+            raise JetError(f"expected {self.n_vars} frequencies, got {w.shape}")
+        theta = np.asarray(theta, dtype=float)
+        fact = np.array([math.factorial(k) for k in range(self.order + 1)],
+                        dtype=float)
+        scale = np.prod(w ** self.exponents, axis=1) \
+            / np.prod(fact[self.exponents], axis=1)
+        derivs = np.array(_sin_derivatives(theta, self.order + 1))
+        rows = np.nonzero(scale)[0]
+        coeffs = np.zeros((self.size, len(theta)))
+        coeffs[rows] = derivs[self.degrees[rows]] * scale[rows, None]
+        return Jet(self, coeffs, self.order)
+
+
+def _sin_derivatives(theta, count: int, shift: int = 0) -> list:
+    """sin^{(m + shift)}(theta) for m < count, read off the derivative cycle
+    sin^{(m)} = (sin, cos, -sin, -cos)[m mod 4]; shift 1 gives cos's."""
+    s, c = np.sin(theta), np.cos(theta)
+    cycle = (s, c, -s, -c)
+    return [cycle[(m + shift) % 4] for m in range(count)]
+
 
 def _meet(a: tuple, b: tuple) -> tuple:
     """Degrees left per variable in a value computed from two others."""
@@ -444,17 +477,13 @@ class Jet:
         return self._compose(series)
 
     def sin(self) -> "Jet":
-        c0 = self.coeffs[0]
-        cyc = [np.sin(c0), np.cos(c0), -np.sin(c0), -np.cos(c0)]
-        series = [cyc[m % 4] / math.factorial(m)
-                  for m in range(self.order + 1)]
+        series = [v / math.factorial(m) for m, v in
+                  enumerate(_sin_derivatives(self.coeffs[0], self.order + 1))]
         return self._compose(series)
 
     def cos(self) -> "Jet":
-        c0 = self.coeffs[0]
-        cyc = [np.cos(c0), -np.sin(c0), -np.cos(c0), np.sin(c0)]
-        series = [cyc[m % 4] / math.factorial(m)
-                  for m in range(self.order + 1)]
+        series = [v / math.factorial(m) for m, v in
+                  enumerate(_sin_derivatives(self.coeffs[0], self.order + 1, 1))]
         return self._compose(series)
 
     def __repr__(self):

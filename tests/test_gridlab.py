@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnacklab import checks, geometry as geo, gridlab as gl
+from harnacklab import checks, fields, geometry as geo, gridlab as gl
 from harnacklab.fields import trig_params
 from harnacklab.geometry import field_data
 from harnacklab.gridlab import (GridField, GridStabilityError, TorusGrid,
@@ -280,25 +280,60 @@ def test_rk4_limit_matches_the_benchmark_tracer(monkeypatch):
 
 # sha256 over the whole jet registry at seed 0, 4 points, order 6: each
 # verdict's check, chart and status, then the bits of its per-point residuals
-# and of its parts in name order, as the jet route computed them before the
-# grid scenarios shared one evolution identity; that change kept every bit.
-# Re-pinned when the steady and shrinking ids of CHK-H1, H3 and H4 were
-# folded into one id each: the same reports, relabelled, in the folded
-# registry's run order.
+# and of its parts in name order. Re-pinned when the seeded trig fields came
+# to be written from their Taylor coefficients (``JetSpace.sinusoid``) rather
+# than composed through ``Jet.sin``; the test below holds the composed fields
+# to the previous pin and bounds how far that moved each residual.
 PINNED_JET_REGISTRY = \
+    "f3848dcca7fead6c2c706e700d7b2dfdb8afa301727d7cf261d012502aa15da2"
+COMPOSED_TRIG_REGISTRY = \
     "126194ee809eafbb8d06bcad374bbf2b294a6131f15159e51b0b35463d1dcad0"
+# how far a per-point residual may move between the two builds of the fields
+COMPOSED_TRIG_BOUND = 1e-14
 
 
-def test_jet_registry_bit_identical_to_pinned():
+def _registry_reports():
+    return [r for r in checks.run_suite(seed=0, n_points=4, order=6)
+            if r.status != checks.STATUS_SKIPPED]
+
+
+def _registry_digest(reports) -> str:
     digest = hashlib.sha256()
-    for r in checks.run_suite(seed=0, n_points=4, order=6):
-        if r.status == checks.STATUS_SKIPPED:
-            continue
+    for r in reports:
         digest.update(f"{r.check_id}|{r.soliton}|{r.status}|".encode())
         digest.update(np.asarray(r.point_residuals, dtype="<f8").tobytes())
         digest.update(np.array([r.parts[k] for k in sorted(r.parts)],
                                dtype="<f8").tobytes())
-    assert digest.hexdigest() == PINNED_JET_REGISTRY
+    return digest.hexdigest()
+
+
+def test_jet_registry_bit_identical_to_pinned():
+    assert _registry_digest(_registry_reports()) == PINNED_JET_REGISTRY
+
+
+def _composed_trig_scalar(ctx, tag, amplitude=0.4, base=0.0):
+    """The seeded trig field with each term composed as a jet, a sin of the
+    argument w . x + phase, through ``Jet.sin``'s Horner loop."""
+    out = base
+    for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(ctx.coords),
+                                   amplitude):
+        terms = [wk * c for wk, c in zip(w, ctx.coords)]
+        out = out + a * (sum(terms[1:], terms[0]) + phase).sin()
+    return out
+
+
+def test_composed_trig_fields_reproduce_the_previous_pin(monkeypatch):
+    written = _registry_reports()
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "trig_scalar", _composed_trig_scalar)
+        composed = _registry_reports()
+    assert _registry_digest(composed) == COMPOSED_TRIG_REGISTRY
+    assert len(written) == len(composed)
+    for new, ref in zip(written, composed):
+        assert (new.check_id, new.soliton, new.status) \
+            == (ref.check_id, ref.soliton, ref.status)
+        gap = np.abs(np.subtract(new.point_residuals, ref.point_residuals))
+        assert gap.max() <= COMPOSED_TRIG_BOUND, (new.check_id, new.soliton)
 
 
 def _roll_stencil(v, axis, dx):

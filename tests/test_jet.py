@@ -443,3 +443,77 @@ def test_partial_past_a_cap_raises():
         du.coeff((0, 0, 1))
     # spatial partials of a t-derivative stay available
     assert du.partial(0).partial(1).order == 2
+
+
+# -- sinusoid constructor -----------------------------------------------------
+
+# (spatial variables, the extra variable's base point): x, y, t at sample
+# times; CHK-R1's x, y, s with t constant and s seeded at 0, which has the
+# same caps and so the same space; and x, y, z, t
+SINUSOID_LAYOUTS = {"x,y,t": (2, 0.3), "x,y,s": (2, 0.0), "x,y,z,t": (3, -0.8)}
+
+
+def _sinusoid_case(layout, w=None):
+    """(space, w padded with 0 on the extra variable, theta, the argument
+    w . x + phase as a jet) at five base points."""
+    n, extra = SINUSOID_LAYOUTS[layout]
+    sp = jet_space(n + 1, 6, (None,) * n + (1,))
+    rng = np.random.default_rng(n)
+    if w is None:
+        w = tuple(int(k) for k in rng.choice([-2, -1, 1, 2], size=n))
+    points = np.vstack([rng.uniform(-2.0, 2.0, (n, 5)), np.full((1, 5), extra)])
+    terms = [wk * c for wk, c in zip(w, sp.variables(points))]
+    arg = sum(terms[1:], terms[0]) + rng.uniform(0.0, 2 * np.pi)
+    return sp, w + (0,), arg.value(), arg
+
+
+@pytest.mark.parametrize("layout", sorted(SINUSOID_LAYOUTS))
+def test_sinusoid_matches_the_composed_sine(layout):
+    sp, w, theta, arg = _sinusoid_case(layout)
+    got, want = sp.sinusoid(w, theta), arg.sin()
+    assert (got.order, got.left) == (sp.order, sp.caps)
+    low = sp.degrees <= 1
+    assert np.array_equal(got.coeffs[low], want.coeffs[low])
+    # higher rows: sin^(m)(theta) w^alpha / alpha! against a Horner loop
+    ulp = np.spacing(np.abs(want.coeffs).max(axis=1, keepdims=True))
+    assert np.all(np.abs(got.coeffs - want.coeffs) <= 4.0 * ulp)
+
+
+@pytest.mark.parametrize("layout", sorted(SINUSOID_LAYOUTS))
+def test_sinusoid_is_constant_in_its_capped_variable(layout):
+    sp, w, theta, _ = _sinusoid_case(layout)
+    u = sp.sinusoid(w, theta)
+    v = sp.n_vars - 1
+    rows = u.coeffs[sp.exponents[:, v] >= 1]
+    assert np.all(rows == 0.0) and not np.signbit(rows).any()
+    du = u.partial(v)
+    assert not du.coeffs.any()
+    with pytest.raises(JetCapError):
+        du.partial(v)
+
+
+@pytest.mark.parametrize("layout", sorted(SINUSOID_LAYOUTS))
+def test_sinusoid_partial_is_the_shifted_wave(layout):
+    sp, w, theta, _ = _sinusoid_case(layout)
+    u = sp.sinusoid(w, theta)
+    # d/dx_k sin(theta + w . (x - p)) = w_k sin(theta + pi/2 + w . (x - p))
+    shifted = sp.sinusoid(w, theta + np.pi / 2)
+    n = sp.n_upto[sp.order - 1]
+    for k in range(sp.n_vars - 1):
+        assert np.max(np.abs(u.partial(k).coeffs[:n]
+                             - w[k] * shifted.coeffs[:n])) < 1e-13
+
+
+def test_sinusoid_with_a_zero_frequency():
+    sp, w, theta, arg = _sinusoid_case("x,y,z,t", w=(0, -2, 1))
+    u = sp.sinusoid(w, theta)
+    want = arg.sin()
+    low = sp.degrees <= 1
+    assert np.array_equal(u.coeffs[low], want.coeffs[low])
+    # constant in x: every x row is exactly 0.0 and d/dx vanishes
+    assert not u.coeffs[sp.exponents[:, 0] >= 1].any()
+    assert not u.partial(0).coeffs.any()
+    ulp = np.spacing(np.abs(want.coeffs).max(axis=1, keepdims=True))
+    assert np.all(np.abs(u.coeffs - want.coeffs) <= 4.0 * ulp)
+    with pytest.raises(JetError):
+        sp.sinusoid(w[:-1], theta)
