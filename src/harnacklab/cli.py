@@ -30,6 +30,11 @@ from .solitons import CATALOG, UnknownSolitonError
 
 _FORMATS = ("text", "json", "csv")
 _ORDER = 6  # default and highest --order; every check works at order <= 5
+# Ceilings on the run's size, far above the default 32 points and n = 128,
+# so that a mistyped size ends in a usage error rather than an allocation
+# failure deep inside the sampler or the grid.
+MAX_POINTS = 4096
+MAX_GRID_SIZE = 1024
 
 
 class _WriteError(Exception):
@@ -77,12 +82,15 @@ def _json_doc(payload: dict) -> str:
 
 
 def _args_error(args) -> str | None:
-    for name, least in (("seed", 0), ("points", 1), ("order", 0)):
+    for name, least, most in (("seed", 0, math.inf), ("points", 1, MAX_POINTS),
+                              ("order", 0, _ORDER)):
         value = getattr(args, name, least)
         if value < least:
             return f"--{name} must be at least {least}, got {value}"
-    if getattr(args, "order", _ORDER) > _ORDER:
-        return f"--order must be at most {_ORDER}, got {args.order}"
+        if value > most:
+            return f"--{name} must be at most {most}, got {value}"
+    if max(getattr(args, "sizes", ()), default=0) > MAX_GRID_SIZE:
+        return f"--sizes must each be at most {MAX_GRID_SIZE}, got {max(args.sizes)}"
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0.0):
         return f"--tolerance must be a finite number > 0, got {tolerance}"
@@ -264,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--soliton", action="append",
                     help="restrict to this soliton (repeatable)")
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--points", type=int, default=32)
+    pc.add_argument("--points", type=int, default=32,
+                    help=f"sample points per chart, 1 to {MAX_POINTS}")
     pc.add_argument("--order", type=int, default=_ORDER)
     pc.add_argument("--tolerance", type=float, default=None,
                     help="pass threshold for every check run (default: each "
@@ -279,14 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("checks", nargs="*", metavar="CHECK_ID",
                     help="grid scenario ids (default: all)")
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--sizes", type=int, nargs="+", default=gridlab.GRID_SIZES)
+    pg.add_argument("--sizes", type=int, nargs="+", default=gridlab.GRID_SIZES,
+                    help="increasing grid resolutions, each at most "
+                         f"{MAX_GRID_SIZE}")
     pg.add_argument("--format", choices=_FORMATS, default="text")
     pg.add_argument("--output", default=None)
     pg.set_defaults(fn=_cmd_grid)
 
     pr = sub.add_parser("report", help="run both routes, emit a combined report")
     pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--points", type=int, default=32)
+    pr.add_argument("--points", type=int, default=32,
+                    help=f"sample points per chart, 1 to {MAX_POINTS}")
     pr.add_argument("--order", type=int, default=_ORDER)
     pr.add_argument("--format", choices=("text", "json"), default="json")
     pr.add_argument("--output", default=None)

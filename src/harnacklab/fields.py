@@ -18,7 +18,8 @@ on the time-stripped field,
 where d are the RHS's t-degree-0 coefficients. That is exact wherever the
 identities look: they read at most one time derivative. The result is a fresh
 jet whose validity order is at most (RHS validity + 1); the inputs are left
-as they were.
+as they were. The checks call these helpers through
+``SolitonContext.evolved``, so each evolved field is built once per context.
 """
 
 import numpy as np

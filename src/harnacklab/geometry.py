@@ -37,7 +37,11 @@ Tensor components are stored in object ndarrays with covariant axes first;
 pair of axes is formed at the components :func:`sym2_indices` lists, j <= i
 in row order, and [j, i] holds the same object as [i, j]: that order fixes
 each builder's summation order, and the sharing lets
-:func:`covariant_derivative` take one partial per distinct object.
+:func:`covariant_derivative` take one partial per distinct object. On a
+chart whose Christoffels hold jets it also forms each (Gamma, component)
+product once per call, from a table that counts each pair's reads first and
+drops the product after its last; the sums keep their order, so the bits do
+not change. Grid fields and numbers are multiplied where they are read.
 
 Each operation takes a vector in one index position and raises TypeError on
 the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
@@ -45,7 +49,9 @@ the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 """
 
 import math
-from functools import cached_property, reduce
+import operator
+from collections import Counter
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -290,30 +296,77 @@ class MagnitudeChart:
         self.christoffels = magnitudes(chart.christoffels)
 
 
+@lru_cache(maxsize=64)
+def _connection_pattern(n: int, cov: int, rank: int) -> tuple:
+    """The index pattern of nabla t for a tensor with ``cov`` covariant slots
+    of ``rank``: per axis i, each component idx with, per slot a, whether the
+    slot is covariant and the (Gamma index, component index) of its terms, p
+    in order: Gamma^p_{i idx[a]} t[..p..] for a covariant slot and
+    Gamma^{idx[a]}_{ip} t[..p..] for a contravariant one."""
+    pattern = []
+    for i in range(n):
+        components = []
+        for idx in np.ndindex(*(n,) * rank):
+            slots = tuple(
+                (a < cov, tuple(((p, i, idx[a]) if a < cov else (idx[a], i, p),
+                                 idx[:a] + (p,) + idx[a + 1:]) for p in range(n)))
+                for a in range(rank))
+            components.append((idx, slots))
+        pattern.append(tuple(components))
+    return tuple(pattern)
+
+
+def _product_table(pairs):
+    """A product function for one ``covariant_derivative`` call that forms
+    each (Gamma, component) pair once: ``pairs`` is the call's every read, in
+    any order, and a product is dropped after its last read. Pairs are keyed
+    on their operands' ids, which are stable while the chart and the tensor
+    hold them."""
+    left = Counter((id(g), id(c)) for g, c in pairs)
+    held = {}
+
+    def product(g, c):
+        key = id(g), id(c)
+        val = held.pop(key, None)
+        if val is None:
+            val = g * c
+        left[key] -= 1
+        if left[key]:
+            held[key] = val
+        return val
+    return product
+
+
 def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
     """Levi-Civita covariant derivative; the new covariant axis comes first.
 
     A component object stored at several indices (a symmetric tensor keeps one
-    object at [i, j] and [j, i]) is differentiated once per axis.
+    object at [i, j] and [j, i]) is differentiated once per axis. When the
+    chart's Christoffels hold jets, each (Gamma, component) product is formed
+    once per call (``_product_table``): Gamma's symmetric lower pair and
+    shared components make many reads repeats. Grid fields, numbers and
+    ``MagnitudeChart`` multiply where they read.
     """
     n = chart.n
     gam = chart.christoffels
-    comps = np.empty((n,) + t.comps.shape, dtype=object)
-    for i in range(n):
+    tc = t.comps
+    pattern = _connection_pattern(n, t.cov, t.rank)
+    product = operator.mul
+    if any(isinstance(g, Jet) for g in gam.flat):
+        product = _product_table(
+            (gam[g], tc[c]) for components in pattern for _, slots in components
+            for _, pairs in slots for g, c in pairs)
+    comps = np.empty((n,) + tc.shape, dtype=object)
+    for i, components in enumerate(pattern):
         partials = {}  # id(component) -> its partial along i
-        for idx in np.ndindex(*t.comps.shape):
-            elem = t.comps[idx]
+        for idx, slots in components:
+            elem = tc[idx]
             val = partials.get(id(elem))
             if val is None:
                 val = partials[id(elem)] = partial(elem, i)
-            for a in range(t.cov):
-                val = val - _acc(gam[p, i, idx[a]]
-                                 * t.comps[idx[:a] + (p,) + idx[a + 1:]]
-                                 for p in range(n))
-            for a in range(t.cov, t.rank):
-                val = val + _acc(gam[idx[a], i, p]
-                                 * t.comps[idx[:a] + (p,) + idx[a + 1:]]
-                                 for p in range(n))
+            for covariant, pairs in slots:
+                terms = (product(gam[g], tc[c]) for g, c in pairs)
+                val = val - _acc(terms) if covariant else val + _acc(terms)
             comps[(i,) + idx] = val
     return TensorValue(t.cov + 1, t.con, comps)
 

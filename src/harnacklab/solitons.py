@@ -216,6 +216,10 @@ class SolitonContext:
     The identities are first order in t and s, so the space caps the degree
     in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
     reading rows the space does not carry.
+
+    A seeded field evolved on the context (``evolved``) is built by the first
+    check that asks for it and kept for the next, as the chart keeps its
+    curvature.
     """
 
     def __init__(self, spec: SolitonSpec, seed: int, n_points: int, order: int,
@@ -251,6 +255,14 @@ class SolitonContext:
 
         g, self.f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
+        self._evolved = {}
+
+    def evolved(self, key: tuple, build):
+        """The evolved field named ``key``, a (tag, eps) pair: ``build()`` on
+        the first request, the same object after."""
+        if key not in self._evolved:
+            self._evolved[key] = build()
+        return self._evolved[key]
 
     def dt(self, elem):
         if self.time_index is None:

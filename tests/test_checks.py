@@ -364,3 +364,53 @@ def test_three_dimensional_context_runs_the_shrinker_checks():
         ran.append(cid)
     assert ran == ["CHK-B7", "CHK-EQ1", "CHK-H1", "CHK-H2", "CHK-H3", "CHK-H4",
                    "CHK-H4t", "CHK-L2", "CHK-R1", "CHK-S1", "CHK-S2"]
+
+
+def _fresh(fn):
+    """fn() on contexts built for it alone, and none of them kept after."""
+    build_context.cache_clear()
+    try:
+        return fn()
+    finally:
+        build_context.cache_clear()
+
+
+def _bits_of(report):
+    return (report.status, report.point_residuals.tobytes(),
+            sorted(report.parts.items()))
+
+
+@pytest.mark.parametrize("check_id, soliton", [
+    ("CHK-L1", "cigar_flow"), ("CHK-L1", "flat_steady_linear"),
+    ("CHK-L2", "sphere_shrinker"), ("CHK-L2", "gaussian_shrinker")])
+def test_shared_h_gives_the_bits_of_a_fresh_one(check_id, soliton):
+    def after_eq1():
+        run_check("CHK-EQ1", soliton, n_points=4)
+        return run_check(check_id, soliton, n_points=4)
+    alone = _fresh(lambda: run_check(check_id, soliton, n_points=4))
+    assert _bits_of(_fresh(after_eq1)) == _bits_of(alone)
+
+
+def test_evolved_h_is_built_once_per_context(monkeypatch):
+    propagate, built = fields.propagate_sym2, []
+    monkeypatch.setattr(fields, "propagate_sym2", lambda ctx, h0: built.append(
+        ctx.spec.name) or propagate(ctx, h0))
+    ids = ("CHK-EQ1", "CHK-L1", "CHK-L2")
+    reports = _fresh(lambda: run_suite(checks=ids, n_points=2))
+    charts = {r.soliton for r in reports if r.status != checks.STATUS_SKIPPED}
+    assert len(charts) == 6 and sorted(built) == sorted(charts)
+
+
+def test_log_solution_is_built_once_per_context_and_eps(monkeypatch):
+    propagate, heat = fields.propagate_scalar, fields.rhs_linear_heat
+    built, eps = [], []
+    monkeypatch.setattr(fields, "propagate_scalar", lambda ctx, u0, rhs: (
+        built.append(ctx.spec.name) or propagate(ctx, u0, rhs)))
+    monkeypatch.setattr(fields, "rhs_linear_heat",
+                        lambda e: eps.append(e) or heat(e))
+    ids = ("CHK-B2", "CHK-B3", "CHK-B4", "CHK-B5", "CHK-B6")
+    reports = _fresh(lambda: run_suite(checks=ids, n_points=2))
+    charts = {r.soliton for r in reports if r.status != checks.STATUS_SKIPPED}
+    pairs = list(zip(built, eps))
+    assert len(built) == len(eps) == len(set(pairs))
+    assert set(pairs) == {(s, e) for s in charts for e in checks._EPS_SET}

@@ -15,7 +15,8 @@ import pytest
 import harnacklab
 from harnacklab import __version__, gridlab
 from harnacklab.checks import CheckReport
-from harnacklab.cli import _json_doc, build_parser, main
+from harnacklab.cli import (MAX_GRID_SIZE, MAX_POINTS, _json_doc, build_parser,
+                            main)
 
 
 def run_cli(capsys, *argv):
@@ -383,3 +384,32 @@ def test_full_output_file_exits_one_with_one_line():
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: cannot write output: ")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("check", "CHK-S1", "--points", str(MAX_POINTS + 1)), "--points"),
+    (("report", "--points", str(MAX_POINTS + 1)), "--points"),
+    (("grid", "--sizes", "32", str(MAX_GRID_SIZE + 1)), "--sizes"),
+])
+def test_size_above_its_ceiling_exit_two_before_any_work(capsys, monkeypatch,
+                                                         argv, option):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    for module, name in ((harnacklab.checks, "run_suite"),
+                         (harnacklab.gridlab, "run_grid_check"),
+                         (harnacklab.gridlab, "run_grid_suite"),
+                         (harnacklab.solitons, "sample_points")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} must") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, option, ceiling", [
+    ("check", "--points", MAX_POINTS), ("report", "--points", MAX_POINTS),
+    ("grid", "--sizes", MAX_GRID_SIZE)])
+def test_help_states_each_ceiling(capsys, command, option, ceiling):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert option in text and str(ceiling) in text

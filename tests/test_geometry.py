@@ -383,3 +383,117 @@ def test_two_dimensional_det_and_ginv_equal_the_closed_forms(make_g):
     for got, want in ((ch.ginv[0, 0], g11 / det), (ch.ginv[1, 1], g00 / det),
                       (ch.ginv[0, 1], -g01 / det), (ch.ginv[1, 0], -g01 / det)):
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def _reference_covariant_derivative(chart, t):
+    """``covariant_derivative`` as written before its product table: each
+    (Gamma, component) product is formed where a sum reads it."""
+    n = chart.n
+    gam = chart.christoffels
+    comps = np.empty((n,) + t.comps.shape, dtype=object)
+    for i in range(n):
+        partials = {}
+        for idx in np.ndindex(*t.comps.shape):
+            elem = t.comps[idx]
+            val = partials.get(id(elem))
+            if val is None:
+                val = partials[id(elem)] = geo.partial(elem, i)
+            for a in range(t.cov):
+                val = val - geo._acc(gam[p, i, idx[a]]
+                                     * t.comps[idx[:a] + (p,) + idx[a + 1:]]
+                                     for p in range(n))
+            for a in range(t.cov, t.rank):
+                val = val + geo._acc(gam[idx[a], i, p]
+                                     * t.comps[idx[:a] + (p,) + idx[a + 1:]]
+                                     for p in range(n))
+            comps[(i,) + idx] = val
+    return geo.TensorValue(t.cov + 1, t.con, comps)
+
+
+def _reference_pairs(chart, t):
+    """Every (Gamma, component) read of the reference loop, in order."""
+    n = chart.n
+    gam = chart.christoffels
+    for i in range(n):
+        for idx in np.ndindex(*t.comps.shape):
+            for a in range(t.rank):
+                for p in range(n):
+                    g = gam[p, i, idx[a]] if a < t.cov else gam[idx[a], i, p]
+                    yield g, t.comps[idx[:a] + (p,) + idx[a + 1:]]
+
+
+def _test_tensors(ch):
+    """Ranks 1 to 3, covariant and contravariant slots, with shared
+    (``sym2_from``) and unshared (``tensor_map``) components."""
+    n = ch.n
+    s = ch.det.log()
+    covector = geo.differential(ch, s)
+    vector = geo.raise_vector(ch, covector)
+    hess = geo.hessian(ch, s)
+    shared = geo.sym2_from(lambda i, j: hess[i, j], n)
+    unshared = geo.tensor_map(lambda c: 1.5 * c, shared)
+    mixed = geo.covariant_derivative(ch, vector)
+    assert unshared[0, 1] is not unshared[1, 0] and shared[0, 1] is shared[1, 0]
+    return {"covector": covector, "vector": vector, "sym2": shared,
+            "unshared2": unshared, "raised2": geo.raise_sym2(ch, shared),
+            "mixed11": mixed, "cov3": geo.covariant_derivative(ch, shared),
+            "mixed21": geo.covariant_derivative(ch, mixed),
+            "n": n}
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: generic_chart()[0], lambda: sphere_chart()[0],
+    lambda: sheared_cylinder_chart()[0],
+], ids=["generic", "sphere", "sheared-3d"])
+def test_covariant_derivative_forms_each_jet_pair_once(make_chart, monkeypatch):
+    ch = make_chart()
+    tensors = _test_tensors(ch)
+    n = tensors.pop("n")
+    mul_raw = type(ch.det.space).mul_raw
+    calls = []
+
+    def counted(space, a, b):
+        calls.append(1)
+        return mul_raw(space, a, b)
+    monkeypatch.setattr(type(ch.det.space), "mul_raw", counted)
+    repeats = 0
+    for name, t in tensors.items():
+        calls.clear()
+        got = geo.covariant_derivative(ch, t)
+        formed = len(calls)
+        calls.clear()
+        want = _reference_covariant_derivative(ch, t)
+        assert got.comps.shape == want.comps.shape == (n,) + t.comps.shape
+        assert (got.cov, got.con) == (want.cov, want.con)
+        for a, b in zip(got.comps.flat, want.comps.flat):
+            assert type(a) is type(b), name
+            assert np.array_equal(_bits(a), _bits(b)), name
+            if hasattr(a, "coeffs"):
+                assert (a.order, a.left) == (b.order, b.left), name
+        jet_pairs = [(id(g), id(c)) for g, c in _reference_pairs(ch, t)
+                     if hasattr(g, "coeffs") and hasattr(c, "coeffs")]
+        assert len(calls) == len(jet_pairs), name
+        assert formed == len(set(jet_pairs)), name
+        repeats += len(jet_pairs) - formed
+    assert repeats > 0
+
+
+def test_covariant_derivative_on_a_grid_chart_multiplies_plainly(monkeypatch):
+    ch = _grid_chart()
+    ch.christoffels  # built before counting
+    t = geo.covariant_derivative(ch, ch.ricci)
+    mul = gl.GridField.__mul__
+    calls = []
+
+    def counted(x, other):
+        calls.append(1)
+        return mul(x, other)
+    monkeypatch.setattr(gl.GridField, "__mul__", counted)
+    monkeypatch.setattr(gl.GridField, "__rmul__", counted)
+    got = geo.covariant_derivative(ch, t)
+    formed = len(calls)
+    calls.clear()
+    want = _reference_covariant_derivative(ch, t)
+    assert formed == len(calls) > 0
+    for a, b in zip(got.comps.flat, want.comps.flat):
+        assert np.array_equal(_bits(a), _bits(b))

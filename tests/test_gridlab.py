@@ -324,9 +324,15 @@ def _composed_trig_scalar(ctx, tag, amplitude=0.4, base=0.0):
 
 def test_composed_trig_fields_reproduce_the_previous_pin(monkeypatch):
     written = _registry_reports()
-    with monkeypatch.context() as mp:
-        mp.setattr(fields, "trig_scalar", _composed_trig_scalar)
-        composed = _registry_reports()
+    # a context keeps the fields it evolved, so the composed build needs
+    # contexts of its own, and must leave none behind
+    build_context.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(fields, "trig_scalar", _composed_trig_scalar)
+            composed = _registry_reports()
+    finally:
+        build_context.cache_clear()
     assert _registry_digest(composed) == COMPOSED_TRIG_REGISTRY
     assert len(written) == len(composed)
     for new, ref in zip(written, composed):

@@ -5,6 +5,7 @@ test."""
 from pathlib import Path
 
 from harnacklab import checks
+from harnacklab.solitons import build_context
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,10 +15,13 @@ def test_tracer_hooks_install_and_count(monkeypatch):
     import tracing
 
     tracer = tracing.Tracer()
+    # a context keeps the fields it evolved: count on contexts built here
+    build_context.cache_clear()
     tracer.install()
     try:
         checks.run_check("CHK-L1", "cigar_flow", n_points=2)
     finally:
         tracer.uninstall()
+        build_context.cache_clear()
     assert tracer.counts["fields.propagate.calls"] >= 1
     assert tracer.counts["jet.mul.calls"] >= 1
