@@ -1,40 +1,40 @@
-"""Identity checks: the registry, residual conventions, and runners.
+"""Identity checks: each declared once, and every part judged by one rule.
 
 Every check evaluates one mathematical identity (or inequality) on a soliton
-chart at a pack of sample points via exact jet arithmetic and reports a
-*relative* residual per point:
+chart at a pack of sample points via exact jet arithmetic. Its runner forms
+no residual: it returns {part name: ``Identity``}, the part's signed terms
+per component and, where every term can vanish on the chart, an atom scale.
+``run_check`` judges each part by ``tensor_residual``, per point:
 
-    residual = |sum of signed terms| / (sum of |each term| + 1e-30),
+    residual = max over components |sum of terms|
+               / (1e-30 + sum over components and terms of |term| + atom scale)
 
-where the terms are the finest additive pieces of the identity (for an
-evolution identity, the time derivative and Laplacian of each summand of the
-quantity count separately). This makes residuals scale-invariant: replacing h
-by c*h or u by c*u leaves them unchanged. For tensor identities the numerator
-is the worst component and the denominator sums over all components, so a
-residual hiding in a small component is not masked by a large one.
+The terms are the finest additive pieces of the identity (for an evolution
+identity, d/dt and the Laplacian of each summand count separately), so
+residuals are scale-invariant. The numerator takes the worst component and
+the denominator sums over all, so a small component's defect is not masked.
 
-Identities whose terms vanish individually on the check's chart (the vanishing
-brackets of the evolution identity on a steady soliton) are normalized by the
-sum of |atom products| instead, where an atom is an input's value or the
-partial of one. That sum is not written out here: it is the identity's own
-term builder evaluated on ``geometry.Magnitude`` inputs, and it stays bounded
-away from zero whenever the underlying curvature does.
+An atom scale sums the |atom products| behind the terms, an atom being an
+input's value or the partial of one, so that roundoff is not divided by
+itself where the terms vanish: it is the identity's own term builder run on
+``geometry.Magnitude`` inputs (the evolution identity's vanishing brackets on
+a steady soliton; ``_nabla_ricci_atom_scale`` for grad R = 2 Rc(grad f) and
+CHK-H2). CHK-R1's stationary measure takes |e^{-f} dvol|. CHK-B5's inequality
+is the identity L P - Q^2/n - slack = 0 with slack = max(L P - Q^2/n, 0) from
+the values: it cancels exactly when the bound holds and is 0 when it fails.
 
 A soliton identity is one check: its shrinking form adds terms in the
 context's soliton constant ``lam``, which are exact zeros on a steady chart.
 
-A ``CheckSpec`` states a check's identity, the predicate on ``SolitonSpec``
-that picks the jet charts it applies to, and ``context``: the keywords of
-``build_context`` it needs beyond (chart, seed, n_points, order), which only
-CHK-R1 uses. ``run_check`` builds that context, inside the timed region, and
-hands it to the runner, which returns {part name: per-point residual}.
-
-A report's ``millis`` is the time of that region only. Contexts are shared
-(``build_context`` is a cache), and a context keeps what its first user
-built: the chart its curvature, and the context its evolved fields (the h
-of CHK-EQ1, L1 and L2, and the log u of CHK-B2 to B6 and B8, per eps). So a
-check's time leaves out whatever an earlier check on the same context
-already built.
+``_check`` above a runner declares its check: the statement, the predicate
+on ``SolitonSpec`` that picks the jet charts it applies to, the tolerance and
+``context``, the ``build_context`` keywords beyond (chart, seed, n_points,
+order) that only CHK-R1 uses. ``run_check`` builds that context, runs the
+runner and judges its parts inside the timed region, whose time is the
+report's ``millis``. Contexts are shared (``build_context`` is a cache) and
+keep what their first user built: the chart its curvature, the context its
+evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and
+B8, per eps). So a check's time leaves out what an earlier check built.
 """
 
 import time
@@ -75,19 +75,16 @@ _grad2 = _where(kind="steady", potential_time_rule="grad2")
 
 def rel_residual(terms) -> np.ndarray:
     """Per-point relative residual of a list of signed scalar terms: a
-    tensor identity with one component."""
+    tensor identity with one component. No runner calls it; the benchmark's
+    tracer still wraps it by name."""
     return tensor_residual([terms])
 
 
 def tensor_residual(term_lists, extra_scale=None) -> np.ndarray:
-    """Residual for a componentwise identity: ``term_lists[component]`` is the
-    signed term list of that component. Numerator takes the worst component,
-    denominator sums magnitudes over all components and terms.
-
-    ``extra_scale`` widens the denominator for identities whose every term
-    vanishes identically on some chart (both sides of grad R = 2 Rc(grad f)
-    are zero on an Einstein shrinker): it should carry the magnitude of the
-    arithmetic that produced the terms, so roundoff is not divided by itself."""
+    """The one residual rule: ``term_lists[component]`` is the signed term
+    list of that component. Numerator takes the worst component,
+    denominator sums magnitudes over all components and terms, plus the
+    identity's atom scale ``extra_scale`` where it has one."""
     nums, den = [], _FLOOR
     for terms in term_lists:
         arrs = [field_data(t) for t in terms]
@@ -109,11 +106,26 @@ def _nabla_ricci_atom_scale(chart) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Identity:
+    """One part of a check: ``components[c]`` is the signed term list of
+    component c, which sums to zero where the identity holds, and
+    ``atom_scale`` (None, or one value per point) the magnitude of the
+    arithmetic behind terms that can all vanish."""
+    components: list
+    atom_scale: object = None
+
+
+def _balance(lhs, rhs) -> Identity:
+    """The scalar identity sum(lhs) = sum(rhs)."""
+    return Identity([lhs + [-t for t in rhs]])
+
+
+@dataclass(frozen=True)
 class CheckSpec:
     check_id: str
     statement: str
     applies: object = field(repr=False, compare=False)  # SolitonSpec -> bool
-    runner: object = field(repr=False, compare=False)  # SolitonContext -> parts
+    runner: object = field(repr=False, compare=False)  # ctx -> {part: Identity}
     tolerance: float = DEFAULT_TOLERANCE
     # keyword arguments of build_context beyond (name, seed, n_points, order)
     context: dict = field(default_factory=dict, compare=False)
@@ -147,6 +159,20 @@ class CheckReport:
                 if k not in ("seed", "point_residuals")}
 
 
+REGISTRY = {}
+
+
+def _check(check_id, statement, applies, tolerance=DEFAULT_TOLERANCE,
+           context=None):
+    """Declare check ``check_id``, run by the function below: its
+    statement, predicate, tolerance and ``build_context`` keywords."""
+    def declare(runner):
+        REGISTRY[check_id] = CheckSpec(check_id, statement, applies, runner,
+                                       tolerance, dict(context or {}))
+        return runner
+    return declare
+
+
 def _sym2_terms(n, pairs):
     """Component term lists for a symmetric-2-tensor identity from
     [(tensor, scale), ...]; only the stored components (i, j), j <= i, enter:
@@ -156,22 +182,30 @@ def _sym2_terms(n, pairs):
 
 # ---------------------------------------------------------------------------
 # runners: each takes the SolitonContext that run_check builds for it and
-# returns {part_name: per-point residual array}
+# returns {part_name: Identity}
 
+@_check("CHK-S1",
+        "Ric + Hess f = lam g with lam = 0 (steady) or -1/(2t) (shrinking); "
+        "moving charts also solve dg/dt = -2 Ric exactly",
+        _any, 1e-9)
 def _run_s1(ctx):
     ch = ctx.chart
     n = ch.n
     hf = geo.hessian(ch, ctx.f)
     lam_g = geo.sym2_from(lambda i, j: ch.g[i, j] * -ctx.lam, n)
     pairs = [(ch.ricci, 1.0), (hf, 1.0), (lam_g, 1.0)]
-    parts = {"soliton_equation": tensor_residual(_sym2_terms(n, pairs))}
+    parts = {"soliton_equation": Identity(_sym2_terms(n, pairs))}
     if ctx.spec.ricci_flow_exact:
         dg = geo.sym2_from(lambda i, j: ctx.dt(ch.g[i, j]), n)
-        parts["ricci_flow"] = tensor_residual(
+        parts["ricci_flow"] = Identity(
             _sym2_terms(n, [(dg, 1.0), (ch.ricci, 2.0)]))
     return parts
 
 
+@_check("CHK-S2",
+        "Lap R + 2|Rc|^2 = <grad R, grad f> (steady; shrinking adds -R/t) "
+        "and grad R = 2 Rc(grad f)",
+        _any)
 def _run_s2(ctx):
     ch = ctx.chart
     r = ch.scalar_curvature
@@ -180,26 +214,31 @@ def _run_s2(ctx):
     rc2 = geo.inner_sym2(ch, ch.ricci, ch.ricci)
     grr = geo.inner_vec(ch, dr, df)
     terms = [geo.laplacian(ch, r), 2.0 * rc2, -grr, r * -ctx.lam * 2.0]
-    parts = {"scalar_curvature_identity": rel_residual(terms)}
     gf = geo.raise_vector(ch, df)
-    parts["curvature_gradient"] = tensor_residual(
-        [[dr[i]] + [-2.0 * ch.ricci[i, k] * gf[k] for k in range(ch.n)]
-         for i in range(ch.n)],
-        extra_scale=_nabla_ricci_atom_scale(ch))
-    return parts
+    return {
+        "scalar_curvature_identity": Identity([terms]),
+        "curvature_gradient": Identity(
+            [[dr[i]] + [-2.0 * ch.ricci[i, k] * gf[k] for k in range(ch.n)]
+             for i in range(ch.n)], _nabla_ricci_atom_scale(ch)),
+    }
 
 
+@_check("CHK-S3", "normalized steady: R + |grad f|^2 = 1 and R = -Lap f",
+        _normalized)
 def _run_s3(ctx):
     ch = ctx.chart
     df = geo.differential(ch, ctx.f)
     return {
-        "normalization": rel_residual(
-            [ch.scalar_curvature, geo.inner_vec(ch, df, df), -1.0]),
-        "trace_equation": rel_residual(
-            [ch.scalar_curvature, geo.laplacian(ch, ctx.f)]),
+        "normalization": Identity(
+            [[ch.scalar_curvature, geo.inner_vec(ch, df, df), -1.0]]),
+        "trace_equation": Identity(
+            [[ch.scalar_curvature, geo.laplacian(ch, ctx.f)]]),
     }
 
 
+@_check("CHK-H1",
+        "M_pq - lam R_pq = P_ipq grad^i f (lam = 0 steady, -1/(2t) shrinking)",
+        _any)
 def _run_h1(ctx):
     ch = ctx.chart
     m = hk.matrix_harnack(ch)
@@ -207,9 +246,11 @@ def _run_h1(ctx):
     gf = geo.gradient(ch, ctx.f)
     out = [[m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
            + [ch.ricci[i, j] * -ctx.lam] for i, j in geo.sym2_indices(ch.n)]
-    return {"matrix_harnack_potential": tensor_residual(out)}
+    return {"matrix_harnack_potential": Identity(out)}
 
 
+@_check("CHK-H2", "P_ipq = riem[p,i,j,q] grad^j f on any gradient soliton",
+        _any)
 def _run_h2(ctx):
     ch = ctx.chart
     n = ch.n
@@ -222,10 +263,11 @@ def _run_h2(ctx):
             for q in range(n):
                 out.append([p[i, pp, q]]
                            + [-low[pp, i, j, q] * gf[j] for j in range(n)])
-    return {"p_tensor_curvature": tensor_residual(
-        out, extra_scale=_nabla_ricci_atom_scale(ch))}
+    return {"p_tensor_curvature": Identity(out, _nabla_ricci_atom_scale(ch))}
 
 
+@_check("CHK-H3",
+        "((d/dt - Lap) grad f)^j - R^j_k grad^k f = 2 lam grad^j f", _any)
 def _run_h3(ctx):
     ch = ctx.chart
     gf = geo.gradient(ch, ctx.f)
@@ -236,22 +278,25 @@ def _run_h3(ctx):
         out.append([ctx.dt(gf[j]), -lap_gf[j]]
                    + [-mixed[j, k] * gf[k] for k in range(ch.n)]
                    + [gf[j] * -ctx.lam * 2.0])
-    return {"potential_gradient_evolution": tensor_residual(out)}
+    return {"potential_gradient_evolution": Identity(out)}
 
 
+@_check("CHK-H4", "Z(Rc, -grad f) = lam R", _any)
 def _run_h4(ctx):
     ch = ctx.chart
     terms = hk.linear_trace_terms(ch, ch.ricci, fields.neg_grad_potential(ctx))
     return {"trace_harnack_soliton":
-            rel_residual(terms + [ch.scalar_curvature * -ctx.lam])}
+            Identity([terms + [ch.scalar_curvature * -ctx.lam]])}
 
 
+@_check("CHK-H4t",
+        "2 Z(Rc, X) = Lap R + 2|Rc|^2 + 2<grad R, X> + 2 Rc(X,X) for any X",
+        _any, 1e-9)
 def _run_h4t(ctx):
     ch = ctx.chart
     x = fields.trig_vector(ctx, "h4t.X")
     zt = [2.0 * t for t in hk.linear_trace_terms(ch, ch.ricci, x)]
-    tr = hk.trace_harnack_terms(ch, x)
-    return {"trace_form": rel_residual(tr + [-t for t in zt])}
+    return {"trace_form": _balance(hk.trace_harnack_terms(ch, x), zt)}
 
 
 def _heat_terms(ctx, pieces):
@@ -266,6 +311,11 @@ def _evolved_h(ctx):
         ctx, fields.trig_sym2(ctx, "h")))
 
 
+@_check("CHK-EQ1",
+        "(d/dt - Lap) Z(h,X) equals the four curvature production groups "
+        "under Ricci flow with dh/dt = Lichnerowicz(h); on a steady soliton "
+        "with h = Rc, X = -grad f each group vanishes",
+        _exact_flow, 1e-7)
 def _run_eq1(ctx):
     ch = ctx.chart
     h = _evolved_h(ctx)
@@ -275,7 +325,7 @@ def _run_eq1(ctx):
     lhs = _heat_terms(ctx, hk.linear_trace_terms(ch, h, x))
     rhs = hk.evolution_rhs_groups(ch, **curvature,
                                   **hk.field_inputs(ch, h, x, dxdt))
-    parts = {"evolution_identity": rel_residual(lhs + [-t for t in rhs])}
+    parts = {"evolution_identity": _balance(lhs, rhs)}
     if ctx.spec.kind == "steady":
         parts.update(_eq1_vanishing_brackets(ctx, curvature))
     return parts
@@ -284,9 +334,9 @@ def _run_eq1(ctx):
 def _eq1_vanishing_brackets(ctx, curvature):
     """On a steady soliton with h = Ric, X = -grad f, each of the four groups
     on the right of the evolution identity vanishes. ``curvature`` is
-    ``hk.chart_inputs`` of the context's chart. Each group is normalized
-    by the same group evaluated on the magnitudes of its inputs, so the
-    residual cannot divide by a quantity that itself vanishes on the soliton."""
+    ``hk.chart_inputs`` of the context's chart. Each group's atom scale is
+    the same group evaluated on the magnitudes of its inputs, which stays
+    away from zero where the group itself vanishes on the soliton."""
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
@@ -294,17 +344,25 @@ def _eq1_vanishing_brackets(ctx, curvature):
     brackets = hk.evolution_rhs_groups(ch, **inputs)
     scales = hk.evolution_rhs_groups(
         geo.MagnitudeChart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
-    return {f"vanishing_bracket_{k + 1}":
-            np.abs(field_data(b)) / (_FLOOR + field_data(s))
+    return {f"vanishing_bracket_{k + 1}": Identity([[b]], field_data(s))
             for k, (b, s) in enumerate(zip(brackets, scales))}
 
 
+@_check("CHK-L1",
+        "Z(h, -grad f) solves the heat equation on a steady soliton "
+        "(dg/dt = -2Rc, df/dt = Lap f or |grad f|^2, dh/dt = Lichnerowicz(h))",
+        _steady_system, 1e-7)
 def _run_l1(ctx):
     h = _evolved_h(ctx)
     pieces = hk.linear_trace_terms(ctx.chart, h, fields.neg_grad_potential(ctx))
-    return {"heat_equation": rel_residual(_heat_terms(ctx, pieces))}
+    return {"heat_equation": Identity([_heat_terms(ctx, pieces)])}
 
 
+@_check("CHK-L2",
+        "on a shrinker, (d/dt - Lap)(Z + H/2t) = -(2/t)(Z + H/2t), "
+        "equivalently t^2 (Z + H/2t) is a heat solution; and "
+        "(d/dt - Lap) H = 2<h, Rc>",
+        _shrinking, 1e-7)
 def _run_l2(ctx):
     ch = ctx.chart
     h = _evolved_h(ctx)
@@ -317,12 +375,17 @@ def _run_l2(ctx):
     trace_ev = [ctx.dt(bigh), -geo.laplacian(ch, bigh),
                 -2.0 * geo.inner_sym2(ch, h, ch.ricci)]
     return {
-        "damped_heat": rel_residual(damped),
-        "conserved_form": rel_residual(conserved),
-        "trace_evolution": rel_residual(trace_ev),
+        "damped_heat": Identity([damped]),
+        "conserved_form": Identity([conserved]),
+        "trace_evolution": Identity([trace_ev]),
     }
 
 
+@_check("CHK-R1",
+        "under dg/ds = h, df/ds = H/2: "
+        "d/ds (R + 2 Lap f - |grad f|^2) = Z(h, -grad f) - 2<h, Rc + Hess f>, "
+        "and the weighted measure e^{-f} dvol is stationary",
+        _any, context={"time": "const", "deform": True})
 def _run_r1(ctx):
     ch0 = ctx.chart
     h = fields.trig_sym2(ctx, "r1.h")
@@ -335,28 +398,33 @@ def _run_r1(ctx):
     zterms = hk.linear_trace_terms(ch0, h, fields.neg_grad_potential(ctx))
     defect = geo.tensor_map(lambda p, q: p + q, ch0.ricci, geo.hessian(ch0, ctx.f))
     coupling = -2.0 * geo.inner_sym2(ch0, h, defect)
-    parts = {"deformation_identity":
-             rel_residual([lhs] + [-t for t in zterms] + [-coupling])}
     density = (-fs).exp() * chs.volume_density
-    parts["weighted_measure"] = (np.abs(field_data(ctx.ds(density)))
-                                 / (np.abs(field_data(density)) + _FLOOR))
-    return parts
+    return {
+        "deformation_identity": _balance([lhs], zterms + [coupling]),
+        "weighted_measure": Identity([[ctx.ds(density)]],
+                                     np.abs(field_data(density))),
+    }
 
 
+@_check("CHK-R2",
+        "V = (2 Lap f - |grad f|^2 + R) e^{-f} satisfies "
+        "(-d/dt - Lap + R) V = -2 |Rc + Hess f|^2 e^{-f} along the "
+        "conjugate-potential flow df/dt = -Lap f + |grad f|^2 - R",
+        _steady_system, 1e-7)
 def _run_r2(ctx):
     ch = ctx.chart
 
-    def residual(f):
+    def identity(f):
         v = hk.conjugate_density(ch, f)
         lhs = hk.box_star_terms(ch, ctx.dt, v)
         rhs = -2.0 * hk.soliton_defect_norm2(ch, f) * geo.exp(-f)
-        return rel_residual(lhs + [-rhs])
+        return _balance(lhs, [rhs])
 
     f0 = fields.trig_scalar(ctx, "r2.f0", base=0.5)
     fprop = fields.propagate_scalar(ctx, f0, fields.rhs_conjugate_potential)
-    parts = {"generic_potential": residual(fprop)}
+    parts = {"generic_potential": identity(fprop)}
     if ctx.spec.potential_time_rule == "grad2":
-        parts["soliton_potential"] = residual(ctx.f)
+        parts["soliton_potential"] = identity(ctx.f)
     return parts
 
 
@@ -369,20 +437,29 @@ def _log_solution(ctx, eps):
     return ctx.evolved(("b.u0", eps), build)
 
 
+@_check("CHK-B1",
+        "u = e^f solves du/dt = Lap u + R u when df/dt = |grad f|^2 on a "
+        "normalized steady (or f = 0 flat)",
+        _grad2)
 def _run_b1(ctx):
     ch = ctx.chart
     u = geo.exp(ctx.f)
-    return {"potential_solution": rel_residual(
-        [ctx.dt(u), -geo.laplacian(ch, u), -ch.scalar_curvature * u])}
+    return {"potential_solution": Identity(
+        [[ctx.dt(u), -geo.laplacian(ch, u), -ch.scalar_curvature * u]])}
 
 
+@_check("CHK-B2",
+        "L Q = |Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f)) for "
+        "Q = Lap v + R, v = log u, du/dt = Lap u + R u",
+        _grad2, 1e-7)
 def _run_b2(ctx):
     v = _log_solution(ctx, 1.0)
     lhs = hk.l_eps_terms(ctx.chart, ctx.dt, v, hk.log_q(ctx.chart, v), 1.0)
     rhs = hk.lq_production_terms(ctx.chart, v, ctx.f)
-    return {"log_laplacian_evolution": rel_residual(lhs + [-t for t in rhs])}
+    return {"log_laplacian_evolution": _balance(lhs, rhs)}
 
 
+@_check("CHK-B3", "L(|grad v|^2 + R) = |Rc|^2 - |Hess v|^2", _grad2, 1e-7)
 def _run_b3(ctx):
     ch = ctx.chart
     v = _log_solution(ctx, 1.0)
@@ -390,17 +467,25 @@ def _run_b3(ctx):
     w = geo.inner_vec(ch, dv, dv) + ch.scalar_curvature
     lhs = hk.l_eps_terms(ch, ctx.dt, v, w, 1.0)
     rhs = hk.grad2r_production_terms(ch, v)
-    return {"gradient_energy_evolution": rel_residual(lhs + [-t for t in rhs])}
+    return {"gradient_energy_evolution": _balance(lhs, rhs)}
 
 
+@_check("CHK-B4",
+        "L P = |Hess v + Rc|^2 + 2 Rc(grad(v-f), grad(v-f)) for "
+        "P = 2 Lap v + |grad v|^2 + 3R",
+        _grad2, 1e-7)
 def _run_b4(ctx):
     ch = ctx.chart
     v = _log_solution(ctx, 1.0)
     lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)
     rhs = hk.lp_production_terms(ch, v, ctx.f)
-    return {"harnack_evolution": rel_residual(lhs + [-t for t in rhs])}
+    return {"harnack_evolution": _balance(lhs, rhs)}
 
 
+@_check("CHK-B5", "L P >= Q^2 / n pointwise when Rc >= 0 (Cauchy-Schwarz)",
+        # One named chart: widening B5 to every chart with Rc >= 0 would
+        # add verdicts to the registry's fixed count of 102.
+        _where(name="cigar_flow_v2"), 1e-7)
 def _run_b5(ctx):
     ch = ctx.chart
     v = _log_solution(ctx, 1.0)
@@ -408,10 +493,14 @@ def _run_b5(ctx):
     lp = field_data(sum(
         hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)))
     bound = q * q / ch.n
-    return {"cauchy_schwarz_bound":
-            np.maximum(bound - lp, 0.0) / (np.abs(bound) + np.abs(lp) + _FLOOR)}
+    slack = np.maximum(lp - bound, 0.0)
+    return {"cauchy_schwarz_bound": Identity([[lp, -bound, -slack]])}
 
 
+@_check("CHK-B6",
+        "L_eps P_eps equals its five-term production formula for "
+        "P_eps = 2 Lap v + |grad v|^2 + (2 eps + 1) R, du/dt = eps^{-1} Lap u + R u",
+        _grad2, 1e-7)
 def _run_b6(ctx):
     ch = ctx.chart
     parts = {}
@@ -419,146 +508,36 @@ def _run_b6(ctx):
         v = _log_solution(ctx, eps)
         lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, eps), eps)
         rhs = hk.leps_production_terms(ch, v, ctx.f, eps)
-        parts[f"eps({eps:g})"] = rel_residual(lhs + [-t for t in rhs])
+        parts[f"eps({eps:g})"] = _balance(lhs, rhs)
     return parts
 
 
+@_check("CHK-B7",
+        "algebraic rewrite of the Ricci production terms: "
+        "2/eps A(grad(v - eps f)) + (1 - 1/eps) A(grad(v+f)) = "
+        "(1 + 1/eps) A(grad(v-f)) + 2(eps - 1/eps) A(grad f) for symmetric A",
+        _any, 1e-7)
 def _run_b7(ctx):
     v = fields.trig_scalar(ctx, "b7.v", base=0.2)
-    parts = {}
-    for eps in _EPS_SET:
-        lhs, rhs = hk.ricci_terms_rewrite(ctx.chart, ctx.chart.ricci, v,
-                                          ctx.f, eps)
-        parts[f"eps({eps:g})"] = rel_residual(lhs + [-t for t in rhs])
-    return parts
+    return {f"eps({eps:g})": _balance(*hk.ricci_terms_rewrite(
+                ctx.chart, ctx.chart.ricci, v, ctx.f, eps))
+            for eps in _EPS_SET}
 
 
+@_check("CHK-B8",
+        "eps = -1: (1/2 (d/dt + Lap) + grad v . grad)(2 Lap v + |grad v|^2 - R) "
+        "= -|Rc - Hess v|^2 = -|Hess(f + v)|^2",
+        _grad2, 1e-7)
 def _run_b8(ctx):
     ch = ctx.chart
     v = _log_solution(ctx, -1.0)
     lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, -1.0), -1.0)
     diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, geo.hessian(ch, v))
-    rhs1 = -geo.inner_sym2(ch, diff, diff)
     hfv = geo.hessian(ch, ctx.f + v)
-    rhs2 = -geo.inner_sym2(ch, hfv, hfv)
     return {
-        "energy_production": rel_residual(lhs + [-rhs1]),
-        "soliton_production": rel_residual(lhs + [-rhs2]),
+        "energy_production": _balance(lhs, [-geo.inner_sym2(ch, diff, diff)]),
+        "soliton_production": _balance(lhs, [-geo.inner_sym2(ch, hfv, hfv)]),
     }
-
-
-def _make_registry():
-    specs = [
-        CheckSpec(
-            "CHK-S1",
-            "Ric + Hess f = lam g with lam = 0 (steady) or -1/(2t) (shrinking); "
-            "moving charts also solve dg/dt = -2 Ric exactly",
-            _any, _run_s1, 1e-9),
-        CheckSpec(
-            "CHK-S2",
-            "Lap R + 2|Rc|^2 = <grad R, grad f> (steady; shrinking adds -R/t) "
-            "and grad R = 2 Rc(grad f)",
-            _any, _run_s2),
-        CheckSpec(
-            "CHK-S3",
-            "normalized steady: R + |grad f|^2 = 1 and R = -Lap f",
-            _normalized, _run_s3),
-        CheckSpec(
-            "CHK-H1",
-            "M_pq - lam R_pq = P_ipq grad^i f "
-            "(lam = 0 steady, -1/(2t) shrinking)",
-            _any, _run_h1),
-        CheckSpec(
-            "CHK-H2",
-            "P_ipq = riem[p,i,j,q] grad^j f on any gradient soliton",
-            _any, _run_h2),
-        CheckSpec(
-            "CHK-H3",
-            "((d/dt - Lap) grad f)^j - R^j_k grad^k f = 2 lam grad^j f",
-            _any, _run_h3),
-        CheckSpec(
-            "CHK-H4",
-            "Z(Rc, -grad f) = lam R",
-            _any, _run_h4),
-        CheckSpec(
-            "CHK-H4t",
-            "2 Z(Rc, X) = Lap R + 2|Rc|^2 + 2<grad R, X> + 2 Rc(X,X) for any X",
-            _any, _run_h4t, 1e-9),
-        CheckSpec(
-            "CHK-EQ1",
-            "(d/dt - Lap) Z(h,X) equals the four curvature production groups "
-            "under Ricci flow with dh/dt = Lichnerowicz(h); on a steady soliton "
-            "with h = Rc, X = -grad f each group vanishes",
-            _exact_flow, _run_eq1, 1e-7),
-        CheckSpec(
-            "CHK-L1",
-            "Z(h, -grad f) solves the heat equation on a steady soliton "
-            "(dg/dt = -2Rc, df/dt = Lap f or |grad f|^2, dh/dt = Lichnerowicz(h))",
-            _steady_system, _run_l1, 1e-7),
-        CheckSpec(
-            "CHK-L2",
-            "on a shrinker, (d/dt - Lap)(Z + H/2t) = -(2/t)(Z + H/2t), "
-            "equivalently t^2 (Z + H/2t) is a heat solution; and "
-            "(d/dt - Lap) H = 2<h, Rc>",
-            _shrinking, _run_l2, 1e-7),
-        CheckSpec(
-            "CHK-R1",
-            "under dg/ds = h, df/ds = H/2: "
-            "d/ds (R + 2 Lap f - |grad f|^2) = Z(h, -grad f) - 2<h, Rc + Hess f>, "
-            "and the weighted measure e^{-f} dvol is stationary",
-            _any, _run_r1, context={"time": "const", "deform": True}),
-        CheckSpec(
-            "CHK-R2",
-            "V = (2 Lap f - |grad f|^2 + R) e^{-f} satisfies "
-            "(-d/dt - Lap + R) V = -2 |Rc + Hess f|^2 e^{-f} along the "
-            "conjugate-potential flow df/dt = -Lap f + |grad f|^2 - R",
-            _steady_system, _run_r2, 1e-7),
-        CheckSpec(
-            "CHK-B1",
-            "u = e^f solves du/dt = Lap u + R u when df/dt = |grad f|^2 on a "
-            "normalized steady (or f = 0 flat)",
-            _grad2, _run_b1),
-        CheckSpec(
-            "CHK-B2",
-            "L Q = |Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f)) for "
-            "Q = Lap v + R, v = log u, du/dt = Lap u + R u",
-            _grad2, _run_b2, 1e-7),
-        CheckSpec(
-            "CHK-B3",
-            "L(|grad v|^2 + R) = |Rc|^2 - |Hess v|^2",
-            _grad2, _run_b3, 1e-7),
-        CheckSpec(
-            "CHK-B4",
-            "L P = |Hess v + Rc|^2 + 2 Rc(grad(v-f), grad(v-f)) for "
-            "P = 2 Lap v + |grad v|^2 + 3R",
-            _grad2, _run_b4, 1e-7),
-        CheckSpec(
-            "CHK-B5",
-            "L P >= Q^2 / n pointwise when Rc >= 0 (Cauchy-Schwarz)",
-            # One named chart: widening B5 to every chart with Rc >= 0 would
-            # add verdicts to the registry's fixed count of 102.
-            _where(name="cigar_flow_v2"), _run_b5, 1e-7),
-        CheckSpec(
-            "CHK-B6",
-            "L_eps P_eps equals its five-term production formula for "
-            "P_eps = 2 Lap v + |grad v|^2 + (2 eps + 1) R, du/dt = eps^{-1} Lap u + R u",
-            _grad2, _run_b6, 1e-7),
-        CheckSpec(
-            "CHK-B7",
-            "algebraic rewrite of the Ricci production terms: "
-            "2/eps A(grad(v - eps f)) + (1 - 1/eps) A(grad(v+f)) = "
-            "(1 + 1/eps) A(grad(v-f)) + 2(eps - 1/eps) A(grad f) for symmetric A",
-            _any, _run_b7, 1e-7),
-        CheckSpec(
-            "CHK-B8",
-            "eps = -1: (1/2 (d/dt + Lap) + grad v . grad)(2 Lap v + |grad v|^2 - R) "
-            "= -|Rc - Hess v|^2 = -|Hess(f + v)|^2",
-            _grad2, _run_b8, 1e-7),
-    ]
-    return {s.check_id: s for s in specs}
-
-
-REGISTRY = _make_registry()
 
 
 class UnknownCheckError(KeyError):
@@ -584,7 +563,7 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
     t0 = time.perf_counter()
     ctx = build_context(soliton, seed, n_points, order, **spec.context)
     try:
-        parts = spec.runner(ctx)
+        identities = spec.runner(ctx)
     except JetCapError as e:
         # no --order lifts a degree cap: name the variable, not the order
         var = ctx.var_names[e.var]
@@ -594,6 +573,8 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
     except JetOrderError as e:
         raise JetOrderError(
             f"jet order {order} is too low for {check_id} on {soliton} ({e})") from e
+    parts = {k: tensor_residual(p.components, p.atom_scale)
+             for k, p in identities.items()}
     millis = 1000.0 * (time.perf_counter() - t0)
     worst = np.max(np.stack([np.broadcast_to(p, (n_points,)) for p in
                              parts.values()]), axis=0)

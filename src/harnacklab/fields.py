@@ -9,7 +9,7 @@ so building a field forms no jet product.
 
 The propagation helpers turn a time-independent jet into the jet of the
 solution of an evolution equation d(field)/dt = RHS(field) by one first-order
-step. A context carries t to degree 1 only, so a jet is its t-degree-0 slice
+step (``jet.strip``, then ``jet.first_order_step`` in t). A context carries t to degree 1 only, so a jet is its t-degree-0 slice
 plus the t-degree-1 rows; the equation pins the latter to the RHS evaluated
 on the time-stripped field,
 
@@ -25,17 +25,8 @@ as they were. The checks call these helpers through
 import numpy as np
 
 from . import geometry as geo
-from .jet import Jet
+from .jet import Jet, first_order_step, strip
 from .solitons import SolitonContext, stream
-
-
-def strip_time(ctx: SolitonContext, u: Jet) -> Jet:
-    """Freeze u at its base time: a copy with every t-degree-1 row zeroed."""
-    if ctx.time_index is None:
-        raise ValueError("propagation requires a context with a time variable")
-    coeffs = u.coeffs.copy()
-    coeffs[ctx.space._d_src[ctx.time_index]] = 0.0
-    return Jet(ctx.space, coeffs, u.order, u.left)
 
 
 def trig_params(seed: int, tag: str, dim: int, amplitude: float = 0.4) -> list:
@@ -103,23 +94,18 @@ def rhs_linear_heat(eps: float):
     return rhs
 
 
-def _first_order_step(ctx: SolitonContext, u: Jet, rhs: Jet, order: int) -> Jet:
-    """A fresh jet: u with its t-degree-1 rows set from rhs's t-degree-0 rows.
-
-    With t capped at 1 those are the rows that ``partial`` reads for d/dt,
-    so the space's differentiation table names them (the multipliers are 1).
-    """
-    ti = ctx.time_index
-    coeffs = u.coeffs.copy()
-    coeffs[ctx.space._d_src[ti]] = rhs.coeffs[ctx.space._d_dst[ti]]
-    return Jet(ctx.space, coeffs, order, u.left[:ti] + (1,) + u.left[ti + 1:])
+def _time_index(ctx: SolitonContext) -> int:
+    if ctx.time_index is None:
+        raise ValueError("propagation requires a context with a time variable")
+    return ctx.time_index
 
 
 def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn) -> Jet:
     """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0."""
-    u = strip_time(ctx, u0)
+    ti = _time_index(ctx)
+    u = strip(u0, ti)
     rhs = rhs_fn(ctx, u)
-    return _first_order_step(ctx, u, rhs, min(u.order, rhs.order + 1))
+    return first_order_step(u, ti, rhs, min(u.order, rhs.order + 1))
 
 
 def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
@@ -127,14 +113,15 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
 
     Every component gets the lowest validity order among them.
     """
+    ti = _time_index(ctx)
     n = ctx.chart.n
-    h = geo.sym2_from(lambda i, j: strip_time(ctx, h0[i, j]), n)
+    h = geo.sym2_from(lambda i, j: strip(h0[i, j], ti), n)
     rhs = geo.lichnerowicz_laplacian(ctx.chart, h)
     lower = geo.sym2_indices(n)
     order = min(min(rhs[ij].order for ij in lower) + 1,
                 min(h[ij].order for ij in lower))
     return geo.sym2_from(
-        lambda i, j: _first_order_step(ctx, h[i, j], rhs[i, j], order), n)
+        lambda i, j: first_order_step(h[i, j], ti, rhs[i, j], order), n)
 
 
 def neg_grad_potential(ctx: SolitonContext) -> geo.TensorValue:

@@ -489,3 +489,28 @@ class Jet:
     def __repr__(self):
         return (f"Jet(vars={self.space.n_vars}, order={self.order}, "
                 f"batch={self.batch}, value~{np.mean(self.coeffs[0]):.6g})")
+
+
+def strip(u: Jet, v: int) -> Jet:
+    """u frozen at its base point in variable v: a copy with every row of
+    degree >= 1 in v zeroed."""
+    coeffs = u.coeffs.copy()
+    coeffs[u.space._d_src[v]] = 0.0
+    return Jet(u.space, coeffs, u.order, u.left)
+
+
+def first_order_step(u: Jet, v: int, rhs: Jet, order: int) -> Jet:
+    """A fresh jet, valid to ``order``: u with its v-degree-1 rows set from
+    rhs's v-degree-0 rows, so that du/dx_v = rhs at v-degree 0.
+
+    The space must cap v at degree 1. Those are then the rows that
+    ``partial`` reads for d/dx_v, and its differentiation table names them
+    with every multiplier 1.
+    """
+    sp = u.space
+    if sp.caps[v] != 1:
+        raise JetError(f"a first-order step needs variable {v} capped at "
+                       f"degree 1, not {sp.caps[v]}")
+    coeffs = u.coeffs.copy()
+    coeffs[sp._d_src[v]] = rhs.coeffs[sp._d_dst[v]]
+    return Jet(sp, coeffs, order, u.left[:v] + (1,) + u.left[v + 1:])

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from harnacklab import checks, fields, geometry as geo, harnack as hk
-from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, UnknownCheckError,
-                               rel_residual, run_check, run_suite,
-                               tensor_residual)
+from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, Identity,
+                               UnknownCheckError, rel_residual, run_check,
+                               run_suite, tensor_residual)
 from harnacklab.geometry import field_data
 from harnacklab.jet import Jet
 from harnacklab.solitons import (CATALOG, SolitonContext, SolitonSpec,
@@ -14,6 +16,11 @@ ALL_IDS = [
     "CHK-B1", "CHK-B2", "CHK-B3", "CHK-B4", "CHK-B5", "CHK-B6", "CHK-B7",
     "CHK-B8", "CHK-EQ1", "CHK-H1", "CHK-H2", "CHK-H3", "CHK-H4", "CHK-H4t",
     "CHK-L1", "CHK-L2", "CHK-R1", "CHK-R2", "CHK-S1", "CHK-S2", "CHK-S3"]
+
+
+def _judge(identity):
+    """A part's per-point residual, by the rule run_check applies."""
+    return tensor_residual(identity.components, identity.atom_scale)
 
 
 def test_registry_ids_frozen():
@@ -93,6 +100,76 @@ def test_tensor_residual_worst_component_over_global_scale():
     # extra_scale only grows the denominator
     r2 = tensor_residual(lists, extra_scale=np.full(4, 10.0))
     assert np.all(r2 < r)
+
+
+def test_every_part_is_one_identity_judged_by_one_call(monkeypatch):
+    # run_check forms every residual, each with one tensor_residual call;
+    # runners only state their identities
+    calls, judge = [], checks.tensor_residual
+    monkeypatch.setattr(checks, "tensor_residual",
+                        lambda *args: calls.append(args) or judge(*args))
+    ran = [r for r in run_suite(seed=0, n_points=2)
+           if r.status != checks.STATUS_SKIPPED]
+    assert len(ran) == 102
+    assert len(calls) == sum(len(r.parts) for r in ran)
+    for spec in REGISTRY.values():
+        for name in spec.applies_to:
+            parts = spec.runner(build_context(name, 0, 2, 6, **spec.context))
+            assert parts and all(type(p) is Identity for p in parts.values()), \
+                (spec.check_id, name)
+    # and running the runners themselves judged nothing
+    assert len(calls) == sum(len(r.parts) for r in ran)
+
+
+def _old_single_term_ratio(identity):
+    """The hand-written ratio that CHK-EQ1's vanishing brackets and CHK-R1's
+    weighted measure read before one rule judged them: |term| over the
+    atom scale alone."""
+    [[term]] = identity.components
+    return np.abs(field_data(term)) / (1e-30 + identity.atom_scale)
+
+
+@pytest.mark.parametrize("seed", [0, 1000])
+def test_single_term_parts_now_count_their_term(seed):
+    # the one rule adds |term| to the denominator, so new = old / (1 + old)
+    # up to rounding: each side rounds its sums and quotient, and they are
+    # measured up to 2 ulps apart per point (1 at seed 0, 2 at seed 1000)
+    cases = []
+    for name in REGISTRY["CHK-EQ1"].applies_to:
+        ctx = build_context(name, seed, 32, 6)
+        if ctx.spec.kind == "steady":
+            curvature = hk.chart_inputs(ctx.chart)
+            cases += checks._eq1_vanishing_brackets(ctx, curvature).items()
+    for name in REGISTRY["CHK-R1"].applies_to:
+        ctx = build_context(name, seed, 32, 6, time="const", deform=True)
+        cases.append(("weighted_measure", checks._run_r1(ctx)["weighted_measure"]))
+    assert len(cases) == 4 * 4 + 7
+    for part, identity in cases:
+        old = np.broadcast_to(_old_single_term_ratio(identity), (32,))
+        new = np.broadcast_to(_judge(identity), (32,))
+        assert np.all(new <= old), part
+        want = np.array([float(Fraction(o) / (1 + Fraction(o))) for o in old])
+        ulps = np.abs(new.view(np.int64) - want.view(np.int64))
+        assert np.all(ulps <= 2), (part, ulps.max())
+
+
+def test_b5_slack_identity_reads_the_old_ratio_when_the_bound_fails(monkeypatch):
+    # halving L P's terms breaks L P >= Q^2/n at some points and not others
+    l_eps_terms = hk.l_eps_terms
+    monkeypatch.setattr(hk, "l_eps_terms",
+                        lambda *args: [0.5 * t for t in l_eps_terms(*args)])
+    rep = run_check("CHK-B5", "cigar_flow_v2", n_points=16)
+    ctx = build_context("cigar_flow_v2", 0, 16, 6)
+    ch, v = ctx.chart, checks._log_solution(ctx, 1.0)
+    q = field_data(hk.log_q(ch, v))
+    lp = field_data(sum(
+        hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)))
+    bound = q * q / ch.n
+    old = np.maximum(bound - lp, 0.0) / (np.abs(bound) + np.abs(lp) + 1e-30)
+    assert 0 < np.count_nonzero(old) < 16
+    assert rep.status == checks.STATUS_FAIL
+    assert np.array_equal(rep.point_residuals.view(np.int64), old.view(np.int64))
+    assert rep.parts == {"cauchy_schwarz_bound": old.max()}
 
 
 def test_skip_logic():
@@ -261,15 +338,17 @@ def test_derived_normalizers_match_the_hand_written_atoms():
     brackets = hk.evolution_rhs_terms(ch, ch.ricci, x, dxdt)
     parts = checks._eq1_vanishing_brackets(ctx, hk.chart_inputs(ch))
     for k, pinned in enumerate(_PINNED_BRACKET_SCALES):
-        num = np.abs(field_data(brackets[k]))
-        got = parts[f"vanishing_bracket_{k + 1}"]
+        part = parts[f"vanishing_bracket_{k + 1}"]
+        [[term]] = part.components
+        assert np.array_equal(field_data(term), field_data(brackets[k]))
+        got = part.atom_scale
         if k == 1:
             # bracket 2's atoms are now the partials of div h and hX and
             # their Christoffel products, not the whole covariant derivatives
-            ratio = (num / got) / _hex_array(pinned)
+            ratio = got / _hex_array(pinned)
             assert np.all((ratio >= 1.0) & (ratio <= 4.0)), ratio
         else:
-            assert np.array_equal(got, num / _hex_array(pinned)), k + 1
+            assert np.array_equal(got, _hex_array(pinned)), k + 1
     got = checks._nabla_ricci_atom_scale(ch)
     want = _hex_array(_PINNED_NABLA_RICCI_SCALE)
     ulps = np.abs(got.view(np.int64) - want.view(np.int64))
@@ -285,7 +364,8 @@ def test_bracket_normalizers_do_not_swamp_a_defect(soliton, monkeypatch):
     x = geo.vector_from(lambda i: x0[i] + 0.05 * bump[i], ctx.chart.n, con=True)
     monkeypatch.setattr(fields, "neg_grad_potential", lambda _: x)
     curvature = hk.chart_inputs(ctx.chart)
-    for part, res in checks._eq1_vanishing_brackets(ctx, curvature).items():
+    for part, identity in checks._eq1_vanishing_brackets(ctx, curvature).items():
+        res = _judge(identity)
         assert np.max(res) > 1e-5, (part, np.max(res))
 
 
@@ -359,8 +439,8 @@ def test_three_dimensional_context_runs_the_shrinker_checks():
             continue
         kwargs = {"time": "var", "deform": False} | spec.context
         ctx = SolitonContext(_GAUSSIAN_3D, 0, 8, 6, **kwargs)
-        for part, residual in spec.runner(ctx).items():
-            assert np.max(residual) <= spec.tolerance, (cid, part)
+        for part, identity in spec.runner(ctx).items():
+            assert np.max(_judge(identity)) <= spec.tolerance, (cid, part)
         ran.append(cid)
     assert ran == ["CHK-B7", "CHK-EQ1", "CHK-H1", "CHK-H2", "CHK-H3", "CHK-H4",
                    "CHK-H4t", "CHK-L2", "CHK-R1", "CHK-S1", "CHK-S2"]

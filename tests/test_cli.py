@@ -156,6 +156,30 @@ def test_grid_csv_observed_order_is_pairwise(capsys):
     assert rows[1][3] != rows[2][3]
 
 
+def test_report_succeeds_with_a_summary_of_its_reports(capsys, monkeypatch):
+    # the whole report, its grid suite at sizes (26, 32) to keep it short
+    suite = gridlab.run_grid_suite
+    monkeypatch.setattr(gridlab, "run_grid_suite",
+                        lambda seed=0: suite(seed=seed, grid_sizes=(26, 32)))
+    code, out, err = run_cli(capsys, "report", "--points", "4",
+                             "--format", "json")
+    doc = _strict_json(out)
+    assert err == ""
+    ran = [r for r in doc["checks"] if r["status"] != "skipped"]
+    failures = (sum(r["status"] == "fail" for r in doc["checks"])
+                + sum(r["status"] != "pass" for r in doc["grid"]))
+    assert len(ran) == 102
+    assert [r["grid_sizes"] for r in doc["grid"]] == [[26, 32]] * 3
+    assert doc["summary"] == {"checks_run": len(ran),
+                              "checks_skipped": len(doc["checks"]) - len(ran),
+                              "failures": failures}
+    assert code == (1 if failures else 0)
+    code, out, err = run_cli(capsys, "report", "--points", "4",
+                             "--format", "text")
+    assert code == (1 if failures else 0) and err == ""
+    assert out.rstrip("\n").endswith(f"\n\ntotal failures: {failures}")
+
+
 def test_grid_bad_sizes_exit_two(capsys):
     code, _, err = run_cli(capsys, "grid", "CHK-L1", "--sizes", "16")
     assert code == 2 and "need n >=" in err

@@ -283,11 +283,17 @@ def test_rk4_limit_matches_the_benchmark_tracer(monkeypatch):
 # and of its parts in name order. Re-pinned when the seeded trig fields came
 # to be written from their Taylor coefficients (``JetSpace.sinusoid``) rather
 # than composed through ``Jet.sin``; the test below holds the composed fields
-# to the previous pin and bounds how far that moved each residual.
+# to the COMPOSED pin and bounds how far that moved each residual. Both were
+# re-pinned again when every part came to be judged by one rule; the
+# OLD_RATIO pins are the digests before that, which the old ratios reproduce.
 PINNED_JET_REGISTRY = \
-    "f3848dcca7fead6c2c706e700d7b2dfdb8afa301727d7cf261d012502aa15da2"
+    "ed5184e1fa805ed722c23a09572b0124da45fda831456e8c093244f6d15b8df9"
 COMPOSED_TRIG_REGISTRY = \
-    "126194ee809eafbb8d06bcad374bbf2b294a6131f15159e51b0b35463d1dcad0"
+    "f4b7c62c5a86ab9ff815cfff040ee8069ffad3ab5626072f12bbbd506ae047c5"
+OLD_RATIO_REGISTRY = {
+    "written": "f3848dcca7fead6c2c706e700d7b2dfdb8afa301727d7cf261d012502aa15da2",
+    "composed": "126194ee809eafbb8d06bcad374bbf2b294a6131f15159e51b0b35463d1dcad0",
+}
 # how far a per-point residual may move between the two builds of the fields
 COMPOSED_TRIG_BOUND = 1e-14
 
@@ -340,6 +346,34 @@ def test_composed_trig_fields_reproduce_the_previous_pin(monkeypatch):
             == (ref.check_id, ref.soliton, ref.status)
         gap = np.abs(np.subtract(new.point_residuals, ref.point_residuals))
         assert gap.max() <= COMPOSED_TRIG_BOUND, (new.check_id, new.soliton)
+
+
+def test_old_single_term_ratios_reproduce_the_previous_pins(monkeypatch):
+    # CHK-EQ1's vanishing brackets and CHK-R1's weighted measure, the only
+    # one-term parts with an atom scale, read |term| / (1e-30 + atom scale)
+    # before one rule judged every part; judged so, the registry gives the
+    # previous digests, so the rule moved no other part or point
+    judge, legacy = checks.tensor_residual, []
+
+    def old_judge(term_lists, atom_scale=None):
+        if atom_scale is None or [len(t) for t in term_lists] != [1]:
+            return judge(term_lists, atom_scale)
+        legacy.append(1)
+        return np.abs(field_data(term_lists[0][0])) / (1e-30 + atom_scale)
+
+    monkeypatch.setattr(checks, "tensor_residual", old_judge)
+    written = _registry_reports()
+    build_context.cache_clear()
+    try:
+        monkeypatch.setattr(fields, "trig_scalar", _composed_trig_scalar)
+        composed = _registry_reports()
+    finally:
+        build_context.cache_clear()
+    assert _registry_digest(written) == OLD_RATIO_REGISTRY["written"]
+    assert _registry_digest(composed) == OLD_RATIO_REGISTRY["composed"]
+    assert len(legacy) == sum(
+        k.startswith("vanishing_bracket_") or k == "weighted_measure"
+        for r in written + composed for k in r.parts)
 
 
 def _roll_stencil(v, axis, dx):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harnacklab.jet import (Jet, JetCapError, JetError, JetOrderError,
-                            JetSpace, SingularPointError, jet_space)
+                            JetSpace, SingularPointError, first_order_step,
+                            jet_space, strip)
 
 
 def test_geometric_series_coefficients():
@@ -443,6 +444,26 @@ def test_partial_past_a_cap_raises():
         du.coeff((0, 0, 1))
     # spatial partials of a t-derivative stay available
     assert du.partial(0).partial(1).order == 2
+
+
+def test_first_order_step_sets_the_rows_d_dt_reads():
+    # du/dt = rhs at t-degree 0, for any variable index capped at 1
+    sp = jet_space(3, 5, (None, 1, None))
+    x, t, y = sp.variables([0.5, 0.1, -0.3])
+    u0 = (x * t).exp() + y * t
+    u = strip(u0, 1)
+    assert not u.partial(1).coeffs.any() and u.left == u0.left
+    rhs = (x * y).sin()
+    step = first_order_step(u, 1, rhs, 4)
+    assert (step.order, step.left) == (4, sp.caps)
+    n = sp.n_upto[3]
+    assert np.array_equal(step.partial(1).coeffs[:n], rhs.coeffs[:n])
+    # the t-degree-0 slice is u's, and neither input is touched
+    t0 = sp.exponents[:, 1] == 0
+    assert np.array_equal(step.coeffs[t0], u0.coeffs[t0])
+    assert not u.partial(1).coeffs.any()
+    with pytest.raises(JetError):
+        first_order_step(u, 0, rhs, 4)  # x carries degree 5, not 1
 
 
 # -- sinusoid constructor -----------------------------------------------------
