@@ -29,14 +29,17 @@ context's soliton constant ``lam``, which are exact zeros on a steady chart.
 ``_check`` above a runner declares its check: the statement, the predicate
 on ``SolitonSpec`` that picks the jet charts it applies to, the tolerance and
 ``context``, the ``build_context`` keywords beyond (chart, seed, n_points,
-order) that only CHK-R1 uses. ``run_check`` builds that context, runs the
-runner and judges its parts inside the timed region, whose time is the
-report's ``millis``. Contexts are shared (``build_context`` is a cache) and
-keep what their first user built: the chart its curvature, the context its
-evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and
-B8, per eps). So a check's time leaves out what an earlier check built.
+order) that only CHK-R1 uses; the order is ``solitons.JET_ORDER`` for every
+check, the most derivatives any identity reads. ``run_check`` builds that
+context, runs the runner and judges its parts inside the timed region, whose
+time is the report's ``millis``. Contexts are shared (``build_context`` is a
+cache) and keep what their first user built: the chart its curvature, the
+context its evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2
+to B6 and B8, per eps). So a check's time leaves out what an earlier check
+built.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -45,7 +48,7 @@ import numpy as np
 from . import fields, geometry as geo, harnack as hk
 from .geometry import field_data
 from .jet import JetCapError, JetOrderError
-from .solitons import CATALOG, build_context, catalog_get
+from .solitons import CATALOG, JET_ORDER, build_context, catalog_get
 
 DEFAULT_TOLERANCE = 1e-8
 TOLERANCE_CAP = 1e-6
@@ -80,19 +83,20 @@ def rel_residual(terms) -> np.ndarray:
     return tensor_residual([terms])
 
 
-def tensor_residual(term_lists, extra_scale=None) -> np.ndarray:
+def tensor_residual(term_lists, atom_scale=None) -> np.ndarray:
     """The one residual rule: ``term_lists[component]`` is the signed term
     list of that component. Numerator takes the worst component,
     denominator sums magnitudes over all components and terms, plus the
-    identity's atom scale ``extra_scale`` where it has one."""
+    identity's ``atom_scale`` where it has one. A component of plain
+    numbers is judged beside components of jets: the max broadcasts."""
     nums, den = [], _FLOOR
     for terms in term_lists:
         arrs = [field_data(t) for t in terms]
         nums.append(np.abs(sum(arrs)))
         den = den + sum(np.abs(a) for a in arrs)
-    if extra_scale is not None:
-        den = den + extra_scale
-    return np.max(nums, axis=0) / den
+    if atom_scale is not None:
+        den = den + atom_scale
+    return functools.reduce(np.maximum, nums) / den
 
 
 def _nabla_ricci_atom_scale(chart) -> np.ndarray:
@@ -553,7 +557,8 @@ def get_check(check_id: str) -> CheckSpec:
 
 
 def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
-              order: int = 6, tolerance: float | None = None) -> CheckReport:
+              order: int = JET_ORDER,
+              tolerance: float | None = None) -> CheckReport:
     spec = get_check(check_id)
     catalog_get(soliton)  # an unknown name raises
     tol = spec.tolerance if tolerance is None else min(tolerance, TOLERANCE_CAP)
@@ -565,7 +570,7 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
     try:
         identities = spec.runner(ctx)
     except JetCapError as e:
-        # no --order lifts a degree cap: name the variable, not the order
+        # no order lifts a degree cap: name the variable, not the order
         var = ctx.var_names[e.var]
         raise JetOrderError(
             f"{check_id} on {soliton} takes more than {e.cap} derivative(s) "
@@ -587,7 +592,7 @@ def run_check(check_id: str, soliton: str, seed: int = 0, n_points: int = 32,
 
 
 def run_suite(checks=None, solitons=None, seed: int = 0, n_points: int = 32,
-              order: int = 6, tolerance: float | None = None) -> list:
+              order: int = JET_ORDER, tolerance: float | None = None) -> list:
     check_ids = list(checks) if checks else sorted(REGISTRY)
     names = list(solitons) if solitons else list(CATALOG)
     return [run_check(c, s, seed=seed, n_points=n_points, order=order,

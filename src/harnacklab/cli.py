@@ -6,6 +6,9 @@ Subcommands:
   grid    run finite-difference convergence scenarios (grid route)
   report  run both routes and emit a combined document
 
+The jet order is not an option: ``check`` and ``report`` run every check at
+``solitons.JET_ORDER``, the most derivatives any identity reads.
+
 Exit status: 0 when everything passed or was skipped as not applicable,
 1 when any check failed or a convergence run was inconclusive, 2 on usage
 errors (a one-line ``error:`` message on stderr, never a traceback), and 1
@@ -29,7 +32,6 @@ from .jet import JetOrderError
 from .solitons import CATALOG, UnknownSolitonError
 
 _FORMATS = ("text", "json", "csv")
-_ORDER = 6  # default and highest --order; every check works at order <= 5
 # Ceilings on the run's size, far above the default 32 points and n = 128,
 # so that a mistyped size ends in a usage error rather than an allocation
 # failure deep inside the sampler or the grid.
@@ -82,8 +84,7 @@ def _json_doc(payload: dict) -> str:
 
 
 def _args_error(args) -> str | None:
-    for name, least, most in (("seed", 0, math.inf), ("points", 1, MAX_POINTS),
-                              ("order", 0, _ORDER)):
+    for name, least, most in (("seed", 0, math.inf), ("points", 1, MAX_POINTS)):
         value = getattr(args, name, least)
         if value < least:
             return f"--{name} must be at least {least}, got {value}"
@@ -195,12 +196,11 @@ def _cmd_check(args) -> int:
     try:
         reports = checks.run_suite(
             checks=check_ids, solitons=solitons, seed=args.seed,
-            n_points=args.points, order=args.order, tolerance=args.tolerance)
+            n_points=args.points, tolerance=args.tolerance)
     except (checks.UnknownCheckError, UnknownSolitonError, JetOrderError) as e:
         return _usage_error(e.args[0])
     doc = {"seed": args.seed,
-           "config": {"points": args.points, "order": args.order,
-                      "tolerance": args.tolerance},
+           "config": {"points": args.points, "tolerance": args.tolerance},
            "reports": [r.to_dict() for r in reports]}
     _emit(args, doc, _check_rows_text(reports), _check_rows_csv(reports))
     return 1 if any(r.status == checks.STATUS_FAIL for r in reports) else 0
@@ -222,8 +222,7 @@ def _cmd_grid(args) -> int:
 
 def _cmd_report(args) -> int:
     try:
-        srep = checks.run_suite(seed=args.seed, n_points=args.points,
-                                order=args.order)
+        srep = checks.run_suite(seed=args.seed, n_points=args.points)
     except JetOrderError as e:
         return _usage_error(e.args[0])
     grep = gridlab.run_grid_suite(seed=args.seed)
@@ -232,7 +231,7 @@ def _cmd_report(args) -> int:
               + sum(r.status != gridlab.STATUS_PASS for r in grep))
     doc = {
         "seed": args.seed,
-        "config": {"points": args.points, "order": args.order},
+        "config": {"points": args.points},
         "checks": [r.to_dict() for r in srep],
         "grid": [r.to_dict() for r in grep],
         "summary": {
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--points", type=int, default=32,
                     help=f"sample points per chart, 1 to {MAX_POINTS}")
-    pc.add_argument("--order", type=int, default=_ORDER)
     pc.add_argument("--tolerance", type=float, default=None,
                     help="pass threshold for every check run (default: each "
                          f"check's own); a value above {checks.TOLERANCE_CAP:g} "
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--points", type=int, default=32,
                     help=f"sample points per chart, 1 to {MAX_POINTS}")
-    pr.add_argument("--order", type=int, default=_ORDER)
     pr.add_argument("--format", choices=("text", "json"), default="json")
     pr.add_argument("--output", default=None)
     pr.set_defaults(fn=_cmd_report)

@@ -9,9 +9,10 @@ so building a field forms no jet product.
 
 The propagation helpers turn a time-independent jet into the jet of the
 solution of an evolution equation d(field)/dt = RHS(field) by one first-order
-step (``jet.strip``, then ``jet.first_order_step`` in t). A context carries t to degree 1 only, so a jet is its t-degree-0 slice
-plus the t-degree-1 rows; the equation pins the latter to the RHS evaluated
-on the time-stripped field,
+step (``jet.strip``, then ``jet.first_order_step`` in t). A context carries
+t to degree 1 only, so a jet is its t-degree-0 slice plus the t-degree-1
+rows; the equation pins the latter to the RHS evaluated on the time-stripped
+field,
 
     c_{beta + e_t} = d_{beta},        |beta| <= order - 1,
 

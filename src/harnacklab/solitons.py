@@ -22,6 +22,12 @@ import numpy as np
 from . import geometry as geo
 from .jet import jet_space
 
+# The jet truncation order: the most derivatives any registered identity
+# reads (CHK-EQ1 and CHK-L1 among those that take five). A row of degree <= d
+# is fed by the same products, in the same order, at every order >= d, so
+# every residual keeps its bits at any higher order, which only costs time.
+JET_ORDER = 5
+
 
 class UnknownSolitonError(KeyError):
     pass
@@ -276,6 +282,7 @@ class SolitonContext:
 
 
 @lru_cache(maxsize=64)
-def build_context(name: str, seed: int = 0, n_points: int = 32, order: int = 6,
-                  time: str = "var", deform: bool = False) -> SolitonContext:
+def build_context(name: str, seed: int = 0, n_points: int = 32,
+                  order: int = JET_ORDER, time: str = "var",
+                  deform: bool = False) -> SolitonContext:
     return SolitonContext(catalog_get(name), seed, n_points, order, time, deform)

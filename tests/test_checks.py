@@ -8,9 +8,10 @@ from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, Identity,
                                UnknownCheckError, rel_residual, run_check,
                                run_suite, tensor_residual)
 from harnacklab.geometry import field_data
-from harnacklab.jet import Jet
-from harnacklab.solitons import (CATALOG, SolitonContext, SolitonSpec,
-                                 UnknownSolitonError, build_context)
+from harnacklab.jet import Jet, JetOrderError
+from harnacklab.solitons import (CATALOG, JET_ORDER, SolitonContext,
+                                 SolitonSpec, UnknownSolitonError,
+                                 build_context)
 
 ALL_IDS = [
     "CHK-B1", "CHK-B2", "CHK-B3", "CHK-B4", "CHK-B5", "CHK-B6", "CHK-B7",
@@ -97,9 +98,21 @@ def test_tensor_residual_worst_component_over_global_scale():
     r = tensor_residual(lists)
     want = 1.5e-6 / (2.0 + 1.5e-6)
     assert np.allclose(r, want, rtol=1e-9)
-    # extra_scale only grows the denominator
-    r2 = tensor_residual(lists, extra_scale=np.full(4, 10.0))
+    # atom_scale only grows the denominator
+    r2 = tensor_residual(lists, atom_scale=np.full(4, 10.0))
     assert np.all(r2 < r)
+
+
+def test_tensor_residual_judges_number_components_beside_jets():
+    # a component whose terms all folded to plain numbers sits beside one of
+    # jets: one value per point, the bits of the jet component alone
+    ctx = build_context("cigar_static", n_points=4)
+    want = tensor_residual([[ctx.f, -ctx.f]])
+    for lists in ([[0.0, -0.0], [ctx.f, -ctx.f]],
+                  [[ctx.f, -ctx.f], [0.0, -0.0]]):
+        got = tensor_residual(lists)
+        assert got.shape == (4,)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_every_part_is_one_identity_judged_by_one_call(monkeypatch):
@@ -264,6 +277,14 @@ def test_tolerance_is_capped():
     rep = run_check("CHK-S1", "cigar_static", n_points=4, order=4,
                     tolerance=1.0)
     assert rep.tolerance <= TOLERANCE_CAP
+
+
+def test_order_below_jet_order_names_the_check():
+    # JET_ORDER is the least order that runs every check: CHK-EQ1 reads five
+    # derivatives, and a library caller's lower order is named in the error
+    with pytest.raises(JetOrderError, match=rf"jet order {JET_ORDER - 1} is "
+                       "too low for CHK-EQ1 on cigar_flow"):
+        run_check("CHK-EQ1", "cigar_flow", n_points=2, order=JET_ORDER - 1)
 
 
 def test_unknown_ids_raise():

@@ -43,6 +43,13 @@ def test_help_keeps_its_usage_text(capsys):
     assert out.startswith("usage: harnacklab check") and "--points" in out
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_help_lists_no_order(capsys, command):
+    # the jet order is a constant of the identities, not an option
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0 and "--points" in out and "--order" not in out
+
+
 def test_list_text_and_json(capsys):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0
@@ -82,6 +89,7 @@ def test_check_json_schema(capsys):
     assert code == 0
     doc = json.loads(out)
     assert sorted(doc) == ["config", "reports", "seed", "version"]
+    assert sorted(doc["config"]) == ["points", "tolerance"]
     row = doc["reports"][0]
     assert row["check_id"] == "CHK-H4" and row["status"] == "pass"
     assert row["n_points"] == 4 and row["max_rel_residual"] <= row["tolerance"]
@@ -165,6 +173,7 @@ def test_report_succeeds_with_a_summary_of_its_reports(capsys, monkeypatch):
                              "--format", "json")
     doc = _strict_json(out)
     assert err == ""
+    assert doc["config"] == {"points": 4}
     ran = [r for r in doc["checks"] if r["status"] != "skipped"]
     failures = (sum(r["status"] == "fail" for r in doc["checks"])
                 + sum(r["status"] != "pass" for r in doc["grid"]))
@@ -233,31 +242,26 @@ def test_tolerance_not_finite_and_positive_exit_two(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
-    ("check", "CHK-S1", "--points", "2", "--order", "7"),
-    ("report", "--order", "100"),
+    ("check", "CHK-S1", "--points", "2", "--order", "6"),
+    ("report", "--order", "6"),
 ])
-def test_order_above_the_default_exit_two(capsys, monkeypatch, argv):
-    # each check's lowest working order is at most the default, and a far
-    # higher one builds a product table too large for memory
+def test_order_is_not_an_option_exit_two(capsys, monkeypatch, argv):
+    # every check runs at the one jet order, so --order is an unknown
+    # argument, refused before any work
     def no_work(*args, **kwargs):
         raise AssertionError("checks ran")
     monkeypatch.setattr(harnacklab.checks, "run_suite", no_work)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: --order")
-
-
-def test_too_low_order_names_the_check(capsys):
-    _, _, err = run_cli(capsys, "check", "CHK-EQ1", "--order", "3")
-    assert "CHK-EQ1" in err and "order 3" in err
+    assert err.startswith("error: unrecognized arguments: --order")
 
 
 @pytest.mark.parametrize("var,context", [("t", {}),
                                          ("s", {"time": "const", "deform": True})])
 def test_degree_cap_overrun_names_the_variable(capsys, monkeypatch, var, context):
     # a check that differentiates twice in t (or s) overruns the context's
-    # degree cap; no --order fixes that, so the message must not suggest it
+    # degree cap; no jet order fixes that, so the message must not suggest it
     def twice(ctx):
         d = ctx.dt if var == "t" else ctx.ds
         return {"value": d(d(ctx.f)).value()}
@@ -266,7 +270,7 @@ def test_degree_cap_overrun_names_the_variable(capsys, monkeypatch, var, context
                                context=context)
     monkeypatch.setitem(harnacklab.checks.REGISTRY, "CHK-S1", spec)
     code, out, err = run_cli(capsys, "check", "CHK-S1", "--soliton",
-                             "cigar_flow", "--points", "2", "--order", "6")
+                             "cigar_flow", "--points", "2")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"CHK-S1 on cigar_flow takes more than 1 derivative(s) in {var}" in err

@@ -12,7 +12,7 @@ from harnacklab.gridlab import (GridField, GridStabilityError, TorusGrid,
                                 eval_trig, evolve_slices, run_grid_check,
                                 time_derivative)
 from harnacklab.jet import jet_space
-from harnacklab.solitons import build_context
+from harnacklab.solitons import JET_ORDER, build_context
 
 
 def test_partial_fourth_order():
@@ -278,7 +278,7 @@ def test_rk4_limit_matches_the_benchmark_tracer(monkeypatch):
     assert abs(gl.RK4_DT_LIMIT - 0.7396) < 1e-4
 
 
-# sha256 over the whole jet registry at seed 0, 4 points, order 6: each
+# sha256 over the whole jet registry at seed 0, 4 points: each
 # verdict's check, chart and status, then the bits of its per-point residuals
 # and of its parts in name order. Re-pinned when the seeded trig fields came
 # to be written from their Taylor coefficients (``JetSpace.sinusoid``) rather
@@ -286,6 +286,7 @@ def test_rk4_limit_matches_the_benchmark_tracer(monkeypatch):
 # to the COMPOSED pin and bounds how far that moved each residual. Both were
 # re-pinned again when every part came to be judged by one rule; the
 # OLD_RATIO pins are the digests before that, which the old ratios reproduce.
+# The pins were taken at order 6; every order >= JET_ORDER gives the same bits.
 PINNED_JET_REGISTRY = \
     "ed5184e1fa805ed722c23a09572b0124da45fda831456e8c093244f6d15b8df9"
 COMPOSED_TRIG_REGISTRY = \
@@ -298,8 +299,8 @@ OLD_RATIO_REGISTRY = {
 COMPOSED_TRIG_BOUND = 1e-14
 
 
-def _registry_reports():
-    return [r for r in checks.run_suite(seed=0, n_points=4, order=6)
+def _registry_reports(order=JET_ORDER):
+    return [r for r in checks.run_suite(seed=0, n_points=4, order=order)
             if r.status != checks.STATUS_SKIPPED]
 
 
@@ -315,6 +316,11 @@ def _registry_digest(reports) -> str:
 
 def test_jet_registry_bit_identical_to_pinned():
     assert _registry_digest(_registry_reports()) == PINNED_JET_REGISTRY
+
+
+def test_jet_registry_keeps_its_bits_above_jet_order():
+    assert _registry_digest(_registry_reports(JET_ORDER + 1)) \
+        == PINNED_JET_REGISTRY
 
 
 def _composed_trig_scalar(ctx, tag, amplitude=0.4, base=0.0):
