@@ -261,12 +261,8 @@ def _run_h2(ctx):
     p = hk.p_tensor(ch)
     gf = geo.gradient(ch, ctx.f)
     low = ch.riem_low
-    out = []
-    for i in range(n):
-        for pp in range(n):
-            for q in range(n):
-                out.append([p[i, pp, q]]
-                           + [-low[pp, i, j, q] * gf[j] for j in range(n)])
+    out = [[p[i, pp, q]] + [-low[pp, i, j, q] * gf[j] for j in range(n)]
+           for i, pp, q in np.ndindex(n, n, n)]
     return {"p_tensor_curvature": Identity(out, _nabla_ricci_atom_scale(ch))}
 
 

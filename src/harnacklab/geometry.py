@@ -33,15 +33,16 @@ Conventions, fixed once and verified by the unit-sphere anchor test:
   Ric_pq, which is the form the curvature-reaction terms below use.
 
 Tensor components are stored in object ndarrays with covariant axes first;
-:func:`covariant_derivative` prepends the new covariant axis. A symmetric
-pair of axes is formed at the components :func:`sym2_indices` lists, j <= i
-in row order, and [j, i] holds the same object as [i, j]: that order fixes
-each builder's summation order, and the sharing lets
-:func:`covariant_derivative` take one partial per distinct object. On a
-chart whose Christoffels hold jets it also forms each (Gamma, component)
-product once per call, from a table that counts each pair's reads first and
-drops the product after its last; the sums keep their order, so the bits do
-not change. Grid fields and numbers are multiplied where they are read.
+:func:`covariant_derivative` prepends the new covariant axis. A component
+array is built by :func:`comps_from`, one call per index in row order. A
+symmetric pair of axes is formed at the components :func:`sym2_indices`
+lists, j <= i in row order, and [j, i] holds the same object as [i, j]: that
+order fixes each builder's summation order, and the sharing lets
+:func:`covariant_derivative` take one partial per distinct object. It also
+forms each (Gamma, component) product once per call, on every chart (jets,
+grid fields, numbers or magnitudes), from a table that counts each pair's
+reads first and drops the product after its last; the sums keep their
+order, so the bits are those of multiplying where each sum reads.
 
 Each operation takes a vector in one index position and raises TypeError on
 the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
@@ -49,7 +50,6 @@ the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 """
 
 import math
-import operator
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
 
@@ -117,13 +117,20 @@ class TensorValue:
         return self.cov + self.con
 
 
+def comps_from(fn, shape: tuple) -> np.ndarray:
+    """An object array holding fn(*idx) at every index of ``shape``, each
+    formed once, in row order."""
+    comps = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        comps[idx] = fn(*idx)
+    return comps
+
+
 def tensor_map(fn, *tensors: TensorValue) -> TensorValue:
     """Apply ``fn`` componentwise; all inputs must share a signature."""
     first = tensors[0]
-    comps = np.empty(first.comps.shape, dtype=object)
-    for idx in np.ndindex(*first.comps.shape):
-        comps[idx] = fn(*(t.comps[idx] for t in tensors))
-    return TensorValue(first.cov, first.con, comps)
+    return TensorValue(first.cov, first.con, comps_from(
+        lambda *idx: fn(*(t.comps[idx] for t in tensors)), first.comps.shape))
 
 
 def flat_metric(n: int) -> list:
@@ -142,12 +149,8 @@ class MetricChart:
     """
 
     def __init__(self, g):
-        comps = np.empty((len(g), len(g)), dtype=object)
-        for i in range(len(g)):
-            for j in range(len(g)):
-                comps[i, j] = g[i][j]
-        self.n = comps.shape[0]
-        self.g = comps
+        self.n = len(g)
+        self.g = comps_from(lambda i, j: g[i][j], (self.n, self.n))
 
     @cached_property
     def det(self):
@@ -201,14 +204,10 @@ class MetricChart:
                                 + _acc(gam[l, i, p] * gam[p, j, k]
                                        - gam[l, j, p] * gam[p, i, k]
                                        for p in range(n)))
-        low = np.empty((n, n, n, n), dtype=object)  # low[i][j][k][l]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        low[i, j, k, l] = _acc(self.g[l, m] * rup[m, k, i, j]
-                                               for m in range(n))
-        return low
+        return comps_from(  # low[i][j][k][l]
+            lambda i, j, k, l: _acc(self.g[l, m] * rup[m, k, i, j]
+                                    for m in range(n)),
+            (n,) * 4)
 
     @cached_property
     def ricci(self) -> TensorValue:
@@ -341,21 +340,19 @@ def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
     """Levi-Civita covariant derivative; the new covariant axis comes first.
 
     A component object stored at several indices (a symmetric tensor keeps one
-    object at [i, j] and [j, i]) is differentiated once per axis. When the
-    chart's Christoffels hold jets, each (Gamma, component) product is formed
-    once per call (``_product_table``): Gamma's symmetric lower pair and
-    shared components make many reads repeats. Grid fields, numbers and
-    ``MagnitudeChart`` multiply where they read.
+    object at [i, j] and [j, i]) is differentiated once per axis, and each
+    (Gamma, component) product is formed once per call (``_product_table``):
+    Gamma's symmetric lower pair and shared components make many reads
+    repeats. The rule does not ask what the elements are, so jets, grid
+    fields, numbers and a ``MagnitudeChart`` all take it.
     """
     n = chart.n
     gam = chart.christoffels
     tc = t.comps
     pattern = _connection_pattern(n, t.cov, t.rank)
-    product = operator.mul
-    if any(isinstance(g, Jet) for g in gam.flat):
-        product = _product_table(
-            (gam[g], tc[c]) for components in pattern for _, slots in components
-            for _, pairs in slots for g, c in pairs)
+    product = _product_table(
+        (gam[g], tc[c]) for components in pattern for _, slots in components
+        for _, pairs in slots for g, c in pairs)
     comps = np.empty((n,) + tc.shape, dtype=object)
     for i, components in enumerate(pattern):
         partials = {}  # id(component) -> its partial along i
@@ -372,9 +369,7 @@ def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
 
 
 def scalar_tensor(s) -> TensorValue:
-    comps = np.empty((), dtype=object)
-    comps[()] = s
-    return TensorValue(0, 0, comps)
+    return TensorValue(0, 0, comps_from(lambda: s, ()))
 
 
 def differential(chart: MetricChart, s) -> TensorValue:
@@ -383,13 +378,9 @@ def differential(chart: MetricChart, s) -> TensorValue:
 
 def _raise_first(chart: MetricChart, comps: np.ndarray) -> np.ndarray:
     """g^{il} comps[l, ...]: the first axis of a component array raised."""
-    n = chart.n
-    out = np.empty(comps.shape, dtype=object)
-    for i in range(n):
-        for rest in np.ndindex(*comps.shape[1:]):
-            out[(i,) + rest] = _acc(chart.ginv[i, l] * comps[(l,) + rest]
-                                    for l in range(n))
-    return out
+    return comps_from(lambda i, *rest: _acc(chart.ginv[i, l] * comps[(l,) + rest]
+                                            for l in range(chart.n)),
+                      comps.shape)
 
 
 def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
@@ -422,10 +413,8 @@ def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
     dd = covariant_derivative(chart, covariant_derivative(chart, t))
     if (t.cov, t.con) == (2, 0):
         return sym2_from(lambda p, q: _trace_first_pair(chart, dd, (p, q)), chart.n)
-    comps = np.empty(t.comps.shape, dtype=object)
-    for idx in np.ndindex(*t.comps.shape):
-        comps[idx] = _trace_first_pair(chart, dd, idx)
-    return TensorValue(t.cov, t.con, comps)
+    return TensorValue(t.cov, t.con, comps_from(
+        lambda *idx: _trace_first_pair(chart, dd, idx), t.comps.shape))
 
 
 def trace_sym2(chart: MetricChart, h: TensorValue):
@@ -434,12 +423,10 @@ def trace_sym2(chart: MetricChart, h: TensorValue):
 
 def raise_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
     n = chart.n
-    comps = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            comps[i, j] = _acc(chart.ginv[i, p] * chart.ginv[j, q] * h[p, q]
-                               for p in range(n) for q in range(n))
-    return TensorValue(0, 2, comps)
+    return TensorValue(0, 2, comps_from(
+        lambda i, j: _acc(chart.ginv[i, p] * chart.ginv[j, q] * h[p, q]
+                          for p in range(n) for q in range(n)),
+        (n, n)))
 
 
 def inner_sym2(chart: MetricChart, a: TensorValue, b: TensorValue):
@@ -520,7 +507,5 @@ def sym2_from(fn, n: int) -> TensorValue:
 
 
 def vector_from(fn, n: int, con: bool = False) -> TensorValue:
-    comps = np.empty((n,), dtype=object)
-    for i in range(n):
-        comps[i] = fn(i)
+    comps = comps_from(fn, (n,))
     return TensorValue(0, 1, comps) if con else TensorValue(1, 0, comps)

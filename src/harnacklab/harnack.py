@@ -13,8 +13,6 @@ the normalizer of each group is derived from that one algebra, run on the
 inputs' magnitudes, rather than written a second time.
 """
 
-import numpy as np
-
 from . import geometry as geo
 from .geometry import _acc
 
@@ -44,13 +42,9 @@ def matrix_harnack(chart) -> geo.TensorValue:
 def p_tensor(chart) -> geo.TensorValue:
     """P_ipq = grad_i R_pq - grad_p R_qi, covariant of rank 3."""
     n = chart.n
-    dric = geo.covariant_derivative(chart, chart.ricci)  # dric[i][p][q]
-    comps = np.empty((n, n, n), dtype=object)
-    for i in range(n):
-        for p in range(n):
-            for q in range(n):
-                comps[i, p, q] = dric.comps[i, p, q] - dric.comps[p, q, i]
-    return geo.TensorValue(3, 0, comps)
+    dric = geo.covariant_derivative(chart, chart.ricci).comps  # dric[i][p][q]
+    return geo.TensorValue(3, 0, geo.comps_from(
+        lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))
 
 
 def linear_trace_terms(chart, h: geo.TensorValue, x: geo.TensorValue) -> list:

@@ -17,6 +17,7 @@ from harnacklab import __version__, gridlab
 from harnacklab.checks import CheckReport
 from harnacklab.cli import (MAX_GRID_SIZE, MAX_POINTS, _json_doc, build_parser,
                             main)
+from harnacklab.jet import JetOrderError
 
 
 def run_cli(capsys, *argv):
@@ -259,9 +260,11 @@ def test_order_is_not_an_option_exit_two(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("var,context", [("t", {}),
                                          ("s", {"time": "const", "deform": True})])
-def test_degree_cap_overrun_names_the_variable(capsys, monkeypatch, var, context):
+def test_degree_cap_overrun_names_the_variable(monkeypatch, var, context):
     # a check that differentiates twice in t (or s) overruns the context's
-    # degree cap; no jet order fixes that, so the message must not suggest it
+    # degree cap; no jet order fixes that, so the message must not suggest it.
+    # Only a defective check can do this, so it ends as a program fault, not
+    # as a usage error
     def twice(ctx):
         d = ctx.dt if var == "t" else ctx.ds
         return {"value": d(d(ctx.f)).value()}
@@ -269,12 +272,11 @@ def test_degree_cap_overrun_names_the_variable(capsys, monkeypatch, var, context
                                applies=lambda s: True, runner=twice,
                                context=context)
     monkeypatch.setitem(harnacklab.checks.REGISTRY, "CHK-S1", spec)
-    code, out, err = run_cli(capsys, "check", "CHK-S1", "--soliton",
-                             "cigar_flow", "--points", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert f"CHK-S1 on cigar_flow takes more than 1 derivative(s) in {var}" in err
-    assert "order" not in err
+    with pytest.raises(JetOrderError) as e:
+        main(["check", "CHK-S1", "--soliton", "cigar_flow", "--points", "2"])
+    msg = str(e.value)
+    assert f"CHK-S1 on cigar_flow takes more than 1 derivative(s) in {var}" in msg
+    assert "order" not in msg
 
 
 def _strict_json(text: str):

@@ -5,7 +5,7 @@ from harnacklab import geometry as geo, gridlab as gl
 from harnacklab.fields import trig_params
 from harnacklab.geometry import MetricError, field_data
 from harnacklab.gridlab import TorusGrid, eval_trig
-from harnacklab.jet import jet_space
+from harnacklab.jet import Jet, jet_space
 
 
 def _coords(order=5, pts=None):
@@ -478,22 +478,45 @@ def test_covariant_derivative_forms_each_jet_pair_once(make_chart, monkeypatch):
     assert repeats > 0
 
 
-def test_covariant_derivative_on_a_grid_chart_multiplies_plainly(monkeypatch):
+def _grid_case():
     ch = _grid_chart()
-    ch.christoffels  # built before counting
-    t = geo.covariant_derivative(ch, ch.ricci)
-    mul = gl.GridField.__mul__
-    calls = []
+    return ch, geo.covariant_derivative(ch, ch.ricci), gl.GridField
 
-    def counted(x, other):
-        calls.append(1)
-        return mul(x, other)
-    monkeypatch.setattr(gl.GridField, "__mul__", counted)
-    monkeypatch.setattr(gl.GridField, "__rmul__", counted)
+
+def _number_case():
+    # flat_metric's Christoffels are the number 0.0; each product with a jet
+    # component folds to 0.0 in Jet.__rmul__, which counts it
+    jets = generic_chart()[0]
+    return (geo.MetricChart(geo.flat_metric(2)),
+            geo.covariant_derivative(jets, jets.ricci), Jet)
+
+
+def _magnitude_case():
+    jets = generic_chart()[0]
+    return (geo.MagnitudeChart(jets),
+            geo.magnitudes(geo.covariant_derivative(jets, jets.ricci)),
+            geo.Magnitude)
+
+
+@pytest.mark.parametrize("make_case", [_grid_case, _number_case, _magnitude_case],
+                         ids=["grid", "number-christoffels", "magnitudes"])
+def test_covariant_derivative_forms_each_pair_once_on_every_chart(make_case,
+                                                                  monkeypatch):
+    # the product rule does not ask what the chart's elements are
+    ch, t, elem_type = make_case()
+    ch.christoffels  # built before counting
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(x, other, mul=getattr(elem_type, name)):
+            calls.append(1)
+            return mul(x, other)
+        monkeypatch.setattr(elem_type, name, counted)
     got = geo.covariant_derivative(ch, t)
     formed = len(calls)
-    calls.clear()
+    monkeypatch.undo()
     want = _reference_covariant_derivative(ch, t)
-    assert formed == len(calls) > 0
     for a, b in zip(got.comps.flat, want.comps.flat):
+        assert type(a) is type(b)
         assert np.array_equal(_bits(a), _bits(b))
+    reads = [(id(g), id(c)) for g, c in _reference_pairs(ch, t)]
+    assert formed == len(set(reads)) < len(reads)
