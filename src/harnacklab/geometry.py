@@ -17,8 +17,11 @@ same five scalar identities, with the operands of a sum or a product in
 either order: ``x * 0.0`` is the number 0.0, and ``x + 0.0``, ``x - 0.0``,
 ``x * 1.0`` and ``x / 1.0`` are ``x`` itself. A diagonal metric's
 off-diagonal entries, a flat chart's curvature and a vanishing potential
-are therefore numbers through every formula here, and no product with them
-is formed.
+are therefore numbers through every formula here. :func:`covariant_derivative`
+forms no product with a Christoffel symbol that is the number 0.0, and a
+trace against g^{ij} reads only the (i, j) of ``MetricChart.traced``, whose
+g^{ij} is not the number 0.0, so a diagonal chart's Laplacian forms no mixed
+second derivative.
 
 Conventions, fixed once and verified by the unit-sphere anchor test:
 
@@ -42,7 +45,9 @@ order fixes each builder's summation order, and the sharing lets
 forms each (Gamma, component) product once per call, on every chart (jets,
 grid fields, numbers or magnitudes), from a table that counts each pair's
 reads first and drops the product after its last; the sums keep their
-order, so the bits are those of multiplying where each sum reads.
+order, so the bits are those of multiplying where each sum reads. A caller
+that reads only some components of the result passes them as ``reads``, and
+only those are formed.
 
 Each operation takes a vector in one index position and raises TypeError on
 the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
@@ -68,6 +73,11 @@ class ChartDomainError(ValueError):
 
 def _acc(terms):
     return reduce(lambda a, b: a + b, terms)
+
+
+def _is_zero(elem) -> bool:
+    """Whether elem is the number 0.0, which every product with it folds to."""
+    return isinstance(elem, NUMBER) and elem == 0.0
 
 
 def partial(elem, i: int):
@@ -177,37 +187,53 @@ class MetricChart:
         dg = np.empty((n, n, n), dtype=object)  # dg[i][j][l] = d_i g_jl
         for i in range(n):
             dg[i] = sym2_from(lambda j, l: partial(self.g[j, l], i), n).comps
+        # bracket[l][i][j] = d_i g_jl + d_j g_il - d_l g_ij, symmetric in i,j
+        bracket = [sym2_from(lambda i, j: dg[i, j, l] + dg[j, i, l] - dg[l, i, j],
+                             n).comps for l in range(n)]
         gam = np.empty((n, n, n), dtype=object)  # gam[k][i][j], symmetric in i,j
         for k in range(n):
             gam[k] = sym2_from(lambda i, j: 0.5 * _acc(
-                self.ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                for l in range(n)), n).comps
+                self.ginv[k, l] * bracket[l][i, j] for l in range(n)), n).comps
         return gam
 
     @cached_property
+    def zero_christoffels(self) -> frozenset:
+        """The indices (k, i, j) whose Gamma^k_ij is the number 0.0."""
+        gam = self.christoffels
+        return frozenset(idx for idx in np.ndindex(gam.shape) if _is_zero(gam[idx]))
+
+    @cached_property
+    def traced(self) -> tuple:
+        """The (i, j), in row order, whose g^{ij} is not the number 0.0: the
+        components a trace against g^{ij} reads."""
+        return tuple(ij for ij in np.ndindex(self.n, self.n)
+                     if not _is_zero(self.ginv[ij]))
+
+    @cached_property
     def riem_low(self):
+        """low[i][j][k][l] = g_lm Rup^m_{kij}. Rup is formed for i < j and is
+        0.0 for i = j. low[j, i] is the negation of low[i, j], which has the
+        bits of lowering -Rup but for the sign of a zero: a sum that cancels
+        exactly is +0.0 either way."""
         n = self.n
         gam = self.christoffels
-        rup = np.empty((n, n, n, n), dtype=object)  # rup[l][k][i][j]
-        for i in range(n):
-            for j in range(n):
-                for l in range(n):
-                    for k in range(n):
-                        if i == j:
-                            rup[l, k, i, j] = 0.0
-                        elif i > j:
-                            rup[l, k, i, j] = -rup[l, k, j, i]
-                        else:
-                            rup[l, k, i, j] = (
-                                partial(gam[l, j, k], i)
-                                - partial(gam[l, i, k], j)
-                                + _acc(gam[l, i, p] * gam[p, j, k]
-                                       - gam[l, j, p] * gam[p, i, k]
-                                       for p in range(n)))
-        return comps_from(  # low[i][j][k][l]
-            lambda i, j, k, l: _acc(self.g[l, m] * rup[m, k, i, j]
-                                    for m in range(n)),
-            (n,) * 4)
+        low = np.empty((n,) * 4, dtype=object)
+        for i, j in np.ndindex(n, n):
+            if i > j:
+                low[i, j] = -low[j, i]
+                continue
+            rup = comps_from(  # rup[l][k] = Rup^l_{kij}
+                lambda l, k: 0.0 if i == j else (
+                    partial(gam[l, j, k], i)
+                    - partial(gam[l, i, k], j)
+                    + _acc(gam[l, i, p] * gam[p, j, k]
+                           - gam[l, j, p] * gam[p, i, k]
+                           for p in range(n))),
+                (n, n))
+            low[i, j] = comps_from(
+                lambda k, l: _acc(self.g[l, m] * rup[m, k] for m in range(n)),
+                (n, n))
+        return low
 
     @cached_property
     def ricci(self) -> TensorValue:
@@ -287,7 +313,10 @@ def magnitudes(t):
 class MagnitudeChart:
     """|g^{ij}| and |Gamma^k_ij| of a chart: ``covariant_derivative`` of a
     tensor of Magnitudes runs on it unchanged and gives, per component, its
-    |partial| plus the |Gamma| * |component| products."""
+    |partial| plus the |Gamma| * |component| products. A Magnitude is never
+    the number 0.0, so every product is formed."""
+
+    zero_christoffels = frozenset()
 
     def __init__(self, chart):
         self.n = chart.n
@@ -296,21 +325,28 @@ class MagnitudeChart:
 
 
 @lru_cache(maxsize=64)
-def _connection_pattern(n: int, cov: int, rank: int) -> tuple:
+def _connection_pattern(n: int, cov: int, rank: int, reads, zeros: frozenset) -> tuple:
     """The index pattern of nabla t for a tensor with ``cov`` covariant slots
-    of ``rank``: per axis i, each component idx with, per slot a, whether the
-    slot is covariant and the (Gamma index, component index) of its terms, p
-    in order: Gamma^p_{i idx[a]} t[..p..] for a covariant slot and
-    Gamma^{idx[a]}_{ip} t[..p..] for a contravariant one."""
+    of ``rank``: per axis i, each component idx that ``reads`` holds as
+    (i,) + idx (every one when ``reads`` is None) with, per slot a, whether
+    the slot is covariant and the (Gamma index, component index) of its
+    terms, p in order: Gamma^p_{i idx[a]} t[..p..] for a covariant slot and
+    Gamma^{idx[a]}_{ip} t[..p..] for a contravariant one. A term whose Gamma
+    index is in ``zeros`` is left out, and so is a slot left with none."""
     pattern = []
     for i in range(n):
         components = []
         for idx in np.ndindex(*(n,) * rank):
-            slots = tuple(
-                (a < cov, tuple(((p, i, idx[a]) if a < cov else (idx[a], i, p),
-                                 idx[:a] + (p,) + idx[a + 1:]) for p in range(n)))
-                for a in range(rank))
-            components.append((idx, slots))
+            if reads is not None and (i,) + idx not in reads:
+                continue
+            slots = []
+            for a in range(rank):
+                gams = [(p, i, idx[a]) if a < cov else (idx[a], i, p) for p in range(n)]
+                pairs = tuple((g, idx[:a] + (p,) + idx[a + 1:])
+                              for p, g in enumerate(gams) if g not in zeros)
+                if pairs:
+                    slots.append((a < cov, pairs))
+            components.append((idx, tuple(slots)))
         pattern.append(tuple(components))
     return tuple(pattern)
 
@@ -336,8 +372,15 @@ def _product_table(pairs):
     return product
 
 
-def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
+def covariant_derivative(chart: MetricChart, t: TensorValue, reads=None) -> TensorValue:
     """Levi-Civita covariant derivative; the new covariant axis comes first.
+
+    ``reads``, when given, lists the result indices (i,) + idx the caller
+    reads, and only those are formed: every other slot of the result is
+    None, so a result built with ``reads`` never leaves the function that
+    traces it. A term whose Gamma is the number 0.0 is not formed either
+    (``chart.zero_christoffels``): its product folds to 0.0 and the sum it
+    joins to the other terms, so the bits are those of the full formula.
 
     A component object stored at several indices (a symmetric tensor keeps one
     object at [i, j] and [j, i]) is differentiated once per axis, and each
@@ -349,7 +392,9 @@ def covariant_derivative(chart: MetricChart, t: TensorValue) -> TensorValue:
     n = chart.n
     gam = chart.christoffels
     tc = t.comps
-    pattern = _connection_pattern(n, t.cov, t.rank)
+    pattern = _connection_pattern(n, t.cov, t.rank,
+                                  None if reads is None else frozenset(reads),
+                                  chart.zero_christoffels)
     product = _product_table(
         (gam[g], tc[c]) for components in pattern for _, slots in components
         for _, pairs in slots for g, c in pairs)
@@ -396,22 +441,28 @@ def hessian(chart: MetricChart, s) -> TensorValue:
 
 
 def laplacian(chart: MetricChart, s):
-    return trace_sym2(chart, hessian(chart, s))
+    """g^{ij} nabla_i nabla_j s, forming only the (i, j) that ``chart.traced``
+    lists of the Hessian."""
+    dd = covariant_derivative(chart, differential(chart, s), chart.traced)
+    return _trace_first_pair(chart, dd, ())
 
 
 def _trace_first_pair(chart: MetricChart, dd: TensorValue, idx: tuple):
     """g^{ij} dd_{ij idx}: one component of a second covariant derivative's
-    trace over its two new axes."""
-    n = chart.n
-    return _acc(chart.ginv[i, j] * dd.comps[(i, j) + idx]
-                for i in range(n) for j in range(n))
+    trace over its two new axes, read at the (i, j) of ``chart.traced``; a
+    term under g^{ij} = 0.0 would fold away."""
+    return _acc(chart.ginv[ij] * dd.comps[ij + idx] for ij in chart.traced)
 
 
 def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
     """g^{ij} nabla_i nabla_j t. A covariant 2-tensor is symmetric here: only
-    its ``sym2_indices`` components are formed."""
-    dd = covariant_derivative(chart, covariant_derivative(chart, t))
-    if (t.cov, t.con) == (2, 0):
+    its ``sym2_indices`` components are formed. The second derivative forms
+    only the components the trace reads."""
+    sym = (t.cov, t.con) == (2, 0)
+    idxs = sym2_indices(chart.n) if sym else list(np.ndindex(t.comps.shape))
+    dd = covariant_derivative(chart, covariant_derivative(chart, t),
+                              [ij + idx for ij in chart.traced for idx in idxs])
+    if sym:
         return sym2_from(lambda p, q: _trace_first_pair(chart, dd, (p, q)), chart.n)
     return TensorValue(t.cov, t.con, comps_from(
         lambda *idx: _trace_first_pair(chart, dd, idx), t.comps.shape))
@@ -460,8 +511,10 @@ def mixed_ricci(chart: MetricChart) -> np.ndarray:
 
 def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
     """(div h)_i = g^{jk} (nabla_j h)_{ki}, a covariant vector."""
-    dh = covariant_derivative(chart, h)  # dh[j][k][i]
-    return vector_from(lambda i: _trace_first_pair(chart, dh, (i,)), chart.n)
+    n = chart.n
+    dh = covariant_derivative(  # dh[j][k][i]
+        chart, h, [jk + (i,) for jk in chart.traced for i in range(n)])
+    return vector_from(lambda i: _trace_first_pair(chart, dh, (i,)), n)
 
 
 def divergence_vec(chart: MetricChart, v: TensorValue):
@@ -469,7 +522,7 @@ def divergence_vec(chart: MetricChart, v: TensorValue):
     if (v.cov, v.con) != (0, 1):
         raise TypeError("divergence_vec takes a vector; raise a covector first")
     n = chart.n
-    dv = covariant_derivative(chart, v)  # dv[i][^j]
+    dv = covariant_derivative(chart, v, [(i, i) for i in range(n)])  # dv[i][^i]
     return _acc(dv.comps[i, i] for i in range(n))
 
 

@@ -354,10 +354,11 @@ def test_one_dimensional_chart_inverse():
     assert plain.det == 4.0 and plain.ginv[0, 0] == 0.25
 
 
-def _bits(elem):
-    """Every float64 bit of an element's data, signs of zeros included."""
+def _bits(elem, zero_sign=True):
+    """Every float64 bit of an element's data, signs of zeros included
+    unless ``zero_sign`` is False."""
     data = elem.coeffs if hasattr(elem, "coeffs") else field_data(elem)
-    return np.ascontiguousarray(data).view(np.int64)
+    return np.ascontiguousarray(data if zero_sign else data + 0.0).view(np.int64)
 
 
 def _grid_metric():
@@ -410,23 +411,27 @@ def _reference_covariant_derivative(chart, t):
     return geo.TensorValue(t.cov + 1, t.con, comps)
 
 
-def _reference_pairs(chart, t):
-    """Every (Gamma, component) read of the reference loop, in order."""
+def _reference_pairs(chart, t, reads=None):
+    """Every (Gamma, component) read of the reference loop, in order, for the
+    components (i,) + idx in ``reads`` (every one when None)."""
     n = chart.n
     gam = chart.christoffels
     for i in range(n):
         for idx in np.ndindex(*t.comps.shape):
+            if reads is not None and (i,) + idx not in reads:
+                continue
             for a in range(t.rank):
                 for p in range(n):
                     g = gam[p, i, idx[a]] if a < t.cov else gam[idx[a], i, p]
                     yield g, t.comps[idx[:a] + (p,) + idx[a + 1:]]
 
 
-def _test_tensors(ch):
+def _test_tensors(ch, s=None):
     """Ranks 1 to 3, covariant and contravariant slots, with shared
-    (``sym2_from``) and unshared (``tensor_map``) components."""
+    (``sym2_from``) and unshared (``tensor_map``) components, all built from
+    the scalar ``s`` (log det g by default)."""
     n = ch.n
-    s = ch.det.log()
+    s = ch.det.log() if s is None else s
     covector = geo.differential(ch, s)
     vector = geo.raise_vector(ch, covector)
     hess = geo.hessian(ch, s)
@@ -484,8 +489,8 @@ def _grid_case():
 
 
 def _number_case():
-    # flat_metric's Christoffels are the number 0.0; each product with a jet
-    # component folds to 0.0 in Jet.__rmul__, which counts it
+    # flat_metric's Christoffels are the number 0.0: every product with them
+    # would fold to 0.0, so none is formed
     jets = generic_chart()[0]
     return (geo.MetricChart(geo.flat_metric(2)),
             geo.covariant_derivative(jets, jets.ricci), Jet)
@@ -498,6 +503,24 @@ def _magnitude_case():
             geo.Magnitude)
 
 
+def _counting_products(monkeypatch, elem_type) -> list:
+    """Count every product of an element of ``elem_type``, from either side."""
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        def counted(x, other, mul=getattr(elem_type, name)):
+            calls.append(1)
+            return mul(x, other)
+        monkeypatch.setattr(elem_type, name, counted)
+    return calls
+
+
+def _assert_same_elements(got, want, where="", zero_sign=True):
+    assert type(got) is type(want), where
+    assert np.array_equal(_bits(got, zero_sign), _bits(want, zero_sign)), where
+    if hasattr(got, "coeffs"):
+        assert (got.order, got.left) == (want.order, want.left), where
+
+
 @pytest.mark.parametrize("make_case", [_grid_case, _number_case, _magnitude_case],
                          ids=["grid", "number-christoffels", "magnitudes"])
 def test_covariant_derivative_forms_each_pair_once_on_every_chart(make_case,
@@ -505,18 +528,213 @@ def test_covariant_derivative_forms_each_pair_once_on_every_chart(make_case,
     # the product rule does not ask what the chart's elements are
     ch, t, elem_type = make_case()
     ch.christoffels  # built before counting
-    calls = []
-    for name in ("__mul__", "__rmul__"):
-        def counted(x, other, mul=getattr(elem_type, name)):
-            calls.append(1)
-            return mul(x, other)
-        monkeypatch.setattr(elem_type, name, counted)
+    calls = _counting_products(monkeypatch, elem_type)
     got = geo.covariant_derivative(ch, t)
     formed = len(calls)
     monkeypatch.undo()
     want = _reference_covariant_derivative(ch, t)
     for a, b in zip(got.comps.flat, want.comps.flat):
-        assert type(a) is type(b)
-        assert np.array_equal(_bits(a), _bits(b))
+        _assert_same_elements(a, b)
     reads = [(id(g), id(c)) for g, c in _reference_pairs(ch, t)]
-    assert formed == len(set(reads)) < len(reads)
+    if make_case is _number_case:
+        assert all(geo._is_zero(g) for g in ch.christoffels.flat)
+        assert formed == 0 < len(reads)
+    else:
+        assert formed == len(set(reads)) < len(reads)
+
+
+def _flat_grid_scalar(grid=None):
+    grid = TorusGrid(32) if grid is None else grid
+    return eval_trig(grid, trig_params(3, "s", 2, 0.3), 1.0)
+
+
+def _read_case(ch, elem_type, scalar=None, magnitudes=False):
+    tensors = _test_tensors(ch, None if scalar is None else scalar(ch))
+    del tensors["n"]
+    if magnitudes:
+        ch = geo.MagnitudeChart(ch)
+        tensors = {name: geo.magnitudes(t) for name, t in tensors.items()}
+    return ch, tensors, elem_type
+
+
+@pytest.mark.parametrize("make_case", [
+    lambda: _read_case(generic_chart()[0], Jet),
+    lambda: _read_case(sphere_chart()[0], Jet),
+    lambda: _read_case(sheared_cylinder_chart()[0], Jet),
+    lambda: _read_case(_grid_chart(), gl.GridField, lambda ch: ch.det),
+    lambda: _read_case(gl._flat_chart(), gl.GridField,
+                        lambda ch: _flat_grid_scalar()),
+    lambda: _read_case(generic_chart()[0], geo.Magnitude, magnitudes=True),
+], ids=["generic", "sphere", "sheared-3d", "grid-curved", "grid-flat", "magnitudes"])
+def test_covariant_derivative_forms_only_what_it_reads(make_case, monkeypatch):
+    ch, tensors, elem_type = make_case()
+    ch.christoffels  # built before counting
+    for name, t in tensors.items():
+        everything = list(np.ndindex((ch.n,) + t.comps.shape))
+        for reads in (everything[::2], everything[1::3], everything[:1]):
+            calls = _counting_products(monkeypatch, elem_type)
+            got = geo.covariant_derivative(ch, t, reads)
+            formed = len(calls)
+            monkeypatch.undo()
+            want = _reference_covariant_derivative(ch, t)
+            for idx in everything:
+                if idx in reads:
+                    _assert_same_elements(got.comps[idx], want.comps[idx], (name, idx))
+                else:
+                    assert got.comps[idx] is None, (name, idx)
+            # the products are the distinct pairs of the requested
+            # components, less those whose Gamma is the number 0.0
+            pairs = {(id(g), id(c)) for g, c in _reference_pairs(ch, t, reads)
+                     if not geo._is_zero(g)}
+            assert formed == len(pairs), name
+
+
+def _counting_partials(monkeypatch) -> list:
+    calls = []
+    partial = gl.GridField.partial
+
+    def counted(self, axis):
+        calls.append(axis)
+        return partial(self, axis)
+    monkeypatch.setattr(gl.GridField, "partial", counted)
+    return calls
+
+
+def _grid_sym2(grid):
+    return geo.sym2_from(
+        lambda i, j: eval_trig(grid, trig_params(4, f"h{j}{i}", 2, 0.2)), 2)
+
+
+@pytest.mark.parametrize("flat, want_lich, want_lap", [
+    (True, 12, 4), (False, 18, 6),
+], ids=["flat", "curved"])
+def test_grid_laplacians_take_only_the_traced_partials(flat, want_lich, want_lap,
+                                                       monkeypatch):
+    # a trace against g^{ij} = 0.0 reads no mixed second derivative: on the
+    # flat chart the Lichnerowicz Laplacian takes 6 first and 6 second
+    # partials of h (18 when every second derivative was formed), the
+    # Laplacian 2 and 2 (6); the curved chart reads all four (i, j), and
+    # forms only the sym2 components of the second derivative (22 when it
+    # formed every one)
+    grid = TorusGrid(32)
+    ch = gl._flat_chart() if flat else _grid_chart()
+    ch.ricci  # built before counting
+    h, s = _grid_sym2(grid), _flat_grid_scalar(grid)
+    calls = _counting_partials(monkeypatch)
+    geo.lichnerowicz_laplacian(ch, h)
+    assert len(calls) == want_lich
+    calls.clear()
+    geo.laplacian(ch, s)
+    assert len(calls) == want_lap
+    assert ch.traced == (((0, 0), (1, 1)) if flat
+                         else ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def _old_trace(chart, dd, idx):
+    """The trace over every (i, j), as written before ``chart.traced``."""
+    n = chart.n
+    return geo._acc(chart.ginv[i, j] * dd.comps[(i, j) + idx]
+                    for i in range(n) for j in range(n))
+
+
+def _old_rough_laplacian(chart, t):
+    dd = _reference_covariant_derivative(
+        chart, _reference_covariant_derivative(chart, t))
+    if (t.cov, t.con) == (2, 0):
+        return geo.sym2_from(lambda p, q: _old_trace(chart, dd, (p, q)), chart.n)
+    return geo.TensorValue(t.cov, t.con, geo.comps_from(
+        lambda *idx: _old_trace(chart, dd, idx), t.comps.shape))
+
+
+def _old_divergences(chart, h):
+    n = chart.n
+    dh = _reference_covariant_derivative(chart, h)
+    div = geo.vector_from(lambda i: _old_trace(chart, dh, (i,)), n)
+    dv = _reference_covariant_derivative(chart, geo.raise_vector(chart, div))
+    return div, geo._acc(dv.comps[i, i] for i in range(n))
+
+
+def _trace_cases():
+    grid = TorusGrid(32)
+    sphere, x, y = sphere_chart()
+    sheared = sheared_cylinder_chart()[0]
+    w = sheared.det.log()
+    return [
+        ("sphere", sphere, (x * y).sin() + x, geo.sym2_from(
+            lambda i, j: [[1.0 + x * x, x * y], [x * y, y.cos()]][i][j], 2)),
+        ("grid-flat", gl._flat_chart(), _flat_grid_scalar(grid), _grid_sym2(grid)),
+        ("grid-curved", _grid_chart(), _flat_grid_scalar(grid), _grid_sym2(grid)),
+        ("sheared-3d", sheared, w, geo.hessian(sheared, w)),
+    ]
+
+
+def test_traced_contractions_keep_the_full_formulas_bits():
+    for name, ch, s, h in _trace_cases():
+        n = ch.n
+        ds = _reference_covariant_derivative(ch, geo.scalar_tensor(s))
+        vec = geo.raise_vector(ch, ds)
+        pairs = [
+            (geo.laplacian(ch, s),
+             _old_trace(ch, _reference_covariant_derivative(ch, ds), ())),
+            *zip(geo.rough_laplacian(ch, h).comps.flat,
+                 _old_rough_laplacian(ch, h).comps.flat),
+            *zip(geo.rough_laplacian(ch, vec).comps.flat,
+                 _old_rough_laplacian(ch, vec).comps.flat),
+        ]
+        div, divdiv = _old_divergences(ch, h)
+        got = geo.divergence_sym2(ch, h)
+        pairs += list(zip(got.comps.flat, div.comps.flat))
+        pairs.append((geo.divergence_vec(ch, geo.raise_vector(ch, got)), divdiv))
+        assert len(pairs) == 1 + n * n + n + n + 1
+        for k, (a, b) in enumerate(pairs):
+            _assert_same_elements(a, b, (name, k))
+
+
+def _old_christoffels(chart):
+    """``christoffels`` as written before its bracket was formed once per
+    (i, j, l): once per k."""
+    n = chart.n
+    dg = np.empty((n, n, n), dtype=object)
+    for i in range(n):
+        dg[i] = geo.sym2_from(lambda j, l: geo.partial(chart.g[j, l], i), n).comps
+    gam = np.empty((n, n, n), dtype=object)
+    for k in range(n):
+        gam[k] = geo.sym2_from(lambda i, j: 0.5 * geo._acc(
+            chart.ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
+            for l in range(n)), n).comps
+    return gam
+
+
+def _old_riem_low(chart, gam):
+    """``riem_low`` as written before low[j, i] was the negation of
+    low[i, j]: Rup formed for i < j, negated for i > j, and lowered at
+    every (i, j)."""
+    n = chart.n
+    rup = np.empty((n, n, n, n), dtype=object)
+    for i, j, l, k in np.ndindex(n, n, n, n):
+        if i == j:
+            rup[l, k, i, j] = 0.0
+        elif i > j:
+            rup[l, k, i, j] = -rup[l, k, j, i]
+        else:
+            rup[l, k, i, j] = (
+                geo.partial(gam[l, j, k], i) - geo.partial(gam[l, i, k], j)
+                + geo._acc(gam[l, i, p] * gam[p, j, k] - gam[l, j, p] * gam[p, i, k]
+                           for p in range(n)))
+    return geo.comps_from(
+        lambda i, j, k, l: geo._acc(chart.g[l, m] * rup[m, k, i, j] for m in range(n)),
+        (n,) * 4)
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: sheared_cylinder_chart()[0], _grid_chart,
+], ids=["sheared-3d", "grid-curved"])
+def test_curvature_keeps_the_old_formulas_bits(make_chart):
+    ch = make_chart()
+    gam = _old_christoffels(ch)
+    for got, want in zip(ch.christoffels.flat, gam.flat):
+        _assert_same_elements(got, want)
+    # -(a + b) is (-a) + (-b) in every bit but the sign of an exact zero:
+    # a cancellation gives +0.0 in both sums, so the negation's is -0.0
+    for got, want in zip(ch.riem_low.flat, _old_riem_low(ch, gam).flat):
+        _assert_same_elements(got, want, zero_sign=False)
