@@ -33,10 +33,16 @@ order) that only CHK-R1 uses; the order is ``solitons.JET_ORDER`` for every
 check, the most derivatives any identity reads. ``run_check`` builds that
 context, runs the runner and judges its parts inside the timed region, whose
 time is the report's ``millis``. Contexts are shared (``build_context`` is a
-cache) and keep what their first user built: the chart its curvature, the
-context its evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2
-to B6 and B8, per eps). So a check's time leaves out what an earlier check
-built.
+cache) and keep by name what their first reader built (``geometry.Kept``).
+The chart keeps its curvature and every tensor of the chart alone that a
+second check reads: R^i_j, R^{ij}, div Rc, div div Rc, |Rc|^2, Hess R and
+Lap R, M's inputs and P (``hk.chart_inputs``), the grad-Rc atom scale and
+its ``MagnitudeChart``. The context keeps grad f, Hess f and Lap f and its
+evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and
+B8, per eps). A kept tensor has the bits of building it again, so a verdict
+does not depend on what ran before it, but its time does: a check's
+``millis`` leaves out what an earlier check kept (ROADMAP item 11 splits
+that time out).
 """
 
 import functools
@@ -103,10 +109,13 @@ def _nabla_ricci_atom_scale(chart) -> np.ndarray:
     """Pre-cancellation magnitude of computing grad Rc: its atoms (|partials
     of Rc| and |Gamma| * |Rc|) summed over components, which is
     ``covariant_derivative`` on magnitudes. This is the scale against which
-    the roundoff of any grad-Rc-built quantity is measured."""
-    dric = geo.covariant_derivative(geo.MagnitudeChart(chart),
-                                    geo.magnitudes(chart.ricci))
-    return sum((c.values for c in dric.comps.flat), _FLOOR)
+    the roundoff of any grad-Rc-built quantity is measured; it is kept on
+    the chart."""
+    def build():
+        dric = geo.covariant_derivative(geo.magnitude_chart(chart),
+                                        geo.magnitudes(chart.ricci))
+        return sum((c.values for c in dric.comps.flat), _FLOOR)
+    return chart.kept("grad Rc atom scale", build)
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ def _sym2_terms(n, pairs):
 def _run_s1(ctx):
     ch = ctx.chart
     n = ch.n
-    hf = geo.hessian(ch, ctx.f)
+    hf = ctx.f_derivative("Hess")
     lam_g = geo.sym2_from(lambda i, j: ch.g[i, j] * -ctx.lam, n)
     pairs = [(ch.ricci, 1.0), (hf, 1.0), (lam_g, 1.0)]
     parts = {"soliton_equation": Identity(_sym2_terms(n, pairs))}
@@ -212,13 +221,11 @@ def _run_s1(ctx):
         _any)
 def _run_s2(ctx):
     ch = ctx.chart
-    r = ch.scalar_curvature
-    df = geo.differential(ch, ctx.f)
-    dr = geo.differential(ch, r)
-    rc2 = geo.inner_sym2(ch, ch.ricci, ch.ricci)
-    grr = geo.inner_vec(ch, dr, df)
-    terms = [geo.laplacian(ch, r), 2.0 * rc2, -grr, r * -ctx.lam * 2.0]
-    gf = geo.raise_vector(ch, df)
+    dr = geo.differential(ch, ch.scalar_curvature)
+    grr = geo.inner_vec(ch, dr, geo.differential(ch, ctx.f))
+    terms = [ch.r_derivative("Lap"), 2.0 * geo.ricci_norm2(ch), -grr,
+             ch.scalar_curvature * -ctx.lam * 2.0]
+    gf = ctx.f_derivative("grad")
     return {
         "scalar_curvature_identity": Identity([terms]),
         "curvature_gradient": Identity(
@@ -236,7 +243,7 @@ def _run_s3(ctx):
         "normalization": Identity(
             [[ch.scalar_curvature, geo.inner_vec(ch, df, df), -1.0]]),
         "trace_equation": Identity(
-            [[ch.scalar_curvature, geo.laplacian(ch, ctx.f)]]),
+            [[ch.scalar_curvature, ctx.f_derivative("Lap")]]),
     }
 
 
@@ -247,7 +254,7 @@ def _run_h1(ctx):
     ch = ctx.chart
     m = hk.matrix_harnack(ch)
     p = hk.p_tensor(ch)
-    gf = geo.gradient(ch, ctx.f)
+    gf = ctx.f_derivative("grad")
     out = [[m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
            + [ch.ricci[i, j] * -ctx.lam] for i, j in geo.sym2_indices(ch.n)]
     return {"matrix_harnack_potential": Identity(out)}
@@ -259,7 +266,7 @@ def _run_h2(ctx):
     ch = ctx.chart
     n = ch.n
     p = hk.p_tensor(ch)
-    gf = geo.gradient(ch, ctx.f)
+    gf = ctx.f_derivative("grad")
     low = ch.riem_low
     out = [[p[i, pp, q]] + [-low[pp, i, j, q] * gf[j] for j in range(n)]
            for i, pp, q in np.ndindex(n, n, n)]
@@ -270,7 +277,7 @@ def _run_h2(ctx):
         "((d/dt - Lap) grad f)^j - R^j_k grad^k f = 2 lam grad^j f", _any)
 def _run_h3(ctx):
     ch = ctx.chart
-    gf = geo.gradient(ch, ctx.f)
+    gf = ctx.f_derivative("grad")
     lap_gf = geo.rough_laplacian(ch, gf)
     mixed = geo.mixed_ricci(ch)
     out = []
@@ -284,7 +291,7 @@ def _run_h3(ctx):
 @_check("CHK-H4", "Z(Rc, -grad f) = lam R", _any)
 def _run_h4(ctx):
     ch = ctx.chart
-    terms = hk.linear_trace_terms(ch, ch.ricci, fields.neg_grad_potential(ctx))
+    terms = hk.ricci_trace_terms(ch, fields.neg_grad_potential(ctx))
     return {"trace_harnack_soliton":
             Identity([terms + [ch.scalar_curvature * -ctx.lam]])}
 
@@ -295,7 +302,7 @@ def _run_h4(ctx):
 def _run_h4t(ctx):
     ch = ctx.chart
     x = fields.trig_vector(ctx, "h4t.X")
-    zt = [2.0 * t for t in hk.linear_trace_terms(ch, ch.ricci, x)]
+    zt = [2.0 * t for t in hk.ricci_trace_terms(ch, x)]
     return {"trace_form": _balance(hk.trace_harnack_terms(ch, x), zt)}
 
 
@@ -307,7 +314,7 @@ def _heat_terms(ctx, pieces):
 
 def _evolved_h(ctx):
     """The trig h under dh/dt = Lichnerowicz(h), built once per context."""
-    return ctx.evolved(("h", None), lambda: fields.propagate_sym2(
+    return ctx.kept(("h", None), lambda: fields.propagate_sym2(
         ctx, fields.trig_sym2(ctx, "h")))
 
 
@@ -321,29 +328,28 @@ def _run_eq1(ctx):
     h = _evolved_h(ctx)
     x = fields.trig_vector(ctx, "eq1.X", time_linear=True)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    curvature = hk.chart_inputs(ch)
     lhs = _heat_terms(ctx, hk.linear_trace_terms(ch, h, x))
-    rhs = hk.evolution_rhs_groups(ch, **curvature,
+    rhs = hk.evolution_rhs_groups(ch, **hk.chart_inputs(ch),
                                   **hk.field_inputs(ch, h, x, dxdt))
     parts = {"evolution_identity": _balance(lhs, rhs)}
     if ctx.spec.kind == "steady":
-        parts.update(_eq1_vanishing_brackets(ctx, curvature))
+        parts.update(_eq1_vanishing_brackets(ctx))
     return parts
 
 
-def _eq1_vanishing_brackets(ctx, curvature):
+def _eq1_vanishing_brackets(ctx):
     """On a steady soliton with h = Ric, X = -grad f, each of the four groups
-    on the right of the evolution identity vanishes. ``curvature`` is
-    ``hk.chart_inputs`` of the context's chart. Each group's atom scale is
-    the same group evaluated on the magnitudes of its inputs, which stays
-    away from zero where the group itself vanishes on the soliton."""
+    on the right of the evolution identity vanishes; the curvature inputs
+    are the ones ``hk.chart_inputs`` keeps on the chart. Each group's atom
+    scale is the same group evaluated on the magnitudes of its inputs, which
+    stays away from zero where the group itself vanishes on the soliton."""
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    inputs = curvature | hk.field_inputs(ch, ch.ricci, x, dxdt)
+    inputs = hk.chart_inputs(ch) | hk.ricci_field_inputs(ch, x, dxdt)
     brackets = hk.evolution_rhs_groups(ch, **inputs)
     scales = hk.evolution_rhs_groups(
-        geo.MagnitudeChart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
+        geo.magnitude_chart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
     return {f"vanishing_bracket_{k + 1}": Identity([[b]], field_data(s))
             for k, (b, s) in enumerate(zip(brackets, scales))}
 
@@ -396,7 +402,7 @@ def _run_r1(ctx):
     fs = ctx.f + ctx.s * (0.5 * bigh)
     lhs = ctx.ds(sum(hk.perelman_scalar_terms(chs, fs)))
     zterms = hk.linear_trace_terms(ch0, h, fields.neg_grad_potential(ctx))
-    defect = geo.tensor_map(lambda p, q: p + q, ch0.ricci, geo.hessian(ch0, ctx.f))
+    defect = geo.tensor_map(lambda p, q: p + q, ch0.ricci, ctx.f_derivative("Hess"))
     coupling = -2.0 * geo.inner_sym2(ch0, h, defect)
     density = (-fs).exp() * chs.volume_density
     return {
@@ -434,7 +440,7 @@ def _log_solution(ctx, eps):
     def build():
         u0 = fields.trig_scalar(ctx, "b.u0", amplitude=0.3).exp()
         return fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps)).log()
-    return ctx.evolved(("b.u0", eps), build)
+    return ctx.kept(("b.u0", eps), build)
 
 
 @_check("CHK-B1",

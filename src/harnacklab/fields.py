@@ -20,7 +20,7 @@ where d are the RHS's t-degree-0 coefficients. That is exact wherever the
 identities look: they read at most one time derivative. The result is a fresh
 jet whose validity order is at most (RHS validity + 1); the inputs are left
 as they were. The checks call these helpers through
-``SolitonContext.evolved``, so each evolved field is built once per context.
+``SolitonContext.kept``, so each evolved field is built once per context.
 """
 
 import numpy as np
@@ -126,5 +126,7 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
 
 
 def neg_grad_potential(ctx: SolitonContext) -> geo.TensorValue:
-    grad = geo.gradient(ctx.chart, ctx.f)
+    """X = -grad f, negating the gradient the context keeps: a negation forms
+    no product, so X itself is not kept."""
+    grad = ctx.f_derivative("grad")
     return geo.vector_from(lambda i: -grad[i], ctx.chart.n, con=True)

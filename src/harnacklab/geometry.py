@@ -52,6 +52,12 @@ only those are formed.
 Each operation takes a vector in one index position and raises TypeError on
 the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 :func:`divergence_vec` take vectors), so a caller raises or lowers once.
+
+A tensor that depends on the chart alone is formed once and kept on it by
+name (:class:`Kept`): R^i_j, R^{ij}, div Rc, |Rc|^2, the Hessian and
+Laplacian of R (:func:`kept_derivative`) and the chart's
+:class:`MagnitudeChart`, beside what :mod:`.harnack` and :mod:`.checks` keep
+there. The curvature itself stays in the chart's cached properties.
 """
 
 import math
@@ -148,14 +154,28 @@ def flat_metric(n: int) -> list:
     return [[float(i == j) for j in range(n)] for i in range(n)]
 
 
-class MetricChart:
+class Kept:
+    """An owner of tensors kept by name: ``kept(name, build)`` is ``build()``
+    on the first request for ``name`` and the same object after. The name
+    says what the tensor is, never which object it was built from, so a
+    kept tensor has the bits of building it again."""
+
+    def kept(self, name, build):
+        memo = self.__dict__.setdefault("_kept", {})
+        if name not in memo:
+            memo[name] = build()
+        return memo[name]
+
+
+class MetricChart(Kept):
     """A metric given by its components in one coordinate chart.
 
     ``g`` is an (n, n) nested sequence of field elements, symmetric in its
     indices. Coordinate i is the elements' variable i: jets list the
     coordinates first, grid fields carry nothing else. A component may be a
     plain number, a constant whose partials are 0.0. Curvature data is
-    computed lazily and cached on the chart.
+    computed lazily and cached on the chart, and every other tensor of the
+    chart alone is kept by name (``kept``).
     """
 
     def __init__(self, g):
@@ -251,6 +271,11 @@ class MetricChart:
     def volume_density(self):
         return self.det ** 0.5
 
+    def r_derivative(self, kind: str):
+        """The kept Hessian ("Hess") or Laplacian ("Lap") of the scalar
+        curvature (:func:`kept_derivative`)."""
+        return kept_derivative(self, kind, "R", self, self.scalar_curvature)
+
 
 def _cofactor(m: np.ndarray, i: int, j: int):
     sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
@@ -308,6 +333,11 @@ def magnitudes(t):
     if isinstance(t, TensorValue):
         return TensorValue(t.cov, t.con, magnitudes(t.comps))
     return np.frompyfunc(Magnitude.of, 1, 1)(t)
+
+
+def magnitude_chart(chart: MetricChart) -> "MagnitudeChart":
+    """The chart's MagnitudeChart, kept on it."""
+    return chart.kept("magnitudes", lambda: MagnitudeChart(chart))
 
 
 class MagnitudeChart:
@@ -440,6 +470,20 @@ def hessian(chart: MetricChart, s) -> TensorValue:
     return covariant_derivative(chart, differential(chart, s))
 
 
+def kept_derivative(owner: Kept, kind: str, name: str, chart: MetricChart, s):
+    """The gradient ("grad"), Hessian ("Hess") or Laplacian ("Lap") of the
+    scalar ``s`` on ``chart``, kept on ``owner`` as kind + " " + name. The
+    Laplacian traces the kept Hessian: a covariant derivative forms each
+    component alone, so the trace has the bits of :func:`laplacian`. The
+    differential is one partial per coordinate and forms no product, so it
+    is formed where it is read, not kept."""
+    def build():
+        if kind == "Lap":
+            return trace_sym2(chart, kept_derivative(owner, "Hess", name, chart, s))
+        return {"grad": gradient, "Hess": hessian}[kind](chart, s)
+    return owner.kept(f"{kind} {name}", build)
+
+
 def laplacian(chart: MetricChart, s):
     """g^{ij} nabla_i nabla_j s, forming only the (i, j) that ``chart.traced``
     lists of the Hessian."""
@@ -482,8 +526,12 @@ def raise_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
 
 def inner_sym2(chart: MetricChart, a: TensorValue, b: TensorValue):
     """<A, B> = g^{ip} g^{jq} A_ij B_pq for covariant symmetric 2-tensors."""
+    return _pair_raised(chart, a, raise_sym2(chart, b))
+
+
+def _pair_raised(chart: MetricChart, a: TensorValue, bup: TensorValue):
+    """A_ij B^{ij}, with B already raised."""
     n = chart.n
-    bup = raise_sym2(chart, b)
     return _acc(a[i, j] * bup[i, j] for i in range(n) for j in range(n))
 
 
@@ -505,8 +553,25 @@ def sym2_apply(chart: MetricChart, a: TensorValue, u: TensorValue, w: TensorValu
 
 
 def mixed_ricci(chart: MetricChart) -> np.ndarray:
-    """R^i_j = g^{il} Ric_lj as an (n, n) object array, first index raised."""
-    return _raise_first(chart, chart.ricci.comps)
+    """R^i_j = g^{il} Ric_lj as an (n, n) object array, first index raised;
+    kept on the chart."""
+    return chart.kept("Rc^i_j", lambda: _raise_first(chart, chart.ricci.comps))
+
+
+def ricci_divergence(chart: MetricChart) -> TensorValue:
+    """div Rc, kept on the chart."""
+    return chart.kept("div Rc", lambda: divergence_sym2(chart, chart.ricci))
+
+
+def ricci_raised(chart: MetricChart) -> TensorValue:
+    """R^{ij}, kept on the chart."""
+    return chart.kept("Rc^ij", lambda: raise_sym2(chart, chart.ricci))
+
+
+def ricci_norm2(chart: MetricChart):
+    """|Rc|^2 = <Rc, Rc> from the kept R^{ij}, kept on the chart."""
+    return chart.kept("|Rc|^2", lambda: _pair_raised(
+        chart, chart.ricci, ricci_raised(chart)))
 
 
 def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:

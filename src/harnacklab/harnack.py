@@ -11,6 +11,11 @@ additive pieces, so the term structure is part of the contract. The evolution
 identity's right side is split into its inputs and the algebra over them, so
 the normalizer of each group is derived from that one algebra, run on the
 inputs' magnitudes, rather than written a second time.
+
+What depends on the chart alone is kept on it by name
+(``geometry.Kept``): M's inputs, P, and the pieces of Z(Rc, X) and of the
+groups that do not depend on X. The ``ricci_*`` functions read those for
+h = Rc, and every other function builds its own.
 """
 
 from . import geometry as geo
@@ -18,11 +23,14 @@ from .geometry import _acc
 
 
 def _curvature_inputs(chart) -> dict:
-    ric = chart.ricci
-    return {"ric": ric, "low": chart.riem_low, "mixed": geo.mixed_ricci(chart),
-            "ric_up": geo.raise_sym2(chart, ric),
-            "lap_ric": geo.rough_laplacian(chart, ric),
-            "hess_r": geo.hessian(chart, chart.scalar_curvature)}
+    """M's inputs, kept on the chart."""
+    def build():
+        ric = chart.ricci
+        return {"ric": ric, "low": chart.riem_low, "mixed": geo.mixed_ricci(chart),
+                "ric_up": geo.ricci_raised(chart),
+                "lap_ric": geo.rough_laplacian(chart, ric),
+                "hess_r": chart.r_derivative("Hess")}
+    return chart.kept("M inputs", build)
 
 
 def _matrix_harnack(n, ric, low, mixed, ric_up, lap_ric, hess_r) -> geo.TensorValue:
@@ -40,23 +48,39 @@ def matrix_harnack(chart) -> geo.TensorValue:
 
 
 def p_tensor(chart) -> geo.TensorValue:
-    """P_ipq = grad_i R_pq - grad_p R_qi, covariant of rank 3."""
+    """P_ipq = grad_i R_pq - grad_p R_qi, covariant of rank 3; kept on the
+    chart."""
+    def build():
+        n = chart.n
+        dric = geo.covariant_derivative(chart, chart.ricci).comps  # dric[i][p][q]
+        return geo.TensorValue(3, 0, geo.comps_from(
+            lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))
+    return chart.kept("P", build)
+
+
+def _div_div(chart, divh: geo.TensorValue):
+    return geo.divergence_vec(chart, geo.raise_vector(chart, divh))
+
+
+def _trace_terms(chart, h, x, divh, div_div_h, rc_h) -> list:
     n = chart.n
-    dric = geo.covariant_derivative(chart, chart.ricci).comps  # dric[i][p][q]
-    return geo.TensorValue(3, 0, geo.comps_from(
-        lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))
+    return [div_div_h, rc_h, 2.0 * _acc(divh[i] * x[i] for i in range(n)),
+            geo.sym2_apply(chart, h, x, x)]
 
 
 def linear_trace_terms(chart, h: geo.TensorValue, x: geo.TensorValue) -> list:
     """The four summands of Z(h, X) = div div h + <Rc,h> + 2<div h, X> + h(X,X)."""
-    n = chart.n
     divh = geo.divergence_sym2(chart, h)
-    return [
-        geo.divergence_vec(chart, geo.raise_vector(chart, divh)),
-        geo.inner_sym2(chart, chart.ricci, h),
-        2.0 * _acc(divh[i] * x[i] for i in range(n)),
-        geo.sym2_apply(chart, h, x, x),
-    ]
+    return _trace_terms(chart, h, x, divh, _div_div(chart, divh),
+                        geo.inner_sym2(chart, chart.ricci, h))
+
+
+def ricci_trace_terms(chart, x: geo.TensorValue) -> list:
+    """``linear_trace_terms(chart, chart.ricci, x)``, its X-free summands
+    read from the chart: div Rc, div div Rc and |Rc|^2 are kept there."""
+    divh = geo.ricci_divergence(chart)
+    div_div = chart.kept("div div Rc", lambda: _div_div(chart, divh))
+    return _trace_terms(chart, chart.ricci, x, divh, div_div, geo.ricci_norm2(chart))
 
 
 def linear_trace(chart, h: geo.TensorValue, x: geo.TensorValue):
@@ -66,11 +90,10 @@ def linear_trace(chart, h: geo.TensorValue, x: geo.TensorValue):
 def trace_harnack_terms(chart, x: geo.TensorValue) -> list:
     """Summands of 2 Z(Rc, X) = Lap R + 2|Rc|^2 + 2<grad R, X> + 2 Rc(X,X)."""
     n = chart.n
-    r = chart.scalar_curvature
-    dr = geo.differential(chart, r)
+    dr = geo.differential(chart, chart.scalar_curvature)
     return [
-        geo.laplacian(chart, r),
-        2.0 * geo.inner_sym2(chart, chart.ricci, chart.ricci),
+        chart.r_derivative("Lap"),
+        2.0 * geo.ricci_norm2(chart),
         2.0 * _acc(dr[i] * x[i] for i in range(n)),
         2.0 * geo.sym2_apply(chart, chart.ricci, x, x),
     ]
@@ -94,19 +117,29 @@ def evolution_rhs_terms(chart, h: geo.TensorValue, x: geo.TensorValue,
 
 def chart_inputs(chart) -> dict:
     """The curvature tensors the groups are built from, by name; M enters as
-    its pieces. They depend on the chart alone, so a caller that evaluates
-    the groups for several fields builds them once."""
+    its pieces. They depend on the chart alone and are kept on it, so every
+    caller reads the same objects."""
     return _curvature_inputs(chart) | {"p": p_tensor(chart)}
 
 
 def field_inputs(chart, h: geo.TensorValue, x: geo.TensorValue,
                  dxdt: geo.TensorValue) -> dict:
     """The tensors of (h, X) the groups are built from, by name."""
+    return _field_inputs(chart, h, geo.raise_sym2(chart, h),
+                         geo.divergence_sym2(chart, h), x, dxdt)
+
+
+def ricci_field_inputs(chart, x: geo.TensorValue, dxdt: geo.TensorValue) -> dict:
+    """``field_inputs(chart, chart.ricci, x, dxdt)``, with R^{ij} and div Rc
+    read from the chart."""
+    return _field_inputs(chart, chart.ricci, geo.ricci_raised(chart),
+                         geo.ricci_divergence(chart), x, dxdt)
+
+
+def _field_inputs(chart, h, hup, divh, x, dxdt) -> dict:
     n = chart.n
     return {
-        "h": h, "x": x, "dxdt": dxdt,
-        "hup": geo.raise_sym2(chart, h),
-        "divh": geo.divergence_sym2(chart, h),
+        "h": h, "x": x, "dxdt": dxdt, "hup": hup, "divh": divh,
         "hx": geo.vector_from(lambda i: _acc(h[i, k] * x[k] for k in range(n)), n),
         "dx": geo.covariant_derivative(chart, x),    # dx[j][^i] = grad_j X^i
         "lap_x": geo.rough_laplacian(chart, x),
@@ -208,8 +241,7 @@ def lq_production_terms(chart, v, f) -> list:
 def grad2r_production_terms(chart, v) -> list:
     """|Rc|^2 - |Hess v|^2, the production term for |grad v|^2 + R."""
     hv = geo.hessian(chart, v)
-    return [geo.inner_sym2(chart, chart.ricci, chart.ricci),
-            -geo.inner_sym2(chart, hv, hv)]
+    return [geo.ricci_norm2(chart), -geo.inner_sym2(chart, hv, hv)]
 
 
 def lp_production_terms(chart, v, f) -> list:
@@ -234,7 +266,7 @@ def leps_production_terms(chart, v, f, eps: float) -> list:
     ie = 1.0 / eps
     return [ie * geo.inner_sym2(chart, hv, hv),
             2.0 * geo.inner_sym2(chart, ric, hv),
-            ie * geo.inner_sym2(chart, ric, ric),
+            ie * geo.ricci_norm2(chart),
             2.0 * ie * geo.sym2_apply(chart, ric, g1, g1),
             (1.0 - ie) * geo.sym2_apply(chart, ric, g2, g2)]
 

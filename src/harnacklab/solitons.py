@@ -206,7 +206,7 @@ def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
     return {"x": x, "t": times}
 
 
-class SolitonContext:
+class SolitonContext(geo.Kept):
     """One soliton chart evaluated as jets at a pack of sample points.
 
     The chart's dimension n is ``len(spec.sample_box)``, and ``coords`` holds
@@ -223,9 +223,10 @@ class SolitonContext:
     in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
     reading rows the space does not carry.
 
-    A seeded field evolved on the context (``evolved``) is built by the first
-    check that asks for it and kept for the next, as the chart keeps its
-    curvature.
+    The context keeps by name (``kept``, as the chart does) what depends on
+    it beyond the chart: grad f, Hess f and Lap f (``f_derivative``) and the
+    seeded fields evolved on it, each built by the first check that asks for
+    it and read by the next.
     """
 
     def __init__(self, spec: SolitonSpec, seed: int, n_points: int, order: int,
@@ -261,14 +262,11 @@ class SolitonContext:
 
         g, self.f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
-        self._evolved = {}
 
-    def evolved(self, key: tuple, build):
-        """The evolved field named ``key``, a (tag, eps) pair: ``build()`` on
-        the first request, the same object after."""
-        if key not in self._evolved:
-            self._evolved[key] = build()
-        return self._evolved[key]
+    def f_derivative(self, kind: str):
+        """The kept gradient ("grad"), Hessian ("Hess") or Laplacian ("Lap")
+        of the potential (``geometry.kept_derivative``)."""
+        return geo.kept_derivative(self, kind, "f", self.chart, self.f)
 
     def dt(self, elem):
         if self.time_index is None:

@@ -151,8 +151,7 @@ def test_single_term_parts_now_count_their_term(seed):
     for name in REGISTRY["CHK-EQ1"].applies_to:
         ctx = build_context(name, seed, 32, 6)
         if ctx.spec.kind == "steady":
-            curvature = hk.chart_inputs(ctx.chart)
-            cases += checks._eq1_vanishing_brackets(ctx, curvature).items()
+            cases += checks._eq1_vanishing_brackets(ctx).items()
     for name in REGISTRY["CHK-R1"].applies_to:
         ctx = build_context(name, seed, 32, 6, time="const", deform=True)
         cases.append(("weighted_measure", checks._run_r1(ctx)["weighted_measure"]))
@@ -357,7 +356,7 @@ def test_derived_normalizers_match_the_hand_written_atoms():
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
     brackets = hk.evolution_rhs_terms(ch, ch.ricci, x, dxdt)
-    parts = checks._eq1_vanishing_brackets(ctx, hk.chart_inputs(ch))
+    parts = checks._eq1_vanishing_brackets(ctx)
     for k, pinned in enumerate(_PINNED_BRACKET_SCALES):
         part = parts[f"vanishing_bracket_{k + 1}"]
         [[term]] = part.components
@@ -384,20 +383,72 @@ def test_bracket_normalizers_do_not_swamp_a_defect(soliton, monkeypatch):
     bump = fields.trig_vector(ctx, "defect")
     x = geo.vector_from(lambda i: x0[i] + 0.05 * bump[i], ctx.chart.n, con=True)
     monkeypatch.setattr(fields, "neg_grad_potential", lambda _: x)
-    curvature = hk.chart_inputs(ctx.chart)
-    for part, identity in checks._eq1_vanishing_brackets(ctx, curvature).items():
+    for part, identity in checks._eq1_vanishing_brackets(ctx).items():
         res = _judge(identity)
         assert np.max(res) > 1e-5, (part, np.max(res))
 
 
+def _kept_builds(monkeypatch) -> list:
+    """Every build of a tensor a chart or a context keeps, as (owner, name),
+    from here on; the owners are held, so no id is reused."""
+    builds, kept = [], geo.Kept.kept
+    monkeypatch.setattr(geo.Kept, "kept", lambda owner, name, build: kept(
+        owner, name, lambda: builds.append((owner, name)) or build()))
+    return builds
+
+
 def test_eq1_builds_the_chart_inputs_once(monkeypatch):
-    calls = []
-    p_tensor = hk.p_tensor
-    monkeypatch.setattr(hk, "p_tensor",
-                        lambda chart: calls.append(chart) or p_tensor(chart))
-    rep = run_check("CHK-EQ1", "cigar_flow", n_points=4, order=6)
-    assert "vanishing_bracket_1" in rep.parts
-    assert len(calls) == 1
+    # EQ1's identity and its vanishing brackets, H1 and H2 read M's inputs
+    # and P from the chart: across the suite each chart builds them once
+    builds = _kept_builds(monkeypatch)
+    reports = _fresh(lambda: run_suite(n_points=4))
+    assert any("vanishing_bracket_1" in r.parts for r in reports)
+    readers = {r.soliton for r in reports if r.status != checks.STATUS_SKIPPED
+               and r.check_id in ("CHK-EQ1", "CHK-H1", "CHK-H2")}
+    for name in ("M inputs", "P"):
+        charts = [owner for owner, n in builds if n == name]
+        assert len(charts) == len({id(c) for c in charts}) == len(readers), name
+
+
+_KEPT_ON_A_CHART = {"Rc^i_j", "Rc^ij", "div Rc", "div div Rc", "|Rc|^2",
+                    "Hess R", "Lap R", "M inputs", "P", "magnitudes",
+                    "grad Rc atom scale"}
+_KEPT_ON_A_CONTEXT = {"grad f", "Hess f", "Lap f", ("h", None)} \
+    | {("b.u0", eps) for eps in checks._EPS_SET}
+
+
+def test_each_kept_tensor_is_built_once_per_chart_and_context(monkeypatch):
+    builds = _kept_builds(monkeypatch)
+    # div Rc's own builder, which every reader once called again
+    divergence, div_ricci = geo.divergence_sym2, []
+    monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
+        h is chart.ricci and div_ricci.append(chart), divergence(chart, h))[1])
+    _fresh(lambda: run_suite(seed=1000, n_points=4))
+    per_owner = {}
+    for owner, name in builds:
+        per_owner.setdefault((id(owner), name), []).append(owner)
+    assert all(len(owners) == 1 for owners in per_owner.values())
+    on_charts = {n for o, n in builds if isinstance(o, geo.MetricChart)}
+    on_contexts = {n for o, n in builds if isinstance(o, SolitonContext)}
+    assert on_charts == _KEPT_ON_A_CHART
+    assert on_contexts == _KEPT_ON_A_CONTEXT
+    assert div_ricci and len({id(c) for c in div_ricci}) == len(div_ricci)
+
+
+def _registry_pairs():
+    return [(c, s) for c, spec in sorted(REGISTRY.items()) for s in spec.applies_to]
+
+
+def test_a_verdict_does_not_depend_on_what_ran_before_it():
+    # each verdict of the suite, where earlier checks left kept tensors on
+    # the shared contexts, has the bits of running it alone on fresh ones
+    suite = {(r.check_id, r.soliton): r for r in _fresh(
+        lambda: run_suite(seed=0, n_points=3)) if r.status != checks.STATUS_SKIPPED}
+    assert sorted(suite) == sorted(_registry_pairs()) and len(suite) == 102
+    for check_id, soliton in _registry_pairs():
+        alone = _fresh(lambda: run_check(check_id, soliton, seed=0, n_points=3))
+        assert _bits_of(alone) == _bits_of(suite[check_id, soliton]), \
+            (check_id, soliton)
 
 
 def test_each_covector_is_raised_once(monkeypatch):

@@ -168,3 +168,39 @@ def test_leps_production_reduces_to_lp_at_eps_one():
     a = sum(hk.leps_production_terms(ctx.chart, v, ctx.f, 1.0))
     b = sum(hk.lp_production_terms(ctx.chart, v, ctx.f))
     assert _maxabs(a - b) < 1e-11
+
+
+def _bits(value) -> list:
+    """Every element a tensor, list or dict of tensors holds, as bytes."""
+    if isinstance(value, dict):
+        return [b for k in sorted(value) for b in _bits(value[k])]
+    if isinstance(value, (list, geo.TensorValue)):
+        elems = value.comps.flat if isinstance(value, geo.TensorValue) else value
+        return [b for e in elems for b in _bits(e)]
+    return [field_data(value).tobytes()]
+
+
+@pytest.mark.parametrize("soliton", ["cigar_flow", "sphere_shrinker",
+                                     "gaussian_shrinker"])
+def test_kept_tensors_have_the_bits_of_building_them(soliton):
+    # what a chart or a context keeps, and the Rc forms that read it, equal
+    # the generic builders bit for bit
+    ctx = build_context(soliton, 0, 4, 6)
+    ch = ctx.chart
+    r, ric = ch.scalar_curvature, ch.ricci
+    x = fields.trig_vector(ctx, "kept.X")
+    dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
+    pairs = [
+        (ch.r_derivative("Hess"), geo.hessian(ch, r)),
+        (ch.r_derivative("Lap"), geo.laplacian(ch, r)),
+        (ctx.f_derivative("grad"), geo.gradient(ch, ctx.f)),
+        (ctx.f_derivative("Hess"), geo.hessian(ch, ctx.f)),
+        (ctx.f_derivative("Lap"), geo.laplacian(ch, ctx.f)),
+        (geo.ricci_raised(ch), geo.raise_sym2(ch, ric)),
+        (geo.ricci_norm2(ch), geo.inner_sym2(ch, ric, ric)),
+        (geo.ricci_divergence(ch), geo.divergence_sym2(ch, ric)),
+        (hk.ricci_trace_terms(ch, x), hk.linear_trace_terms(ch, ric, x)),
+        (hk.ricci_field_inputs(ch, x, dxdt), hk.field_inputs(ch, ric, x, dxdt)),
+    ]
+    for k, (kept, built) in enumerate(pairs):
+        assert _bits(kept) == _bits(built), k
