@@ -35,14 +35,16 @@ context, runs the runner and judges its parts inside the timed region, whose
 time is the report's ``millis``. Contexts are shared (``build_context`` is a
 cache) and keep by name what their first reader built (``geometry.Kept``).
 The chart keeps its curvature and every tensor of the chart alone that a
-second check reads: R^i_j, R^{ij}, div Rc, div div Rc, |Rc|^2, Hess R and
-Lap R, M's inputs and P (``hk.chart_inputs``), the grad-Rc atom scale and
-its ``MagnitudeChart``. The context keeps grad f, Hess f and Lap f and its
+second check reads: R^i_j, Rc's record (``geo.ricci_field``: R^{ij}, div Rc,
+div div Rc and |Rc|^2), Hess R and Lap R, the curvature inputs, M's pieces
+and P in one build (``hk.chart_inputs``), the grad-Rc atom scale and its
+``MagnitudeChart``. The context keeps grad f, Hess f and Lap f and its
 evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and
-B8, per eps). A kept tensor has the bits of building it again, so a verdict
-does not depend on what ran before it, but its time does: a check's
-``millis`` leaves out what an earlier check kept (ROADMAP item 11 splits
-that time out).
+B8, per eps); a reader of the evolved h builds its own record of it, and
+CHK-EQ1 passes one record to both sides of its identity. A kept tensor has
+the bits of building it again, so a verdict does not depend on what ran
+before it, but its time does: a check's ``millis`` leaves out what an
+earlier check kept (ROADMAP item 11 splits that time out).
 """
 
 import functools
@@ -223,7 +225,7 @@ def _run_s2(ctx):
     ch = ctx.chart
     dr = geo.differential(ch, ch.scalar_curvature)
     grr = geo.inner_vec(ch, dr, geo.differential(ch, ctx.f))
-    terms = [ch.r_derivative("Lap"), 2.0 * geo.ricci_norm2(ch), -grr,
+    terms = [ch.r_derivative("Lap"), 2.0 * geo.ricci_field(ch).rc, -grr,
              ch.scalar_curvature * -ctx.lam * 2.0]
     gf = ctx.f_derivative("grad")
     return {
@@ -291,7 +293,8 @@ def _run_h3(ctx):
 @_check("CHK-H4", "Z(Rc, -grad f) = lam R", _any)
 def _run_h4(ctx):
     ch = ctx.chart
-    terms = hk.ricci_trace_terms(ch, fields.neg_grad_potential(ctx))
+    x = fields.neg_grad_potential(ctx)
+    terms = hk.linear_trace_terms(geo.ricci_field(ch), x)
     return {"trace_harnack_soliton":
             Identity([terms + [ch.scalar_curvature * -ctx.lam]])}
 
@@ -302,7 +305,7 @@ def _run_h4(ctx):
 def _run_h4t(ctx):
     ch = ctx.chart
     x = fields.trig_vector(ctx, "h4t.X")
-    zt = [2.0 * t for t in hk.ricci_trace_terms(ch, x)]
+    zt = [2.0 * t for t in hk.linear_trace_terms(geo.ricci_field(ch), x)]
     return {"trace_form": _balance(hk.trace_harnack_terms(ch, x), zt)}
 
 
@@ -325,12 +328,11 @@ def _evolved_h(ctx):
         _exact_flow, 1e-7)
 def _run_eq1(ctx):
     ch = ctx.chart
-    h = _evolved_h(ctx)
+    h = geo.Sym2Field(ch, _evolved_h(ctx))
     x = fields.trig_vector(ctx, "eq1.X", time_linear=True)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    lhs = _heat_terms(ctx, hk.linear_trace_terms(ch, h, x))
-    rhs = hk.evolution_rhs_groups(ch, **hk.chart_inputs(ch),
-                                  **hk.field_inputs(ch, h, x, dxdt))
+    lhs = _heat_terms(ctx, hk.linear_trace_terms(h, x))
+    rhs = hk.evolution_rhs_terms(h, x, dxdt)
     parts = {"evolution_identity": _balance(lhs, rhs)}
     if ctx.spec.kind == "steady":
         parts.update(_eq1_vanishing_brackets(ctx))
@@ -346,7 +348,7 @@ def _eq1_vanishing_brackets(ctx):
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    inputs = hk.chart_inputs(ch) | hk.ricci_field_inputs(ch, x, dxdt)
+    inputs = hk.chart_inputs(ch) | hk.field_inputs(geo.ricci_field(ch), x, dxdt)
     brackets = hk.evolution_rhs_groups(ch, **inputs)
     scales = hk.evolution_rhs_groups(
         geo.magnitude_chart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
@@ -359,8 +361,8 @@ def _eq1_vanishing_brackets(ctx):
         "(dg/dt = -2Rc, df/dt = Lap f or |grad f|^2, dh/dt = Lichnerowicz(h))",
         _steady_system, 1e-7)
 def _run_l1(ctx):
-    h = _evolved_h(ctx)
-    pieces = hk.linear_trace_terms(ctx.chart, h, fields.neg_grad_potential(ctx))
+    h = geo.Sym2Field(ctx.chart, _evolved_h(ctx))
+    pieces = hk.linear_trace_terms(h, fields.neg_grad_potential(ctx))
     return {"heat_equation": Identity([_heat_terms(ctx, pieces)])}
 
 
@@ -372,7 +374,7 @@ def _run_l1(ctx):
 def _run_l2(ctx):
     ch = ctx.chart
     h = _evolved_h(ctx)
-    zp = hk.linear_trace_terms(ch, h, fields.neg_grad_potential(ctx))
+    zp = hk.linear_trace_terms(geo.Sym2Field(ch, h), fields.neg_grad_potential(ctx))
     bigh = geo.trace_sym2(ch, h)
     pieces = zp + [bigh * -ctx.lam]
     damped = _heat_terms(ctx, pieces) + [(-4.0 * ctx.lam) * z for z in pieces]
@@ -401,7 +403,7 @@ def _run_r1(ctx):
     chs = geo.MetricChart(gs)
     fs = ctx.f + ctx.s * (0.5 * bigh)
     lhs = ctx.ds(sum(hk.perelman_scalar_terms(chs, fs)))
-    zterms = hk.linear_trace_terms(ch0, h, fields.neg_grad_potential(ctx))
+    zterms = hk.linear_trace_terms(geo.Sym2Field(ch0, h), fields.neg_grad_potential(ctx))
     defect = geo.tensor_map(lambda p, q: p + q, ch0.ricci, ctx.f_derivative("Hess"))
     coupling = -2.0 * geo.inner_sym2(ch0, h, defect)
     density = (-fs).exp() * chs.volume_density
@@ -525,9 +527,8 @@ def _run_b6(ctx):
         _any, 1e-7)
 def _run_b7(ctx):
     v = fields.trig_scalar(ctx, "b7.v", base=0.2)
-    return {f"eps({eps:g})": _balance(*hk.ricci_terms_rewrite(
-                ctx.chart, ctx.chart.ricci, v, ctx.f, eps))
-            for eps in _EPS_SET}
+    sides = hk.ricci_terms_rewrite(ctx.chart, ctx.chart.ricci, v, ctx.f, _EPS_SET)
+    return {f"eps({eps:g})": _balance(*sides[eps]) for eps in _EPS_SET}
 
 
 @_check("CHK-B8",

@@ -53,14 +53,18 @@ Each operation takes a vector in one index position and raises TypeError on
 the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 :func:`divergence_vec` take vectors), so a caller raises or lowers once.
 
-A tensor that depends on the chart alone is formed once and kept on it by
-name (:class:`Kept`): R^i_j, R^{ij}, div Rc, |Rc|^2, the Hessian and
-Laplacian of R (:func:`kept_derivative`) and the chart's
-:class:`MagnitudeChart`, beside what :mod:`.harnack` and :mod:`.checks` keep
-there. The curvature itself stays in the chart's cached properties.
+A symmetric 2-tensor h is read through its record (:class:`Sym2Field`),
+which forms h^{ij}, div h, div div h and <Rc, h> on their first read, so
+every reader of one record shares one of each. A tensor that depends on the
+chart alone is formed once and kept on it by name (:class:`Kept`): R^i_j,
+Rc's record (:func:`ricci_field`), the Hessian and Laplacian of R
+(:func:`kept_derivative`) and the chart's :class:`MagnitudeChart`, beside
+what :mod:`.harnack` and :mod:`.checks` keep there. The curvature itself
+stays in the chart's cached properties.
 """
 
 import math
+import weakref
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
 
@@ -499,17 +503,24 @@ def _trace_first_pair(chart: MetricChart, dd: TensorValue, idx: tuple):
 
 
 def rough_laplacian(chart: MetricChart, t: TensorValue) -> TensorValue:
-    """g^{ij} nabla_i nabla_j t. A covariant 2-tensor is symmetric here: only
-    its ``sym2_indices`` components are formed. The second derivative forms
-    only the components the trace reads."""
-    sym = (t.cov, t.con) == (2, 0)
-    idxs = sym2_indices(chart.n) if sym else list(np.ndindex(t.comps.shape))
-    dd = covariant_derivative(chart, covariant_derivative(chart, t),
+    """g^{ij} nabla_i nabla_j t (:func:`rough_laplacian_from`)."""
+    return rough_laplacian_from(chart, covariant_derivative(chart, t))
+
+
+def rough_laplacian_from(chart: MetricChart, dt: TensorValue) -> TensorValue:
+    """The rough Laplacian of t from dt = nabla t, so that a caller that
+    reads nabla t too forms it once. A covariant 2-tensor t is symmetric
+    here: only its ``sym2_indices`` components are formed. The second
+    derivative forms only the components the trace reads."""
+    shape = dt.comps.shape[1:]
+    sym = (dt.cov, dt.con) == (3, 0)
+    idxs = sym2_indices(chart.n) if sym else list(np.ndindex(shape))
+    dd = covariant_derivative(chart, dt,
                               [ij + idx for ij in chart.traced for idx in idxs])
     if sym:
         return sym2_from(lambda p, q: _trace_first_pair(chart, dd, (p, q)), chart.n)
-    return TensorValue(t.cov, t.con, comps_from(
-        lambda *idx: _trace_first_pair(chart, dd, idx), t.comps.shape))
+    return TensorValue(dt.cov - 1, dt.con, comps_from(
+        lambda *idx: _trace_first_pair(chart, dd, idx), shape))
 
 
 def trace_sym2(chart: MetricChart, h: TensorValue):
@@ -558,22 +569,6 @@ def mixed_ricci(chart: MetricChart) -> np.ndarray:
     return chart.kept("Rc^i_j", lambda: _raise_first(chart, chart.ricci.comps))
 
 
-def ricci_divergence(chart: MetricChart) -> TensorValue:
-    """div Rc, kept on the chart."""
-    return chart.kept("div Rc", lambda: divergence_sym2(chart, chart.ricci))
-
-
-def ricci_raised(chart: MetricChart) -> TensorValue:
-    """R^{ij}, kept on the chart."""
-    return chart.kept("Rc^ij", lambda: raise_sym2(chart, chart.ricci))
-
-
-def ricci_norm2(chart: MetricChart):
-    """|Rc|^2 = <Rc, Rc> from the kept R^{ij}, kept on the chart."""
-    return chart.kept("|Rc|^2", lambda: _pair_raised(
-        chart, chart.ricci, ricci_raised(chart)))
-
-
 def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
     """(div h)_i = g^{jk} (nabla_j h)_{ki}, a covariant vector."""
     n = chart.n
@@ -589,6 +584,43 @@ def divergence_vec(chart: MetricChart, v: TensorValue):
     n = chart.n
     dv = covariant_derivative(chart, v, [(i, i) for i in range(n)])  # dv[i][^i]
     return _acc(dv.comps[i, i] for i in range(n))
+
+
+class Sym2Field:
+    """A covariant symmetric 2-tensor ``h`` on ``chart`` and what Z(h, X) and
+    the evolution groups read of it, each formed on its first read: ``up``
+    h^{ij}, ``div`` div h, ``div_div`` div div h and ``rc`` <Rc, h> =
+    Rc_ij h^{ij}, which has the bits of ``inner_sym2(chart, Rc, h)``. Rc's
+    record is kept on its chart (:func:`ricci_field`); a reader of any other
+    h builds its own."""
+
+    def __init__(self, chart: MetricChart, h: TensorValue):
+        self.chart = chart
+        self.h = h
+
+    @cached_property
+    def up(self) -> TensorValue:
+        return raise_sym2(self.chart, self.h)
+
+    @cached_property
+    def div(self) -> TensorValue:
+        return divergence_sym2(self.chart, self.h)
+
+    @cached_property
+    def div_div(self):
+        return divergence_vec(self.chart, raise_vector(self.chart, self.div))
+
+    @cached_property
+    def rc(self):
+        return _pair_raised(self.chart, self.chart.ricci, self.up)
+
+
+def ricci_field(chart: MetricChart) -> Sym2Field:
+    """Rc's record, kept on the chart: R^{ij}, div Rc, div div Rc and
+    |Rc|^2 = <Rc, Rc> are formed once per chart. The record reaches its chart
+    through a weak proxy, so the two form no reference cycle and a chart is
+    freed when its last reader drops it, not at the next cyclic collection."""
+    return chart.kept("Rc", lambda: Sym2Field(weakref.proxy(chart), chart.ricci))
 
 
 def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:

@@ -48,6 +48,7 @@ import numpy as np
 
 from . import geometry as geo, harnack as hk
 from .fields import trig_params
+from .geometry import _acc
 from .jet import NUMBER
 
 DT_SAFETY = 0.8
@@ -337,15 +338,16 @@ def _evolution_identity(grid: TorusGrid, state0: dict, a, b,
 
     def fields_at(state, t):
         x = geo.vector_from(lambda i: a[i] + t * b[i], 2, con=True)
-        return chart_of(state), _sym2_from_state(grid, state, "h"), x
+        return geo.Sym2Field(chart_of(state), _sym2_from_state(grid, state, "h")), x
 
     slices, times, tau = evolve_slices(grid, state0, deriv, T_STAR)
-    zs = [hk.linear_trace(*fields_at(st, t)) for st, t in zip(slices, times)]
+    zs = [_acc(hk.linear_trace_terms(*fields_at(st, t)))
+          for st, t in zip(slices, times)]
     dtz = time_derivative([z.values for z in zs], tau)
-    ch, h, x = fields_at(slices[2], times[2])
+    h, x = fields_at(slices[2], times[2])
     dxdt = geo.vector_from(lambda i: b[i], 2, con=True)
-    lap = geo.laplacian(ch, zs[2]).values
-    return _sup_residual([dtz, -lap], hk.evolution_rhs_terms(ch, h, x, dxdt))
+    lap = geo.laplacian(h.chart, zs[2]).values
+    return _sup_residual([dtz, -lap], hk.evolution_rhs_terms(h, x, dxdt))
 
 
 def _scenario_l1(n: int, seed: int) -> float:

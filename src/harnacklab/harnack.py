@@ -12,25 +12,15 @@ identity's right side is split into its inputs and the algebra over them, so
 the normalizer of each group is derived from that one algebra, run on the
 inputs' magnitudes, rather than written a second time.
 
-What depends on the chart alone is kept on it by name
-(``geometry.Kept``): M's inputs, P, and the pieces of Z(Rc, X) and of the
-groups that do not depend on X. The ``ricci_*`` functions read those for
-h = Rc, and every other function builds its own.
+Z(h, X) and the groups read h through its record (``geometry.Sym2Field``):
+a caller that passes one record to both forms div h and h^{ij} once, and
+h = Rc reads the record its chart keeps (``geometry.ricci_field``). The
+curvature inputs, M's pieces and P, are one build kept on the chart
+(:func:`chart_inputs`), which forms grad Rc once for both P and Lap Rc.
 """
 
 from . import geometry as geo
 from .geometry import _acc
-
-
-def _curvature_inputs(chart) -> dict:
-    """M's inputs, kept on the chart."""
-    def build():
-        ric = chart.ricci
-        return {"ric": ric, "low": chart.riem_low, "mixed": geo.mixed_ricci(chart),
-                "ric_up": geo.ricci_raised(chart),
-                "lap_ric": geo.rough_laplacian(chart, ric),
-                "hess_r": chart.r_derivative("Hess")}
-    return chart.kept("M inputs", build)
 
 
 def _matrix_harnack(n, ric, low, mixed, ric_up, lap_ric, hess_r) -> geo.TensorValue:
@@ -42,49 +32,39 @@ def _matrix_harnack(n, ric, low, mixed, ric_up, lap_ric, hess_r) -> geo.TensorVa
         n)
 
 
+def chart_inputs(chart) -> dict:
+    """The curvature tensors the groups are built from, by name: M's pieces
+    and P. They depend on the chart alone and are kept on it as one build,
+    which forms grad Rc once for P_ipq = grad_i R_pq - grad_p R_qi and
+    Lap Rc both."""
+    def build():
+        n = chart.n
+        dric = geo.covariant_derivative(chart, chart.ricci)  # dric[i][p][q]
+        return {"ric": chart.ricci, "low": chart.riem_low,
+                "mixed": geo.mixed_ricci(chart), "ric_up": geo.ricci_field(chart).up,
+                "lap_ric": geo.rough_laplacian_from(chart, dric),
+                "hess_r": chart.r_derivative("Hess"),
+                "p": geo.TensorValue(3, 0, geo.comps_from(
+                    lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))}
+    return chart.kept("curvature inputs", build)
+
+
 def matrix_harnack(chart) -> geo.TensorValue:
     """M_pq = Lap R_pq - (1/2) grad_p grad_q R + 2 riem[p,i,j,q] R^{ij} - R_pk R^k_q."""
-    return _matrix_harnack(chart.n, **_curvature_inputs(chart))
+    m_inputs = {k: v for k, v in chart_inputs(chart).items() if k != "p"}
+    return _matrix_harnack(chart.n, **m_inputs)
 
 
 def p_tensor(chart) -> geo.TensorValue:
-    """P_ipq = grad_i R_pq - grad_p R_qi, covariant of rank 3; kept on the
-    chart."""
-    def build():
-        n = chart.n
-        dric = geo.covariant_derivative(chart, chart.ricci).comps  # dric[i][p][q]
-        return geo.TensorValue(3, 0, geo.comps_from(
-            lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))
-    return chart.kept("P", build)
+    """P_ipq = grad_i R_pq - grad_p R_qi, covariant of rank 3."""
+    return chart_inputs(chart)["p"]
 
 
-def _div_div(chart, divh: geo.TensorValue):
-    return geo.divergence_vec(chart, geo.raise_vector(chart, divh))
-
-
-def _trace_terms(chart, h, x, divh, div_div_h, rc_h) -> list:
-    n = chart.n
-    return [div_div_h, rc_h, 2.0 * _acc(divh[i] * x[i] for i in range(n)),
-            geo.sym2_apply(chart, h, x, x)]
-
-
-def linear_trace_terms(chart, h: geo.TensorValue, x: geo.TensorValue) -> list:
+def linear_trace_terms(h: geo.Sym2Field, x: geo.TensorValue) -> list:
     """The four summands of Z(h, X) = div div h + <Rc,h> + 2<div h, X> + h(X,X)."""
-    divh = geo.divergence_sym2(chart, h)
-    return _trace_terms(chart, h, x, divh, _div_div(chart, divh),
-                        geo.inner_sym2(chart, chart.ricci, h))
-
-
-def ricci_trace_terms(chart, x: geo.TensorValue) -> list:
-    """``linear_trace_terms(chart, chart.ricci, x)``, its X-free summands
-    read from the chart: div Rc, div div Rc and |Rc|^2 are kept there."""
-    divh = geo.ricci_divergence(chart)
-    div_div = chart.kept("div div Rc", lambda: _div_div(chart, divh))
-    return _trace_terms(chart, chart.ricci, x, divh, div_div, geo.ricci_norm2(chart))
-
-
-def linear_trace(chart, h: geo.TensorValue, x: geo.TensorValue):
-    return _acc(linear_trace_terms(chart, h, x))
+    chart = h.chart
+    return [h.div_div, h.rc, 2.0 * _acc(h.div[i] * x[i] for i in range(chart.n)),
+            geo.sym2_apply(chart, h.h, x, x)]
 
 
 def trace_harnack_terms(chart, x: geo.TensorValue) -> list:
@@ -93,13 +73,13 @@ def trace_harnack_terms(chart, x: geo.TensorValue) -> list:
     dr = geo.differential(chart, chart.scalar_curvature)
     return [
         chart.r_derivative("Lap"),
-        2.0 * geo.ricci_norm2(chart),
+        2.0 * geo.ricci_field(chart).rc,
         2.0 * _acc(dr[i] * x[i] for i in range(n)),
         2.0 * geo.sym2_apply(chart, chart.ricci, x, x),
     ]
 
 
-def evolution_rhs_terms(chart, h: geo.TensorValue, x: geo.TensorValue,
+def evolution_rhs_terms(h: geo.Sym2Field, x: geo.TensorValue,
                         dxdt: geo.TensorValue) -> list:
     """The four bracketed groups on the right side of the evolution identity
 
@@ -111,36 +91,17 @@ def evolution_rhs_terms(chart, h: geo.TensorValue, x: geo.TensorValue,
     for the coupled system (Ricci flow, Lichnerowicz flow for h). ``dxdt`` is
     the coordinate time derivative of the components of X.
     """
-    return evolution_rhs_groups(chart, **chart_inputs(chart),
-                                **field_inputs(chart, h, x, dxdt))
+    return evolution_rhs_groups(h.chart, **chart_inputs(h.chart),
+                                **field_inputs(h, x, dxdt))
 
 
-def chart_inputs(chart) -> dict:
-    """The curvature tensors the groups are built from, by name; M enters as
-    its pieces. They depend on the chart alone and are kept on it, so every
-    caller reads the same objects."""
-    return _curvature_inputs(chart) | {"p": p_tensor(chart)}
-
-
-def field_inputs(chart, h: geo.TensorValue, x: geo.TensorValue,
-                 dxdt: geo.TensorValue) -> dict:
+def field_inputs(h: geo.Sym2Field, x: geo.TensorValue, dxdt: geo.TensorValue) -> dict:
     """The tensors of (h, X) the groups are built from, by name."""
-    return _field_inputs(chart, h, geo.raise_sym2(chart, h),
-                         geo.divergence_sym2(chart, h), x, dxdt)
-
-
-def ricci_field_inputs(chart, x: geo.TensorValue, dxdt: geo.TensorValue) -> dict:
-    """``field_inputs(chart, chart.ricci, x, dxdt)``, with R^{ij} and div Rc
-    read from the chart."""
-    return _field_inputs(chart, chart.ricci, geo.ricci_raised(chart),
-                         geo.ricci_divergence(chart), x, dxdt)
-
-
-def _field_inputs(chart, h, hup, divh, x, dxdt) -> dict:
+    chart = h.chart
     n = chart.n
     return {
-        "h": h, "x": x, "dxdt": dxdt, "hup": hup, "divh": divh,
-        "hx": geo.vector_from(lambda i: _acc(h[i, k] * x[k] for k in range(n)), n),
+        "h": h.h, "x": x, "dxdt": dxdt, "hup": h.up, "divh": h.div,
+        "hx": geo.vector_from(lambda i: _acc(h.h[i, k] * x[k] for k in range(n)), n),
         "dx": geo.covariant_derivative(chart, x),    # dx[j][^i] = grad_j X^i
         "lap_x": geo.rough_laplacian(chart, x),
     }
@@ -241,7 +202,7 @@ def lq_production_terms(chart, v, f) -> list:
 def grad2r_production_terms(chart, v) -> list:
     """|Rc|^2 - |Hess v|^2, the production term for |grad v|^2 + R."""
     hv = geo.hessian(chart, v)
-    return [geo.ricci_norm2(chart), -geo.inner_sym2(chart, hv, hv)]
+    return [geo.ricci_field(chart).rc, -geo.inner_sym2(chart, hv, hv)]
 
 
 def lp_production_terms(chart, v, f) -> list:
@@ -266,24 +227,27 @@ def leps_production_terms(chart, v, f, eps: float) -> list:
     ie = 1.0 / eps
     return [ie * geo.inner_sym2(chart, hv, hv),
             2.0 * geo.inner_sym2(chart, ric, hv),
-            ie * geo.ricci_norm2(chart),
+            ie * geo.ricci_field(chart).rc,
             2.0 * ie * geo.sym2_apply(chart, ric, g1, g1),
             (1.0 - ie) * geo.sym2_apply(chart, ric, g2, g2)]
 
 
-def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps: float):
-    """Both forms of the Ricci part of the production term, for any symmetric A:
+def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps_set) -> dict:
+    """Both forms of the Ricci part of the production term, for any symmetric A
+    and each eps of ``eps_set``, as {eps: (lhs, rhs)}:
 
     2 eps^{-1} A(grad(v - eps f), .) + (1 - eps^{-1}) A(grad(v + f), .)
       == (1 + eps^{-1}) A(grad(v - f), .) + 2 (eps - eps^{-1}) A(grad f, grad f).
+
+    Only A(grad(v - eps f), .) depends on eps; the other three are formed once.
     """
-    ie = 1.0 / eps
-    g1 = geo.gradient(chart, v - eps * f)
-    g2 = geo.gradient(chart, v + f)
-    g3 = geo.gradient(chart, v - f)
-    g4 = geo.gradient(chart, f)
-    lhs = [2.0 * ie * geo.sym2_apply(chart, a, g1, g1),
-           (1.0 - ie) * geo.sym2_apply(chart, a, g2, g2)]
-    rhs = [(1.0 + ie) * geo.sym2_apply(chart, a, g3, g3),
-           2.0 * (eps - ie) * geo.sym2_apply(chart, a, g4, g4)]
-    return lhs, rhs
+    def a_of(s):
+        g = geo.gradient(chart, s)
+        return geo.sym2_apply(chart, a, g, g)
+    a_plus, a_minus, a_f = a_of(v + f), a_of(v - f), a_of(f)
+    out = {}
+    for eps in eps_set:
+        ie = 1.0 / eps
+        out[eps] = ([2.0 * ie * a_of(v - eps * f), (1.0 - ie) * a_plus],
+                    [(1.0 + ie) * a_minus, 2.0 * (eps - ie) * a_f])
+    return out

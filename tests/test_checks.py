@@ -355,7 +355,7 @@ def test_derived_normalizers_match_the_hand_written_atoms():
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    brackets = hk.evolution_rhs_terms(ch, ch.ricci, x, dxdt)
+    brackets = hk.evolution_rhs_terms(geo.Sym2Field(ch, ch.ricci), x, dxdt)
     parts = checks._eq1_vanishing_brackets(ctx)
     for k, pinned in enumerate(_PINNED_BRACKET_SCALES):
         part = parts[f"vanishing_bracket_{k + 1}"]
@@ -399,20 +399,48 @@ def _kept_builds(monkeypatch) -> list:
 
 def test_eq1_builds_the_chart_inputs_once(monkeypatch):
     # EQ1's identity and its vanishing brackets, H1 and H2 read M's inputs
-    # and P from the chart: across the suite each chart builds them once
+    # and P from the chart, one build: across the suite each chart makes it
+    # once
     builds = _kept_builds(monkeypatch)
     reports = _fresh(lambda: run_suite(n_points=4))
     assert any("vanishing_bracket_1" in r.parts for r in reports)
     readers = {r.soliton for r in reports if r.status != checks.STATUS_SKIPPED
                and r.check_id in ("CHK-EQ1", "CHK-H1", "CHK-H2")}
-    for name in ("M inputs", "P"):
-        charts = [owner for owner, n in builds if n == name]
-        assert len(charts) == len({id(c) for c in charts}) == len(readers), name
+    charts = [owner for owner, n in builds if n == "curvature inputs"]
+    assert len(charts) == len({id(c) for c in charts}) == len(readers)
 
 
-_KEPT_ON_A_CHART = {"Rc^i_j", "Rc^ij", "div Rc", "div div Rc", "|Rc|^2",
-                    "Hess R", "Lap R", "M inputs", "P", "magnitudes",
-                    "grad Rc atom scale"}
+def test_nabla_ricci_is_formed_once_per_chart(monkeypatch):
+    # P and Lap Rc read one grad Rc: across the suite each chart forms it once
+    derivative, formed = geo.covariant_derivative, []
+
+    def spy(chart, t, reads=None):
+        if t is vars(chart).get("ricci") and reads is None:
+            formed.append(chart)
+        return derivative(chart, t, reads)
+    monkeypatch.setattr(geo, "covariant_derivative", spy)
+    reports = _fresh(lambda: run_suite(n_points=4))
+    readers = {r.soliton for r in reports if r.status != checks.STATUS_SKIPPED
+               and r.check_id in ("CHK-H1", "CHK-H2")}
+    assert len(formed) == len({id(c) for c in formed}) == len(readers)
+
+
+def test_eq1_forms_div_h_of_its_evolved_h_once(monkeypatch):
+    # Z(h, X) and the evolution groups read one record of the evolved h
+    divergence, seen = geo.divergence_sym2, []
+    monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
+        seen.append(h), divergence(chart, h))[1])
+
+    def run():
+        run_check("CHK-EQ1", "cigar_flow", n_points=4)
+        ctx = build_context("cigar_flow", 0, 4, JET_ORDER)
+        return ctx.kept(("h", None), None)
+    h = _fresh(run)
+    assert sum(t is h for t in seen) == 1
+
+
+_KEPT_ON_A_CHART = {"Rc^i_j", "Rc", "Hess R", "Lap R", "curvature inputs",
+                    "magnitudes", "grad Rc atom scale"}
 _KEPT_ON_A_CONTEXT = {"grad f", "Hess f", "Lap f", ("h", None)} \
     | {("b.u0", eps) for eps in checks._EPS_SET}
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab import fields, geometry as geo, harnack as hk
+from harnacklab import checks, fields, geometry as geo, harnack as hk
 from harnacklab.geometry import field_data
 from harnacklab.jet import jet_space
 from harnacklab.solitons import build_context
@@ -54,8 +54,11 @@ def test_linear_trace_polarization():
     yv = geo.vector_from(lambda i: [y.cos(), x * 0.3][i], 2, con=True)
     zero = geo.vector_from(lambda i: 0.0 * x, 2, con=True)
     both = geo.vector_from(lambda i: xv[i] + yv[i], 2, con=True)
-    mix = hk.linear_trace(ch, h, both) - hk.linear_trace(ch, h, xv) \
-        - hk.linear_trace(ch, h, yv) + hk.linear_trace(ch, h, zero)
+    hf = geo.Sym2Field(ch, h)
+
+    def z(v):
+        return sum(hk.linear_trace_terms(hf, v))
+    mix = z(both) - z(xv) - z(yv) + z(zero)
     want = 2.0 * geo.sym2_apply(ch, h, xv, yv)
     assert _maxabs(mix - want) < 1e-11
 
@@ -65,7 +68,7 @@ def test_trace_harnack_matches_doubled_linear_trace_any_metric():
     # contracted Bianchi identity, so it holds on a generic chart
     ch, x, y = generic_chart()
     xv = geo.vector_from(lambda i: [0.4 + x.sin(), y * y][i], 2, con=True)
-    lhs = 2.0 * hk.linear_trace(ch, ch.ricci, xv)
+    lhs = 2.0 * sum(hk.linear_trace_terms(geo.Sym2Field(ch, ch.ricci), xv))
     rhs = sum(hk.trace_harnack_terms(ch, xv))
     assert _maxabs(lhs - rhs) < 1e-10
 
@@ -151,14 +154,20 @@ def test_box_star_terms_sum():
     assert _maxabs(total - manual) < 1e-12
 
 
-@pytest.mark.parametrize("eps", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-def test_ricci_rewrite_any_symmetric_tensor(eps):
+@pytest.fixture(scope="module")
+def ricci_rewrite_sides():
+    """Both sides of the rewrite for every eps of the set, from one call."""
     ch, x, y = generic_chart()
     a = geo.sym2_from(lambda i, j: [[x.cos(), 0.3 * x * y],
                                     [0.3 * x * y, 1.0 + y.sin()]][i][j], 2)
     v = 0.5 * (x + y).sin()
     f = 0.3 * (x - 2.0 * y).cos()
-    lhs, rhs = hk.ricci_terms_rewrite(ch, a, v, f, eps)
+    return hk.ricci_terms_rewrite(ch, a, v, f, checks._EPS_SET)
+
+
+@pytest.mark.parametrize("eps", checks._EPS_SET)
+def test_ricci_rewrite_any_symmetric_tensor(eps, ricci_rewrite_sides):
+    lhs, rhs = ricci_rewrite_sides[eps]
     assert _maxabs(sum(lhs) - sum(rhs)) < 1e-11
 
 
@@ -183,24 +192,28 @@ def _bits(value) -> list:
 @pytest.mark.parametrize("soliton", ["cigar_flow", "sphere_shrinker",
                                      "gaussian_shrinker"])
 def test_kept_tensors_have_the_bits_of_building_them(soliton):
-    # what a chart or a context keeps, and the Rc forms that read it, equal
-    # the generic builders bit for bit
+    # what a chart or a context keeps, Rc's record and the one curvature
+    # inputs build among it, equal the generic builders bit for bit
     ctx = build_context(soliton, 0, 4, 6)
     ch = ctx.chart
     r, ric = ch.scalar_curvature, ch.ricci
-    x = fields.trig_vector(ctx, "kept.X")
-    dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
+    rec = geo.ricci_field(ch)
+    inputs = hk.chart_inputs(ch)
+    dric = geo.covariant_derivative(ch, ric)
     pairs = [
         (ch.r_derivative("Hess"), geo.hessian(ch, r)),
         (ch.r_derivative("Lap"), geo.laplacian(ch, r)),
         (ctx.f_derivative("grad"), geo.gradient(ch, ctx.f)),
         (ctx.f_derivative("Hess"), geo.hessian(ch, ctx.f)),
         (ctx.f_derivative("Lap"), geo.laplacian(ch, ctx.f)),
-        (geo.ricci_raised(ch), geo.raise_sym2(ch, ric)),
-        (geo.ricci_norm2(ch), geo.inner_sym2(ch, ric, ric)),
-        (geo.ricci_divergence(ch), geo.divergence_sym2(ch, ric)),
-        (hk.ricci_trace_terms(ch, x), hk.linear_trace_terms(ch, ric, x)),
-        (hk.ricci_field_inputs(ch, x, dxdt), hk.field_inputs(ch, ric, x, dxdt)),
+        (rec.up, geo.raise_sym2(ch, ric)),
+        (rec.div, geo.divergence_sym2(ch, ric)),
+        (rec.div_div, geo.divergence_vec(
+            ch, geo.raise_vector(ch, geo.divergence_sym2(ch, ric)))),
+        (rec.rc, geo.inner_sym2(ch, ric, ric)),
+        (inputs["lap_ric"], geo.rough_laplacian(ch, ric)),
+        (inputs["p"], [dric[i, p, q] - dric[p, q, i]
+                       for i, p, q in np.ndindex(dric.comps.shape)]),
     ]
     for k, (kept, built) in enumerate(pairs):
         assert _bits(kept) == _bits(built), k
