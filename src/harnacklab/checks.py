@@ -35,13 +35,14 @@ context, runs the runner and judges its parts inside the timed region, whose
 time is the report's ``millis``. Contexts are shared (``build_context`` is a
 cache) and keep by name what their first reader built (``geometry.Kept``).
 The chart keeps its curvature and every tensor of the chart alone that a
-second check reads: R^i_j, Rc's record (``geo.ricci_field``: R^{ij}, div Rc,
-div div Rc and |Rc|^2), Hess R and Lap R, the curvature inputs, M's pieces
-and P in one build (``hk.chart_inputs``), the grad-Rc atom scale and its
-``MagnitudeChart``. The context keeps grad f, Hess f and Lap f and its
-evolved fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and
-B8, per eps); a reader of the evolved h builds its own record of it, and
-CHK-EQ1 passes one record to both sides of its identity. A kept tensor has
+second check reads: Rc's record (``geo.ricci_field``: R^{ij}, R^i_j, div Rc,
+div div Rc and |Rc|^2), R's record (``geo.r_field``: Hess R and Lap R), the
+curvature inputs, M's pieces and P in one build (``hk.chart_inputs``), the
+grad-Rc atom scale and its ``MagnitudeChart``. The context keeps f's record
+(``ctx.potential``: grad f, Hess f, Lap f and |grad f|^2) and its evolved
+fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and B8, per
+eps); a reader of an evolved field builds its own record of it, and CHK-EQ1
+passes one record to both sides of its identity. A kept tensor has
 the bits of building it again, so a verdict does not depend on what ran
 before it, but its time does: a check's ``millis`` leaves out what an
 earlier check kept (ROADMAP item 11 splits that time out).
@@ -206,7 +207,7 @@ def _sym2_terms(n, pairs):
 def _run_s1(ctx):
     ch = ctx.chart
     n = ch.n
-    hf = ctx.f_derivative("Hess")
+    hf = ctx.potential.hess
     lam_g = geo.sym2_from(lambda i, j: ch.g[i, j] * -ctx.lam, n)
     pairs = [(ch.ricci, 1.0), (hf, 1.0), (lam_g, 1.0)]
     parts = {"soliton_equation": Identity(_sym2_terms(n, pairs))}
@@ -222,12 +223,12 @@ def _run_s1(ctx):
         "and grad R = 2 Rc(grad f)",
         _any)
 def _run_s2(ctx):
-    ch = ctx.chart
-    dr = geo.differential(ch, ch.scalar_curvature)
-    grr = geo.inner_vec(ch, dr, geo.differential(ch, ctx.f))
-    terms = [ch.r_derivative("Lap"), 2.0 * geo.ricci_field(ch).rc, -grr,
+    ch, r, f = ctx.chart, geo.r_field(ctx.chart), ctx.potential
+    dr = r.d
+    grr = geo.inner_vec(ch, dr, f.d)
+    terms = [r.lap, 2.0 * geo.ricci_field(ch).rc, -grr,
              ch.scalar_curvature * -ctx.lam * 2.0]
-    gf = ctx.f_derivative("grad")
+    gf = f.grad
     return {
         "scalar_curvature_identity": Identity([terms]),
         "curvature_gradient": Identity(
@@ -239,13 +240,10 @@ def _run_s2(ctx):
 @_check("CHK-S3", "normalized steady: R + |grad f|^2 = 1 and R = -Lap f",
         _normalized)
 def _run_s3(ctx):
-    ch = ctx.chart
-    df = geo.differential(ch, ctx.f)
+    r, f = ctx.chart.scalar_curvature, ctx.potential
     return {
-        "normalization": Identity(
-            [[ch.scalar_curvature, geo.inner_vec(ch, df, df), -1.0]]),
-        "trace_equation": Identity(
-            [[ch.scalar_curvature, ctx.f_derivative("Lap")]]),
+        "normalization": Identity([[r, f.norm2, -1.0]]),
+        "trace_equation": Identity([[r, f.lap]]),
     }
 
 
@@ -256,7 +254,7 @@ def _run_h1(ctx):
     ch = ctx.chart
     m = hk.matrix_harnack(ch)
     p = hk.p_tensor(ch)
-    gf = ctx.f_derivative("grad")
+    gf = ctx.potential.grad
     out = [[m[i, j]] + [-p[k, i, j] * gf[k] for k in range(ch.n)]
            + [ch.ricci[i, j] * -ctx.lam] for i, j in geo.sym2_indices(ch.n)]
     return {"matrix_harnack_potential": Identity(out)}
@@ -268,7 +266,7 @@ def _run_h2(ctx):
     ch = ctx.chart
     n = ch.n
     p = hk.p_tensor(ch)
-    gf = ctx.f_derivative("grad")
+    gf = ctx.potential.grad
     low = ch.riem_low
     out = [[p[i, pp, q]] + [-low[pp, i, j, q] * gf[j] for j in range(n)]
            for i, pp, q in np.ndindex(n, n, n)]
@@ -279,9 +277,9 @@ def _run_h2(ctx):
         "((d/dt - Lap) grad f)^j - R^j_k grad^k f = 2 lam grad^j f", _any)
 def _run_h3(ctx):
     ch = ctx.chart
-    gf = ctx.f_derivative("grad")
+    gf = ctx.potential.grad
     lap_gf = geo.rough_laplacian(ch, gf)
-    mixed = geo.mixed_ricci(ch)
+    mixed = geo.ricci_field(ch).mixed
     out = []
     for j in range(ch.n):
         out.append([ctx.dt(gf[j]), -lap_gf[j]]
@@ -381,7 +379,7 @@ def _run_l2(ctx):
     t2 = ctx.t * ctx.t
     conserved = _heat_terms(ctx, [t2 * z for z in pieces])
     trace_ev = [ctx.dt(bigh), -geo.laplacian(ch, bigh),
-                -2.0 * geo.inner_sym2(ch, h, ch.ricci)]
+                -2.0 * geo.ricci_field(ch).pair(h)]
     return {
         "damped_heat": Identity([damped]),
         "conserved_form": Identity([conserved]),
@@ -402,9 +400,9 @@ def _run_r1(ctx):
           for i in range(ch0.n)]
     chs = geo.MetricChart(gs)
     fs = ctx.f + ctx.s * (0.5 * bigh)
-    lhs = ctx.ds(sum(hk.perelman_scalar_terms(chs, fs)))
+    lhs = ctx.ds(sum(hk.perelman_scalar_terms(geo.ScalarField(chs, fs))))
     zterms = hk.linear_trace_terms(geo.Sym2Field(ch0, h), fields.neg_grad_potential(ctx))
-    defect = geo.tensor_map(lambda p, q: p + q, ch0.ricci, ctx.f_derivative("Hess"))
+    defect = geo.tensor_map(lambda p, q: p + q, ch0.ricci, ctx.potential.hess)
     coupling = -2.0 * geo.inner_sym2(ch0, h, defect)
     density = (-fs).exp() * chs.volume_density
     return {
@@ -420,29 +418,27 @@ def _run_r1(ctx):
         "conjugate-potential flow df/dt = -Lap f + |grad f|^2 - R",
         _steady_system, 1e-7)
 def _run_r2(ctx):
-    ch = ctx.chart
-
     def identity(f):
-        v = hk.conjugate_density(ch, f)
-        lhs = hk.box_star_terms(ch, ctx.dt, v)
-        rhs = -2.0 * hk.soliton_defect_norm2(ch, f) * geo.exp(-f)
+        v = hk.conjugate_density(f)
+        lhs = hk.box_star_terms(ctx.chart, ctx.dt, v)
+        rhs = -2.0 * hk.soliton_defect_norm2(f) * geo.exp(-f.s)
         return _balance(lhs, [rhs])
 
     f0 = fields.trig_scalar(ctx, "r2.f0", base=0.5)
     fprop = fields.propagate_scalar(ctx, f0, fields.rhs_conjugate_potential)
-    parts = {"generic_potential": identity(fprop)}
+    parts = {"generic_potential": identity(geo.ScalarField(ctx.chart, fprop))}
     if ctx.spec.potential_time_rule == "grad2":
-        parts["soliton_potential"] = identity(ctx.f)
+        parts["soliton_potential"] = identity(ctx.potential)
     return parts
 
 
-def _log_solution(ctx, eps):
-    """log u for du/dt = eps^{-1} Lap u + R u from a trig u0, built once per
-    (context, eps)."""
+def _log_solution(ctx, eps) -> geo.ScalarField:
+    """A fresh record of log u for du/dt = eps^{-1} Lap u + R u from a trig
+    u0; log u itself is built once per (context, eps)."""
     def build():
         u0 = fields.trig_scalar(ctx, "b.u0", amplitude=0.3).exp()
         return fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps)).log()
-    return ctx.kept(("b.u0", eps), build)
+    return geo.ScalarField(ctx.chart, ctx.kept(("b.u0", eps), build))
 
 
 @_check("CHK-B1",
@@ -462,19 +458,16 @@ def _run_b1(ctx):
         _grad2, 1e-7)
 def _run_b2(ctx):
     v = _log_solution(ctx, 1.0)
-    lhs = hk.l_eps_terms(ctx.chart, ctx.dt, v, hk.log_q(ctx.chart, v), 1.0)
-    rhs = hk.lq_production_terms(ctx.chart, v, ctx.f)
+    lhs = hk.l_eps_terms(ctx.dt, v, hk.log_q(v), 1.0)
+    rhs = hk.lq_production_terms(v, ctx.f)
     return {"log_laplacian_evolution": _balance(lhs, rhs)}
 
 
 @_check("CHK-B3", "L(|grad v|^2 + R) = |Rc|^2 - |Hess v|^2", _grad2, 1e-7)
 def _run_b3(ctx):
-    ch = ctx.chart
     v = _log_solution(ctx, 1.0)
-    dv = geo.differential(ch, v)
-    w = geo.inner_vec(ch, dv, dv) + ch.scalar_curvature
-    lhs = hk.l_eps_terms(ch, ctx.dt, v, w, 1.0)
-    rhs = hk.grad2r_production_terms(ch, v)
+    lhs = hk.l_eps_terms(ctx.dt, v, v.norm2 + ctx.chart.scalar_curvature, 1.0)
+    rhs = hk.grad2r_production_terms(v)
     return {"gradient_energy_evolution": _balance(lhs, rhs)}
 
 
@@ -483,10 +476,9 @@ def _run_b3(ctx):
         "P = 2 Lap v + |grad v|^2 + 3R",
         _grad2, 1e-7)
 def _run_b4(ctx):
-    ch = ctx.chart
     v = _log_solution(ctx, 1.0)
-    lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)
-    rhs = hk.lp_production_terms(ch, v, ctx.f)
+    lhs = hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, 1.0), 1.0)
+    rhs = hk.lp_production_terms(v, ctx.f)
     return {"harnack_evolution": _balance(lhs, rhs)}
 
 
@@ -495,12 +487,10 @@ def _run_b4(ctx):
         # add verdicts to the registry's fixed count of 102.
         _where(name="cigar_flow_v2"), 1e-7)
 def _run_b5(ctx):
-    ch = ctx.chart
     v = _log_solution(ctx, 1.0)
-    q = field_data(hk.log_q(ch, v))
-    lp = field_data(sum(
-        hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)))
-    bound = q * q / ch.n
+    q = field_data(hk.log_q(v))
+    lp = field_data(sum(hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, 1.0), 1.0)))
+    bound = q * q / ctx.chart.n
     slack = np.maximum(lp - bound, 0.0)
     return {"cauchy_schwarz_bound": Identity([[lp, -bound, -slack]])}
 
@@ -510,12 +500,11 @@ def _run_b5(ctx):
         "P_eps = 2 Lap v + |grad v|^2 + (2 eps + 1) R, du/dt = eps^{-1} Lap u + R u",
         _grad2, 1e-7)
 def _run_b6(ctx):
-    ch = ctx.chart
     parts = {}
     for eps in _EPS_SET:
         v = _log_solution(ctx, eps)
-        lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, eps), eps)
-        rhs = hk.leps_production_terms(ch, v, ctx.f, eps)
+        lhs = hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, eps), eps)
+        rhs = hk.leps_production_terms(v, ctx.f, eps)
         parts[f"eps({eps:g})"] = _balance(lhs, rhs)
     return parts
 
@@ -538,9 +527,9 @@ def _run_b7(ctx):
 def _run_b8(ctx):
     ch = ctx.chart
     v = _log_solution(ctx, -1.0)
-    lhs = hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, -1.0), -1.0)
-    diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, geo.hessian(ch, v))
-    hfv = geo.hessian(ch, ctx.f + v)
+    lhs = hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, -1.0), -1.0)
+    diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, v.hess)
+    hfv = geo.hessian(ch, ctx.f + v.s)
     return {
         "energy_production": _balance(lhs, [-geo.inner_sym2(ch, diff, diff)]),
         "soliton_production": _balance(lhs, [-geo.inner_sym2(ch, hfv, hfv)]),

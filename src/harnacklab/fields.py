@@ -19,8 +19,9 @@ field,
 where d are the RHS's t-degree-0 coefficients. That is exact wherever the
 identities look: they read at most one time derivative. The result is a fresh
 jet whose validity order is at most (RHS validity + 1); the inputs are left
-as they were. The checks call these helpers through
-``SolitonContext.kept``, so each evolved field is built once per context.
+as they were. The checks call these helpers through ``SolitonContext.kept``,
+so each evolved field is built once per context; the context keeps the bare
+field, and each reader builds its own record of it (``geometry.Sym2Field``).
 """
 
 import numpy as np
@@ -82,10 +83,8 @@ def trig_vector(ctx: SolitonContext, tag: str, time_linear: bool = False):
 
 def rhs_conjugate_potential(ctx: SolitonContext, u: Jet) -> Jet:
     """d f/dt = -Lap f + |grad f|^2 - R (potential along the conjugate heat flow)."""
-    du = geo.differential(ctx.chart, u)
-    return (-geo.laplacian(ctx.chart, u)
-            + geo.inner_vec(ctx.chart, du, du)
-            - ctx.chart.scalar_curvature)
+    u = geo.ScalarField(ctx.chart, u)
+    return -u.lap + u.norm2 - ctx.chart.scalar_curvature
 
 
 def rhs_linear_heat(eps: float):
@@ -126,7 +125,7 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
 
 
 def neg_grad_potential(ctx: SolitonContext) -> geo.TensorValue:
-    """X = -grad f, negating the gradient the context keeps: a negation forms
-    no product, so X itself is not kept."""
-    grad = ctx.f_derivative("grad")
+    """X = -grad f, negating the gradient f's kept record holds: a negation
+    forms no product, so X itself is not kept."""
+    grad = ctx.potential.grad
     return geo.vector_from(lambda i: -grad[i], ctx.chart.n, con=True)

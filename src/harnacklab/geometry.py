@@ -53,14 +53,15 @@ Each operation takes a vector in one index position and raises TypeError on
 the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 :func:`divergence_vec` take vectors), so a caller raises or lowers once.
 
-A symmetric 2-tensor h is read through its record (:class:`Sym2Field`),
-which forms h^{ij}, div h, div div h and <Rc, h> on their first read, so
-every reader of one record shares one of each. A tensor that depends on the
-chart alone is formed once and kept on it by name (:class:`Kept`): R^i_j,
-Rc's record (:func:`ricci_field`), the Hessian and Laplacian of R
-(:func:`kept_derivative`) and the chart's :class:`MagnitudeChart`, beside
-what :mod:`.harnack` and :mod:`.checks` keep there. The curvature itself
-stays in the chart's cached properties.
+A scalar s and a symmetric 2-tensor h are each read through one record
+(:class:`ScalarField`, :class:`Sym2Field`) that forms each derivative or
+contraction on its first read, so its readers share one of each;
+:func:`gradient`, :func:`hessian`, :func:`laplacian` and :func:`inner_sym2`
+read a fresh record, so a scalar's Laplacian has one rule, ``ScalarField.lap``.
+A tensor of the chart alone is kept on it by name (:class:`Kept`): the records
+of R (:func:`r_field`) and Rc (:func:`ricci_field`) and the chart's
+:class:`MagnitudeChart`, beside what :mod:`.harnack` and :mod:`.checks` keep
+there. The curvature itself stays in the chart's cached properties.
 """
 
 import math
@@ -275,11 +276,6 @@ class MetricChart(Kept):
     def volume_density(self):
         return self.det ** 0.5
 
-    def r_derivative(self, kind: str):
-        """The kept Hessian ("Hess") or Laplacian ("Lap") of the scalar
-        curvature (:func:`kept_derivative`)."""
-        return kept_derivative(self, kind, "R", self, self.scalar_curvature)
-
 
 def _cofactor(m: np.ndarray, i: int, j: int):
     sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
@@ -467,32 +463,50 @@ def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
 
 
 def gradient(chart: MetricChart, s) -> TensorValue:
-    return raise_vector(chart, differential(chart, s))
+    return ScalarField(chart, s).grad
 
 
 def hessian(chart: MetricChart, s) -> TensorValue:
-    return covariant_derivative(chart, differential(chart, s))
-
-
-def kept_derivative(owner: Kept, kind: str, name: str, chart: MetricChart, s):
-    """The gradient ("grad"), Hessian ("Hess") or Laplacian ("Lap") of the
-    scalar ``s`` on ``chart``, kept on ``owner`` as kind + " " + name. The
-    Laplacian traces the kept Hessian: a covariant derivative forms each
-    component alone, so the trace has the bits of :func:`laplacian`. The
-    differential is one partial per coordinate and forms no product, so it
-    is formed where it is read, not kept."""
-    def build():
-        if kind == "Lap":
-            return trace_sym2(chart, kept_derivative(owner, "Hess", name, chart, s))
-        return {"grad": gradient, "Hess": hessian}[kind](chart, s)
-    return owner.kept(f"{kind} {name}", build)
+    return ScalarField(chart, s).hess
 
 
 def laplacian(chart: MetricChart, s):
-    """g^{ij} nabla_i nabla_j s, forming only the (i, j) that ``chart.traced``
-    lists of the Hessian."""
-    dd = covariant_derivative(chart, differential(chart, s), chart.traced)
-    return _trace_first_pair(chart, dd, ())
+    return ScalarField(chart, s).lap
+
+
+class ScalarField:
+    """A scalar ``s`` on ``chart`` and its derivatives: ``d`` ds, formed where
+    it is read (partials, no product), and, each on its first read, ``norm2``
+    |grad s|^2, ``grad``, ``hess`` and ``lap`` g^{ij} nabla_i nabla_j s, which
+    forms only the (i, j) of the Hessian that ``chart.traced`` lists. R's
+    record is kept on its chart (:func:`r_field`); a reader of any other scalar
+    builds its own."""
+
+    def __init__(self, chart: MetricChart, s):
+        self.chart = chart
+        self.s = s
+
+    @property
+    def d(self) -> TensorValue:
+        return differential(self.chart, self.s)
+
+    @cached_property
+    def norm2(self):
+        d = self.d
+        return inner_vec(self.chart, d, d)
+
+    @cached_property
+    def grad(self) -> TensorValue:
+        return raise_vector(self.chart, self.d)
+
+    @cached_property
+    def hess(self) -> TensorValue:
+        return covariant_derivative(self.chart, self.d)
+
+    @cached_property
+    def lap(self):
+        dd = covariant_derivative(self.chart, self.d, self.chart.traced)
+        return _trace_first_pair(self.chart, dd, ())
 
 
 def _trace_first_pair(chart: MetricChart, dd: TensorValue, idx: tuple):
@@ -537,13 +551,7 @@ def raise_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
 
 def inner_sym2(chart: MetricChart, a: TensorValue, b: TensorValue):
     """<A, B> = g^{ip} g^{jq} A_ij B_pq for covariant symmetric 2-tensors."""
-    return _pair_raised(chart, a, raise_sym2(chart, b))
-
-
-def _pair_raised(chart: MetricChart, a: TensorValue, bup: TensorValue):
-    """A_ij B^{ij}, with B already raised."""
-    n = chart.n
-    return _acc(a[i, j] * bup[i, j] for i in range(n) for j in range(n))
+    return Sym2Field(chart, b).pair(a)
 
 
 def inner_vec(chart: MetricChart, a: TensorValue, b: TensorValue):
@@ -561,12 +569,6 @@ def sym2_apply(chart: MetricChart, a: TensorValue, u: TensorValue, w: TensorValu
         raise TypeError("sym2_apply takes two vectors; raise a covector first")
     n = chart.n
     return _acc(a[i, j] * u[i] * w[j] for i in range(n) for j in range(n))
-
-
-def mixed_ricci(chart: MetricChart) -> np.ndarray:
-    """R^i_j = g^{il} Ric_lj as an (n, n) object array, first index raised;
-    kept on the chart."""
-    return chart.kept("Rc^i_j", lambda: _raise_first(chart, chart.ricci.comps))
 
 
 def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
@@ -589,8 +591,9 @@ def divergence_vec(chart: MetricChart, v: TensorValue):
 class Sym2Field:
     """A covariant symmetric 2-tensor ``h`` on ``chart`` and what Z(h, X) and
     the evolution groups read of it, each formed on its first read: ``up``
-    h^{ij}, ``div`` div h, ``div_div`` div div h and ``rc`` <Rc, h> =
-    Rc_ij h^{ij}, which has the bits of ``inner_sym2(chart, Rc, h)``. Rc's
+    h^{ij}, ``mixed`` h^i_j as an (n, n) object array, ``div`` div h,
+    ``div_div`` div div h and ``rc`` <Rc, h>. ``pair(a)`` is A_ij h^{ij},
+    the bits of ``inner_sym2(chart, a, h)``, and ``rc`` is ``pair(Rc)``. Rc's
     record is kept on its chart (:func:`ricci_field`); a reader of any other
     h builds its own."""
 
@@ -603,6 +606,10 @@ class Sym2Field:
         return raise_sym2(self.chart, self.h)
 
     @cached_property
+    def mixed(self) -> np.ndarray:
+        return _raise_first(self.chart, self.h.comps)
+
+    @cached_property
     def div(self) -> TensorValue:
         return divergence_sym2(self.chart, self.h)
 
@@ -612,15 +619,27 @@ class Sym2Field:
 
     @cached_property
     def rc(self):
-        return _pair_raised(self.chart, self.chart.ricci, self.up)
+        return self.pair(self.chart.ricci)
+
+    def pair(self, a: TensorValue):
+        up = self.up
+        n = self.chart.n
+        return _acc(a[i, j] * up[i, j] for i in range(n) for j in range(n))
 
 
 def ricci_field(chart: MetricChart) -> Sym2Field:
-    """Rc's record, kept on the chart: R^{ij}, div Rc, div div Rc and
+    """Rc's record, kept on the chart: R^{ij}, R^i_j, div Rc, div div Rc and
     |Rc|^2 = <Rc, Rc> are formed once per chart. The record reaches its chart
     through a weak proxy, so the two form no reference cycle and a chart is
     freed when its last reader drops it, not at the next cyclic collection."""
     return chart.kept("Rc", lambda: Sym2Field(weakref.proxy(chart), chart.ricci))
+
+
+def r_field(chart: MetricChart) -> ScalarField:
+    """R's record, kept on the chart as Rc's is: Hess R and Lap R are formed
+    once per chart."""
+    return chart.kept("R", lambda: ScalarField(weakref.proxy(chart),
+                                               chart.scalar_curvature))
 
 
 def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
@@ -632,7 +651,7 @@ def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     lap = rough_laplacian(chart, h)
     hup = raise_sym2(chart, h)
     low = chart.riem_low
-    mixed = mixed_ricci(chart)  # mixed[k, p] = R^k_p = Ric_p^k
+    mixed = ricci_field(chart).mixed  # mixed[k, p] = R^k_p = Ric_p^k
     return sym2_from(
         lambda p, q: lap[p, q] + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
                                             for i in range(n) for j in range(n))

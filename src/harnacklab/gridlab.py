@@ -371,14 +371,13 @@ def _scenario_b2(n: int, seed: int) -> float:
     u0 = eval_trig(grid, trig_params(seed, "grid:b2.u0", 2, 0.3))
     state0 = {"u": np.exp(u0.values)}
     slices, _, tau = evolve_slices(grid, state0, deriv, T_STAR, positive=("u",))
-    qs = [hk.log_q(chart, GridField(np.log(s["u"]), grid.dx))
-          for s in slices]
+    vs = [geo.ScalarField(chart, GridField(np.log(s["u"]), grid.dx)) for s in slices]
+    qs = [hk.log_q(v) for v in vs]
     dtq = time_derivative([q.values for q in qs], tau)
-    v = GridField(np.log(slices[2]["u"]), grid.dx)
-    dt, *spatial = hk.l_eps_terms(chart, lambda _: dtq, v, qs[2])
+    dt, *spatial = hk.l_eps_terms(lambda _: dtq, vs[2], qs[2])
     # the normalizer counts L's spatial part as one term, the production as one
     return _sup_residual([dt, sum(spatial)],
-                         [sum(hk.lq_production_terms(chart, v, 0.0))])
+                         [sum(hk.lq_production_terms(vs[2], 0.0))])
 
 
 def _scenario_eq1(n: int, seed: int) -> float:

@@ -12,10 +12,12 @@ identity's right side is split into its inputs and the algebra over them, so
 the normalizer of each group is derived from that one algebra, run on the
 inputs' magnitudes, rather than written a second time.
 
-Z(h, X) and the groups read h through its record (``geometry.Sym2Field``):
-a caller that passes one record to both forms div h and h^{ij} once, and
-h = Rc reads the record its chart keeps (``geometry.ricci_field``). The
-curvature inputs, M's pieces and P, are one build kept on the chart
+Z(h, X) and the groups read h through its record (``geometry.Sym2Field``),
+and the scalar builders read f or v = log u through its record
+(``geometry.ScalarField``): a caller that passes one record to several forms
+div h and h^{ij}, or Lap v, Hess v and |grad v|^2, once. Rc and R read the
+records their chart keeps (``geometry.ricci_field``, ``geometry.r_field``).
+The curvature inputs, M's pieces and P, are one build kept on the chart
 (:func:`chart_inputs`), which forms grad Rc once for both P and Lap Rc.
 """
 
@@ -41,9 +43,10 @@ def chart_inputs(chart) -> dict:
         n = chart.n
         dric = geo.covariant_derivative(chart, chart.ricci)  # dric[i][p][q]
         return {"ric": chart.ricci, "low": chart.riem_low,
-                "mixed": geo.mixed_ricci(chart), "ric_up": geo.ricci_field(chart).up,
+                "mixed": geo.ricci_field(chart).mixed,
+                "ric_up": geo.ricci_field(chart).up,
                 "lap_ric": geo.rough_laplacian_from(chart, dric),
-                "hess_r": chart.r_derivative("Hess"),
+                "hess_r": geo.r_field(chart).hess,
                 "p": geo.TensorValue(3, 0, geo.comps_from(
                     lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))}
     return chart.kept("curvature inputs", build)
@@ -69,10 +72,10 @@ def linear_trace_terms(h: geo.Sym2Field, x: geo.TensorValue) -> list:
 
 def trace_harnack_terms(chart, x: geo.TensorValue) -> list:
     """Summands of 2 Z(Rc, X) = Lap R + 2|Rc|^2 + 2<grad R, X> + 2 Rc(X,X)."""
-    n = chart.n
-    dr = geo.differential(chart, chart.scalar_curvature)
+    n, r = chart.n, geo.r_field(chart)
+    dr = r.d
     return [
-        chart.r_derivative("Lap"),
+        r.lap,
         2.0 * geo.ricci_field(chart).rc,
         2.0 * _acc(dr[i] * x[i] for i in range(n)),
         2.0 * geo.sym2_apply(chart, chart.ricci, x, x),
@@ -143,19 +146,14 @@ def evolution_rhs_groups(chart, h, x, dxdt, hup, p, divh, hx, dx, lap_x,
     return [term1, term2, term3, term4]
 
 
-def perelman_scalar_terms(chart, f) -> list:
+def perelman_scalar_terms(f: geo.ScalarField) -> list:
     """Summands of R + 2 Lap f - |grad f|^2 (constant on a normalized steady)."""
-    df = geo.differential(chart, f)
-    return [chart.scalar_curvature,
-            2.0 * geo.laplacian(chart, f),
-            -geo.inner_vec(chart, df, df)]
+    return [f.chart.scalar_curvature, 2.0 * f.lap, -f.norm2]
 
 
-def conjugate_density(chart, f):
+def conjugate_density(f: geo.ScalarField):
     """V = (2 Lap f - |grad f|^2 + R) e^{-f}."""
-    df = geo.differential(chart, f)
-    return (2.0 * geo.laplacian(chart, f) - geo.inner_vec(chart, df, df)
-            + chart.scalar_curvature) * geo.exp(-f)
+    return (2.0 * f.lap - f.norm2 + f.chart.scalar_curvature) * geo.exp(-f.s)
 
 
 def box_star_terms(chart, dt, u) -> list:
@@ -163,73 +161,66 @@ def box_star_terms(chart, dt, u) -> list:
     return [-dt(u), -geo.laplacian(chart, u), chart.scalar_curvature * u]
 
 
-def soliton_defect_norm2(chart, f):
+def soliton_defect_norm2(f: geo.ScalarField):
     """|Rc + Hess f|^2, the conjugate-density production term up to factors."""
-    defect = geo.tensor_map(lambda a, b: a + b, chart.ricci, geo.hessian(chart, f))
-    return geo.inner_sym2(chart, defect, defect)
+    defect = geo.tensor_map(lambda a, b: a + b, f.chart.ricci, f.hess)
+    return geo.inner_sym2(f.chart, defect, defect)
 
 
-def log_q(chart, v):
+def log_q(v: geo.ScalarField):
     """Q = Lap v + R for v = log u."""
-    return geo.laplacian(chart, v) + chart.scalar_curvature
+    return v.lap + v.chart.scalar_curvature
 
 
-def harnack_p_eps(chart, v, eps: float = 1.0):
+def harnack_p_eps(v: geo.ScalarField, eps: float = 1.0):
     """P_eps = 2 Lap v + |grad v|^2 + (2 eps + 1) R; eps = 1 is 2Q + |grad v|^2 + R."""
-    dv = geo.differential(chart, v)
-    return (2.0 * geo.laplacian(chart, v) + geo.inner_vec(chart, dv, dv)
-            + (2.0 * eps + 1.0) * chart.scalar_curvature)
+    return 2.0 * v.lap + v.norm2 + (2.0 * eps + 1.0) * v.chart.scalar_curvature
 
 
-def l_eps_terms(chart, dt, v, w, eps: float = 1.0) -> list:
+def l_eps_terms(dt, v: geo.ScalarField, w, eps: float = 1.0) -> list:
     """Summands of L_eps w = (1/2)(dw/dt - eps^{-1} Lap w) - eps^{-1} <grad v, grad w>."""
-    dv = geo.differential(chart, v)
-    dw = geo.differential(chart, w)
+    w_field = geo.ScalarField(v.chart, w)
     return [0.5 * dt(w),
-            (-0.5 / eps) * geo.laplacian(chart, w),
-            (-1.0 / eps) * geo.inner_vec(chart, dv, dw)]
+            (-0.5 / eps) * w_field.lap,
+            (-1.0 / eps) * geo.inner_vec(v.chart, v.d, w_field.d)]
 
 
-def lq_production_terms(chart, v, f) -> list:
+def lq_production_terms(v: geo.ScalarField, f) -> list:
     """|Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f))."""
-    hv = geo.hessian(chart, v)
-    gvf = geo.gradient(chart, v - f)
-    return [geo.inner_sym2(chart, hv, hv),
-            geo.inner_sym2(chart, chart.ricci, hv),
-            geo.sym2_apply(chart, chart.ricci, gvf, gvf)]
+    ch, hv = v.chart, geo.Sym2Field(v.chart, v.hess)
+    gvf = geo.gradient(ch, v.s - f)
+    return [hv.pair(hv.h), hv.rc, geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
-def grad2r_production_terms(chart, v) -> list:
+def grad2r_production_terms(v: geo.ScalarField) -> list:
     """|Rc|^2 - |Hess v|^2, the production term for |grad v|^2 + R."""
-    hv = geo.hessian(chart, v)
-    return [geo.ricci_field(chart).rc, -geo.inner_sym2(chart, hv, hv)]
+    return [geo.ricci_field(v.chart).rc, -geo.inner_sym2(v.chart, v.hess, v.hess)]
 
 
-def lp_production_terms(chart, v, f) -> list:
+def lp_production_terms(v: geo.ScalarField, f) -> list:
     """|Hess v + Rc|^2 + 2 Rc(grad(v-f), grad(v-f))."""
-    s = geo.tensor_map(lambda a, b: a + b, geo.hessian(chart, v), chart.ricci)
-    gvf = geo.gradient(chart, v - f)
-    return [geo.inner_sym2(chart, s, s),
-            2.0 * geo.sym2_apply(chart, chart.ricci, gvf, gvf)]
+    ch = v.chart
+    s = geo.tensor_map(lambda a, b: a + b, v.hess, ch.ricci)
+    gvf = geo.gradient(ch, v.s - f)
+    return [geo.inner_sym2(ch, s, s),
+            2.0 * geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
-def leps_production_terms(chart, v, f, eps: float) -> list:
+def leps_production_terms(v: geo.ScalarField, f, eps: float) -> list:
     """Production term of L_eps P_eps:
 
     eps^{-1}|Hess v|^2 + 2<Rc,Hess v> + eps^{-1}|Rc|^2
       + 2 eps^{-1} Rc(grad(v - eps f), grad(v - eps f))
       + (1 - eps^{-1}) Rc(grad(v + f), grad(v + f)).
     """
-    hv = geo.hessian(chart, v)
-    ric = chart.ricci
-    g1 = geo.gradient(chart, v - eps * f)
-    g2 = geo.gradient(chart, v + f)
+    ch, hv, ric = v.chart, geo.Sym2Field(v.chart, v.hess), v.chart.ricci
+    g1 = geo.gradient(ch, v.s - eps * f)
+    g2 = geo.gradient(ch, v.s + f)
     ie = 1.0 / eps
-    return [ie * geo.inner_sym2(chart, hv, hv),
-            2.0 * geo.inner_sym2(chart, ric, hv),
-            ie * geo.ricci_field(chart).rc,
-            2.0 * ie * geo.sym2_apply(chart, ric, g1, g1),
-            (1.0 - ie) * geo.sym2_apply(chart, ric, g2, g2)]
+    return [ie * hv.pair(hv.h), 2.0 * hv.rc,
+            ie * geo.ricci_field(ch).rc,
+            2.0 * ie * geo.sym2_apply(ch, ric, g1, g1),
+            (1.0 - ie) * geo.sym2_apply(ch, ric, g2, g2)]
 
 
 def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps_set) -> dict:

@@ -9,7 +9,9 @@ jet variable (so time derivatives are available) or a per-point constant.
 Conventions: a gradient soliton satisfies Ric + Hess f = lam * g with lam = 0
 (steady) or lam = -1/(2t), t < 0 (shrinking, so the metric g(t) = -2t * g_fixed
 cases solve Ricci flow exactly). The soliton constant lam is written here
-only, as ``SolitonContext.lam``. "Normalized steady" means R + |grad f|^2 = 1.
+only, as ``SolitonContext.lam``, and f is read through one kept record, the
+``geometry.ScalarField`` ``SolitonContext.potential``. "Normalized steady"
+means R + |grad f|^2 = 1.
 """
 
 import math
@@ -224,9 +226,9 @@ class SolitonContext(geo.Kept):
     reading rows the space does not carry.
 
     The context keeps by name (``kept``, as the chart does) what depends on
-    it beyond the chart: grad f, Hess f and Lap f (``f_derivative``) and the
-    seeded fields evolved on it, each built by the first check that asks for
-    it and read by the next.
+    it beyond the chart: f's record (``potential``) and the seeded fields
+    evolved on it, each built by the first check that asks for it and read
+    by the next.
     """
 
     def __init__(self, spec: SolitonSpec, seed: int, n_points: int, order: int,
@@ -263,10 +265,10 @@ class SolitonContext(geo.Kept):
         g, self.f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
 
-    def f_derivative(self, kind: str):
-        """The kept gradient ("grad"), Hessian ("Hess") or Laplacian ("Lap")
-        of the potential (``geometry.kept_derivative``)."""
-        return geo.kept_derivative(self, kind, "f", self.chart, self.f)
+    @property
+    def potential(self) -> geo.ScalarField:
+        """f's record (``geometry.ScalarField``), kept on the context."""
+        return self.kept("f", lambda: geo.ScalarField(self.chart, self.f))
 
     def dt(self, elem):
         if self.time_index is None:

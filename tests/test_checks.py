@@ -172,11 +172,11 @@ def test_b5_slack_identity_reads_the_old_ratio_when_the_bound_fails(monkeypatch)
                         lambda *args: [0.5 * t for t in l_eps_terms(*args)])
     rep = run_check("CHK-B5", "cigar_flow_v2", n_points=16)
     ctx = build_context("cigar_flow_v2", 0, 16, 6)
-    ch, v = ctx.chart, checks._log_solution(ctx, 1.0)
-    q = field_data(hk.log_q(ch, v))
+    v = checks._log_solution(ctx, 1.0)
+    q = field_data(hk.log_q(v))
     lp = field_data(sum(
-        hk.l_eps_terms(ch, ctx.dt, v, hk.harnack_p_eps(ch, v, 1.0), 1.0)))
-    bound = q * q / ch.n
+        hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, 1.0), 1.0)))
+    bound = q * q / ctx.chart.n
     old = np.maximum(bound - lp, 0.0) / (np.abs(bound) + np.abs(lp) + 1e-30)
     assert 0 < np.count_nonzero(old) < 16
     assert rep.status == checks.STATUS_FAIL
@@ -425,6 +425,20 @@ def test_nabla_ricci_is_formed_once_per_chart(monkeypatch):
     assert len(formed) == len({id(c) for c in formed}) == len(readers)
 
 
+def test_rc_is_raised_once_per_chart(monkeypatch):
+    # every reader of R^{ij}, CHK-L2's trace evolution among them, reads it
+    # from Rc's record: across the suite each chart raises Rc once
+    raise_sym2, raised = geo.raise_sym2, []
+
+    def spy(chart, h):
+        if h is vars(chart).get("ricci"):
+            raised.append(h)
+        return raise_sym2(chart, h)
+    monkeypatch.setattr(geo, "raise_sym2", spy)
+    _fresh(lambda: run_suite(n_points=4))
+    assert raised and len(raised) == len({id(h) for h in raised})
+
+
 def test_eq1_forms_div_h_of_its_evolved_h_once(monkeypatch):
     # Z(h, X) and the evolution groups read one record of the evolved h
     divergence, seen = geo.divergence_sym2, []
@@ -439,9 +453,9 @@ def test_eq1_forms_div_h_of_its_evolved_h_once(monkeypatch):
     assert sum(t is h for t in seen) == 1
 
 
-_KEPT_ON_A_CHART = {"Rc^i_j", "Rc", "Hess R", "Lap R", "curvature inputs",
-                    "magnitudes", "grad Rc atom scale"}
-_KEPT_ON_A_CONTEXT = {"grad f", "Hess f", "Lap f", ("h", None)} \
+_KEPT_ON_A_CHART = {"Rc", "R", "curvature inputs", "magnitudes",
+                    "grad Rc atom scale"}
+_KEPT_ON_A_CONTEXT = {"f", ("h", None)} \
     | {("b.u0", eps) for eps in checks._EPS_SET}
 
 

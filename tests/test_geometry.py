@@ -207,7 +207,7 @@ def test_hessian_is_symmetric_and_traces_to_laplacian():
 
 def test_mixed_ricci_and_sym2_apply():
     ch, x, y = generic_chart()
-    mixed = geo.mixed_ricci(ch)
+    mixed = geo.ricci_field(ch).mixed
     for i in range(2):
         for j in range(2):
             manual = sum(ch.ginv[i, k] * ch.ricci[k, j] for k in range(2))
@@ -676,6 +676,8 @@ def test_traced_contractions_keep_the_full_formulas_bits():
         pairs = [
             (geo.laplacian(ch, s),
              _old_trace(ch, _reference_covariant_derivative(ch, ds), ())),
+            (geo.ScalarField(ch, s).lap,
+             _old_trace(ch, _reference_covariant_derivative(ch, ds), ())),
             *zip(geo.rough_laplacian(ch, h).comps.flat,
                  _old_rough_laplacian(ch, h).comps.flat),
             *zip(geo.rough_laplacian(ch, vec).comps.flat,
@@ -685,7 +687,7 @@ def test_traced_contractions_keep_the_full_formulas_bits():
         got = geo.divergence_sym2(ch, h)
         pairs += list(zip(got.comps.flat, div.comps.flat))
         pairs.append((geo.divergence_vec(ch, geo.raise_vector(ch, got)), divdiv))
-        assert len(pairs) == 1 + n * n + n + n + 1
+        assert len(pairs) == 2 + n * n + n + n + 1
         for k, (a, b) in enumerate(pairs):
             _assert_same_elements(a, b, (name, k))
 

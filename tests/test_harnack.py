@@ -76,13 +76,13 @@ def test_trace_harnack_matches_doubled_linear_trace_any_metric():
 def test_perelman_scalar_is_minus_one_on_normalized_cigar():
     for name in ("cigar_static", "cigar_flow"):
         ctx = build_context(name, n_points=8, order=4)
-        total = sum(hk.perelman_scalar_terms(ctx.chart, ctx.f))
+        total = sum(hk.perelman_scalar_terms(ctx.potential))
         assert _maxabs(total + 1.0) < 1e-11, name
 
 
 def test_perelman_scalar_gaussian_closed_form():
     ctx = build_context("gaussian_shrinker", n_points=16, order=4)
-    total = field_data(sum(hk.perelman_scalar_terms(ctx.chart, ctx.f)))
+    total = field_data(sum(hk.perelman_scalar_terms(ctx.potential)))
     x, t = ctx.points["x"], ctx.points["t"]
     r2 = x[0] ** 2 + x[1] ** 2
     want = -2.0 / t - r2 / (4.0 * t * t)
@@ -91,7 +91,7 @@ def test_perelman_scalar_gaussian_closed_form():
 
 def test_conjugate_density_gaussian_closed_form():
     ctx = build_context("gaussian_shrinker", n_points=16, order=4)
-    v = field_data(hk.conjugate_density(ctx.chart, ctx.f))
+    v = field_data(hk.conjugate_density(ctx.potential))
     x, t = ctx.points["x"], ctx.points["t"]
     r2 = x[0] ** 2 + x[1] ** 2
     want = (-2.0 / t - r2 / (4.0 * t * t)) * np.exp(-(r2 / (-4.0 * t) - 1.0))
@@ -101,7 +101,7 @@ def test_conjugate_density_gaussian_closed_form():
 def test_soliton_defect_vanishes_on_solitons():
     for name in ("cigar_static", "gaussian_shrinker"):
         ctx = build_context(name, n_points=8, order=4)
-        d = hk.soliton_defect_norm2(ctx.chart, ctx.f)
+        d = hk.soliton_defect_norm2(ctx.potential)
         if ctx.spec.kind == "shrinking":
             # steady defect |Rc + Hess f|^2 = |g/(-2t)|^2 = 1/(2t^2) here
             want = 0.5 * ctx.t.reciprocal() * ctx.t.reciprocal()
@@ -113,7 +113,7 @@ def test_soliton_defect_vanishes_on_solitons():
 def test_soliton_defect_positive_generic():
     ch, x, y = generic_chart()
     u = 0.4 * (x * y).sin() + 0.2 * x
-    d = hk.soliton_defect_norm2(ch, u)
+    d = hk.soliton_defect_norm2(geo.ScalarField(ch, u))
     assert np.all(field_data(d) > 0.0)
 
 
@@ -124,7 +124,7 @@ def test_harnack_p_eps_flat_frozen():
     ch = geo.MetricChart([[one, zero], [zero, one]])
     v = x.sin()
     for eps in (-1.0, 0.5, 2.0):
-        p = field_data(hk.harnack_p_eps(ch, v, eps))
+        p = field_data(hk.harnack_p_eps(geo.ScalarField(ch, v), eps))
         want = -2.0 * np.sin([0.3, 1.2]) + np.cos([0.3, 1.2]) ** 2
         assert np.max(np.abs(p - want)) < 1e-12
 
@@ -133,13 +133,13 @@ def test_l_eps_operator_terms():
     ctx = build_context("flat_torus", n_points=6, order=5)
     w = fields.propagate_scalar(ctx, ctx.coords[0].sin(),
                                 lambda c, u: geo.laplacian(c.chart, u))
-    v = ctx.space.constant(np.zeros(6))
-    terms = hk.l_eps_terms(ctx.chart, ctx.dt, v, w, eps=1.0)
+    v = geo.ScalarField(ctx.chart, ctx.space.constant(np.zeros(6)))
+    terms = hk.l_eps_terms(ctx.dt, v, w, eps=1.0)
     got = field_data(sum(terms))
     # for v = 0: L_1 w = (1/2)(dw/dt - Lap w) = 0 along the heat flow
     assert np.max(np.abs(got)) < 1e-12
     # eps rescales only the spatial part
-    terms2 = hk.l_eps_terms(ctx.chart, ctx.dt, v, w, eps=2.0)
+    terms2 = hk.l_eps_terms(ctx.dt, v, w, eps=2.0)
     gap = field_data(sum(terms2)) - field_data(
         0.5 * ctx.dt(w) - 0.25 * geo.laplacian(ctx.chart, w))
     assert np.max(np.abs(gap)) < 1e-13
@@ -173,9 +173,9 @@ def test_ricci_rewrite_any_symmetric_tensor(eps, ricci_rewrite_sides):
 
 def test_leps_production_reduces_to_lp_at_eps_one():
     ctx = build_context("cigar_flow_v2", n_points=6, order=5)
-    v = fields.trig_scalar(ctx, "v")
-    a = sum(hk.leps_production_terms(ctx.chart, v, ctx.f, 1.0))
-    b = sum(hk.lp_production_terms(ctx.chart, v, ctx.f))
+    v = geo.ScalarField(ctx.chart, fields.trig_scalar(ctx, "v"))
+    a = sum(hk.leps_production_terms(v, ctx.f, 1.0))
+    b = sum(hk.lp_production_terms(v, ctx.f))
     assert _maxabs(a - b) < 1e-11
 
 
@@ -192,20 +192,27 @@ def _bits(value) -> list:
 @pytest.mark.parametrize("soliton", ["cigar_flow", "sphere_shrinker",
                                      "gaussian_shrinker"])
 def test_kept_tensors_have_the_bits_of_building_them(soliton):
-    # what a chart or a context keeps, Rc's record and the one curvature
-    # inputs build among it, equal the generic builders bit for bit
+    # what a chart or a context keeps, the records of R, f and Rc and the
+    # one curvature inputs build among it, equal the builders written out
+    # bit for bit: a Hessian is the covariant derivative of ds, and a
+    # Laplacian traces that Hessian
     ctx = build_context(soliton, 0, 4, 6)
     ch = ctx.chart
     r, ric = ch.scalar_curvature, ch.ricci
-    rec = geo.ricci_field(ch)
+    rec, r_rec, f_rec = geo.ricci_field(ch), geo.r_field(ch), ctx.potential
     inputs = hk.chart_inputs(ch)
     dric = geo.covariant_derivative(ch, ric)
+    hess_r = geo.covariant_derivative(ch, geo.differential(ch, r))
+    df = geo.differential(ch, ctx.f)
+    hess_f = geo.covariant_derivative(ch, df)
     pairs = [
-        (ch.r_derivative("Hess"), geo.hessian(ch, r)),
-        (ch.r_derivative("Lap"), geo.laplacian(ch, r)),
-        (ctx.f_derivative("grad"), geo.gradient(ch, ctx.f)),
-        (ctx.f_derivative("Hess"), geo.hessian(ch, ctx.f)),
-        (ctx.f_derivative("Lap"), geo.laplacian(ch, ctx.f)),
+        (r_rec.hess, hess_r),
+        (r_rec.lap, geo.trace_sym2(ch, hess_r)),
+        (f_rec.grad, geo.raise_vector(ch, df)),
+        (f_rec.hess, hess_f),
+        (f_rec.lap, geo.trace_sym2(ch, hess_f)),
+        (f_rec.norm2, geo.inner_vec(ch, df, df)),
+        (list(rec.mixed.flat), list(geo._raise_first(ch, ric.comps).flat)),
         (rec.up, geo.raise_sym2(ch, ric)),
         (rec.div, geo.divergence_sym2(ch, ric)),
         (rec.div_div, geo.divergence_vec(
