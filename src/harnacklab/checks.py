@@ -38,11 +38,11 @@ The chart keeps its curvature and every tensor of the chart alone that a
 second check reads: Rc's record (``geo.ricci_field``: R^{ij}, R^i_j, div Rc,
 div div Rc and |Rc|^2), R's record (``geo.r_field``: Hess R and Lap R), the
 curvature inputs, M's pieces and P in one build (``hk.chart_inputs``), the
-grad-Rc atom scale and its ``MagnitudeChart``. The context keeps f's record
-(``ctx.potential``: grad f, Hess f, Lap f and |grad f|^2) and its evolved
-fields (the h of CHK-EQ1, L1 and L2, the log u of CHK-B2 to B6 and B8, per
-eps); a reader of an evolved field builds its own record of it, and CHK-EQ1
-passes one record to both sides of its identity. A kept tensor has
+grad-Rc atom scale and its ``MagnitudeChart``. The context keeps the record
+of f (``ctx.potential``: grad f, Hess f, Lap f and |grad f|^2) and of each
+field evolved on it: the h of CHK-EQ1, L1 and L2 (h^{ij}, div h, div div h
+and <Rc, h>) and, per eps, the log u of CHK-B2 to B6 and B8 (Hess v, Lap v
+and |grad v|^2), so all their readers share one of each. A kept tensor has
 the bits of building it again, so a verdict does not depend on what ran
 before it, but its time does: a check's ``millis`` leaves out what an
 earlier check kept (ROADMAP item 11 splits that time out).
@@ -313,10 +313,10 @@ def _heat_terms(ctx, pieces):
     return [ctx.dt(z) for z in pieces] + [-geo.laplacian(ch, z) for z in pieces]
 
 
-def _evolved_h(ctx):
-    """The trig h under dh/dt = Lichnerowicz(h), built once per context."""
-    return ctx.kept(("h", None), lambda: fields.propagate_sym2(
-        ctx, fields.trig_sym2(ctx, "h")))
+def _evolved_h(ctx) -> geo.Sym2Field:
+    """The kept record of the trig h under dh/dt = Lichnerowicz(h)."""
+    return ctx.kept("h", lambda: geo.Sym2Field(ctx.chart, fields.propagate_sym2(
+        ctx, fields.trig_sym2(ctx, "h"))))
 
 
 @_check("CHK-EQ1",
@@ -326,7 +326,7 @@ def _evolved_h(ctx):
         _exact_flow, 1e-7)
 def _run_eq1(ctx):
     ch = ctx.chart
-    h = geo.Sym2Field(ch, _evolved_h(ctx))
+    h = _evolved_h(ctx)
     x = fields.trig_vector(ctx, "eq1.X", time_linear=True)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
     lhs = _heat_terms(ctx, hk.linear_trace_terms(h, x))
@@ -359,8 +359,7 @@ def _eq1_vanishing_brackets(ctx):
         "(dg/dt = -2Rc, df/dt = Lap f or |grad f|^2, dh/dt = Lichnerowicz(h))",
         _steady_system, 1e-7)
 def _run_l1(ctx):
-    h = geo.Sym2Field(ctx.chart, _evolved_h(ctx))
-    pieces = hk.linear_trace_terms(h, fields.neg_grad_potential(ctx))
+    pieces = hk.linear_trace_terms(_evolved_h(ctx), fields.neg_grad_potential(ctx))
     return {"heat_equation": Identity([_heat_terms(ctx, pieces)])}
 
 
@@ -372,14 +371,14 @@ def _run_l1(ctx):
 def _run_l2(ctx):
     ch = ctx.chart
     h = _evolved_h(ctx)
-    zp = hk.linear_trace_terms(geo.Sym2Field(ch, h), fields.neg_grad_potential(ctx))
-    bigh = geo.trace_sym2(ch, h)
+    zp = hk.linear_trace_terms(h, fields.neg_grad_potential(ctx))
+    bigh = geo.trace_sym2(ch, h.h)
     pieces = zp + [bigh * -ctx.lam]
     damped = _heat_terms(ctx, pieces) + [(-4.0 * ctx.lam) * z for z in pieces]
     t2 = ctx.t * ctx.t
     conserved = _heat_terms(ctx, [t2 * z for z in pieces])
     trace_ev = [ctx.dt(bigh), -geo.laplacian(ch, bigh),
-                -2.0 * geo.ricci_field(ch).pair(h)]
+                -2.0 * geo.ricci_field(ch).pair(h.h)]
     return {
         "damped_heat": Identity([damped]),
         "conserved_form": Identity([conserved]),
@@ -433,12 +432,13 @@ def _run_r2(ctx):
 
 
 def _log_solution(ctx, eps) -> geo.ScalarField:
-    """A fresh record of log u for du/dt = eps^{-1} Lap u + R u from a trig
-    u0; log u itself is built once per (context, eps)."""
+    """The record of log u for du/dt = eps^{-1} Lap u + R u from a trig u0,
+    kept on the context per eps."""
     def build():
         u0 = fields.trig_scalar(ctx, "b.u0", amplitude=0.3).exp()
-        return fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps)).log()
-    return geo.ScalarField(ctx.chart, ctx.kept(("b.u0", eps), build))
+        u = fields.propagate_scalar(ctx, u0, fields.rhs_linear_heat(eps))
+        return geo.ScalarField(ctx.chart, u.log())
+    return ctx.kept(("log u", eps), build)
 
 
 @_check("CHK-B1",
@@ -529,7 +529,8 @@ def _run_b8(ctx):
     v = _log_solution(ctx, -1.0)
     lhs = hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, -1.0), -1.0)
     diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, v.hess)
-    hfv = geo.hessian(ch, ctx.f + v.s)
+    fv = ctx.f + v.s  # v.s itself where f is the number 0.0
+    hfv = (v if fv is v.s else geo.ScalarField(ch, fv)).hess
     return {
         "energy_production": _balance(lhs, [-geo.inner_sym2(ch, diff, diff)]),
         "soliton_production": _balance(lhs, [-geo.inner_sym2(ch, hfv, hfv)]),

@@ -20,8 +20,8 @@ where d are the RHS's t-degree-0 coefficients. That is exact wherever the
 identities look: they read at most one time derivative. The result is a fresh
 jet whose validity order is at most (RHS validity + 1); the inputs are left
 as they were. The checks call these helpers through ``SolitonContext.kept``,
-so each evolved field is built once per context; the context keeps the bare
-field, and each reader builds its own record of it (``geometry.Sym2Field``).
+so each evolved field is built once per context and kept as its record
+(``geometry.Sym2Field`` or ``ScalarField``), which all its readers share.
 """
 
 import numpy as np

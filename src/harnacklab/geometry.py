@@ -55,13 +55,13 @@ the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 
 A scalar s and a symmetric 2-tensor h are each read through one record
 (:class:`ScalarField`, :class:`Sym2Field`) that forms each derivative or
-contraction on its first read, so its readers share one of each;
-:func:`gradient`, :func:`hessian`, :func:`laplacian` and :func:`inner_sym2`
-read a fresh record, so a scalar's Laplacian has one rule, ``ScalarField.lap``.
-A tensor of the chart alone is kept on it by name (:class:`Kept`): the records
-of R (:func:`r_field`) and Rc (:func:`ricci_field`) and the chart's
-:class:`MagnitudeChart`, beside what :mod:`.harnack` and :mod:`.checks` keep
-there. The curvature itself stays in the chart's cached properties.
+contraction on its first read, and where a field is kept its record is, so
+its readers share one of each. :func:`gradient`, :func:`hessian`,
+:func:`laplacian` and :func:`inner_sym2` read a fresh record: a scalar's
+Laplacian has one rule, ``ScalarField.lap``. The chart keeps by name
+(:class:`Kept`) the records of R (:func:`r_field`) and Rc
+(:func:`ricci_field`), its :class:`MagnitudeChart` and what :mod:`.harnack`
+and :mod:`.checks` keep there; its curvature stays in cached properties.
 """
 
 import math
@@ -479,8 +479,8 @@ class ScalarField:
     it is read (partials, no product), and, each on its first read, ``norm2``
     |grad s|^2, ``grad``, ``hess`` and ``lap`` g^{ij} nabla_i nabla_j s, which
     forms only the (i, j) of the Hessian that ``chart.traced`` lists. R's
-    record is kept on its chart (:func:`r_field`); a reader of any other scalar
-    builds its own."""
+    record is kept on its chart (:func:`r_field`), those of f and of each
+    evolved log u on their soliton context."""
 
     def __init__(self, chart: MetricChart, s):
         self.chart = chart
@@ -594,8 +594,8 @@ class Sym2Field:
     h^{ij}, ``mixed`` h^i_j as an (n, n) object array, ``div`` div h,
     ``div_div`` div div h and ``rc`` <Rc, h>. ``pair(a)`` is A_ij h^{ij},
     the bits of ``inner_sym2(chart, a, h)``, and ``rc`` is ``pair(Rc)``. Rc's
-    record is kept on its chart (:func:`ricci_field`); a reader of any other
-    h builds its own."""
+    record is kept on its chart (:func:`ricci_field`), an evolved h's on its
+    soliton context."""
 
     def __init__(self, chart: MetricChart, h: TensorValue):
         self.chart = chart

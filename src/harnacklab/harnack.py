@@ -105,8 +105,9 @@ def field_inputs(h: geo.Sym2Field, x: geo.TensorValue, dxdt: geo.TensorValue) ->
     return {
         "h": h.h, "x": x, "dxdt": dxdt, "hup": h.up, "divh": h.div,
         "hx": geo.vector_from(lambda i: _acc(h.h[i, k] * x[k] for k in range(n)), n),
-        "dx": geo.covariant_derivative(chart, x),    # dx[j][^i] = grad_j X^i
-        "lap_x": geo.rough_laplacian(chart, x),
+        # dx after h.div: formed before it, dx raised the grid route's peak RSS
+        "dx": (dx := geo.covariant_derivative(chart, x)),  # dx[j][^i] = grad_j X^i
+        "lap_x": geo.rough_laplacian_from(chart, dx),
     }
 
 
@@ -230,11 +231,15 @@ def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps_set) -> dict:
     2 eps^{-1} A(grad(v - eps f), .) + (1 - eps^{-1}) A(grad(v + f), .)
       == (1 + eps^{-1}) A(grad(v - f), .) + 2 (eps - eps^{-1}) A(grad f, grad f).
 
-    Only A(grad(v - eps f), .) depends on eps; the other three are formed once.
+    A(grad s, grad s) is formed once per distinct scalar object s of the call.
     """
+    formed = {}  # id(s): (s, A(grad s, grad s)); s is held, so no id is reused
+
     def a_of(s):
-        g = geo.gradient(chart, s)
-        return geo.sym2_apply(chart, a, g, g)
+        if id(s) not in formed:
+            g = geo.gradient(chart, s)
+            formed[id(s)] = (s, geo.sym2_apply(chart, a, g, g))
+        return formed[id(s)][1]
     a_plus, a_minus, a_f = a_of(v + f), a_of(v - f), a_of(f)
     out = {}
     for eps in eps_set:

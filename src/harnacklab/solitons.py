@@ -225,10 +225,10 @@ class SolitonContext(geo.Kept):
     in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
     reading rows the space does not carry.
 
-    The context keeps by name (``kept``, as the chart does) what depends on
-    it beyond the chart: f's record (``potential``) and the seeded fields
-    evolved on it, each built by the first check that asks for it and read
-    by the next.
+    The context keeps by name (``kept``, as the chart does) the records of f
+    (``potential``) and of each seeded field evolved on it, each built by the
+    first check that asks for it; a record holds the chart, which never
+    refers to its context, so the two form no reference cycle.
     """
 
     def __init__(self, spec: SolitonSpec, seed: int, n_points: int, order: int,

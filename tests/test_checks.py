@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -448,15 +449,47 @@ def test_eq1_forms_div_h_of_its_evolved_h_once(monkeypatch):
     def run():
         run_check("CHK-EQ1", "cigar_flow", n_points=4)
         ctx = build_context("cigar_flow", 0, 4, JET_ORDER)
-        return ctx.kept(("h", None), None)
+        return ctx.kept("h", None).h
     h = _fresh(run)
     assert sum(t is h for t in seen) == 1
 
 
 _KEPT_ON_A_CHART = {"Rc", "R", "curvature inputs", "magnitudes",
                     "grad Rc atom scale"}
-_KEPT_ON_A_CONTEXT = {"f", ("h", None)} \
-    | {("b.u0", eps) for eps in checks._EPS_SET}
+_KEPT_ON_A_CONTEXT = {"f", "h"} | {("log u", eps) for eps in checks._EPS_SET}
+
+
+def test_div_h_is_formed_once_per_context(monkeypatch):
+    # EQ1, L1 and L2 read the record of h their context keeps: across the
+    # suite each context's evolved h is differentiated once
+    builds = _kept_builds(monkeypatch)
+    divergence, seen = geo.divergence_sym2, []
+    monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
+        seen.append(h), divergence(chart, h))[1])
+    _fresh(lambda: run_suite(n_points=4))
+    hs = [ctx.kept("h", None).h for ctx, name in builds if name == "h"]
+    assert len(hs) == len({s for c in ("CHK-EQ1", "CHK-L1", "CHK-L2")
+                           for s in REGISTRY[c].applies_to})
+    assert [sum(t is h for t in seen) for h in hs] == [1] * len(hs)
+
+
+def test_hess_of_each_kept_log_u_is_formed_once(monkeypatch):
+    # B2 to B6 and B8 read the record of log u their context keeps per eps:
+    # across the suite each Hessian of log u is formed once per (context, eps)
+    builds = _kept_builds(monkeypatch)
+    hess, seen = geo.ScalarField.hess.func, []
+
+    def spy(record):
+        seen.append(record.s)
+        return hess(record)
+    spied = functools.cached_property(spy)
+    spied.__set_name__(geo.ScalarField, "hess")
+    monkeypatch.setattr(geo.ScalarField, "hess", spied)
+    _fresh(lambda: run_suite(n_points=4))
+    vs = [ctx.kept(name, None).s for ctx, name in builds
+          if isinstance(name, tuple) and name[0] == "log u"]
+    assert len(vs) == len(REGISTRY["CHK-B6"].applies_to) * len(checks._EPS_SET)
+    assert [sum(s is v for s in seen) for v in vs] == [1] * len(vs)
 
 
 def test_each_kept_tensor_is_built_once_per_chart_and_context(monkeypatch):

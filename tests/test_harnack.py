@@ -171,6 +171,34 @@ def test_ricci_rewrite_any_symmetric_tensor(eps, ricci_rewrite_sides):
     assert _maxabs(sum(lhs) - sum(rhs)) < 1e-11
 
 
+def test_ricci_rewrite_forms_one_gradient_per_distinct_scalar(monkeypatch):
+    # on flat_torus f is the number 0.0, so v + f, v - f and each v - eps f
+    # are v itself: the rewrite forms grad v and grad f alone
+    gradient, seen = geo.gradient, []
+    monkeypatch.setattr(geo, "gradient", lambda chart, s: (
+        seen.append(s), gradient(chart, s))[1])
+    ctx = build_context("flat_torus", 0, 4)
+    v, f = fields.trig_scalar(ctx, "b7.v", base=0.2), ctx.f
+    scalars = [v + f, v - f, f] + [v - eps * f for eps in checks._EPS_SET]
+    distinct = [s for k, s in enumerate(scalars)
+                if all(s is not t for t in scalars[:k])]
+    hk.ricci_terms_rewrite(ctx.chart, ctx.chart.ricci, v, f, checks._EPS_SET)
+    assert len(distinct) == 2 and len(seen) == len(distinct)
+
+
+def test_field_inputs_forms_nabla_x_once(monkeypatch):
+    # dx and lap_x read one grad X: CHK-EQ1's identity and its vanishing
+    # brackets each differentiate their X once
+    derivative, inputs, seen, xs = geo.covariant_derivative, hk.field_inputs, [], []
+    monkeypatch.setattr(geo, "covariant_derivative", lambda chart, t, reads=None: (
+        seen.append(t), derivative(chart, t, reads))[1])
+    monkeypatch.setattr(hk, "field_inputs", lambda h, x, dxdt: (
+        xs.append(x), inputs(h, x, dxdt))[1])
+    checks.REGISTRY["CHK-EQ1"].runner(build_context("cigar_flow", 0, 4))
+    assert len(xs) == 2
+    assert [sum(t is x for t in seen) for x in xs] == [1, 1]
+
+
 def test_leps_production_reduces_to_lp_at_eps_one():
     ctx = build_context("cigar_flow_v2", n_points=6, order=5)
     v = geo.ScalarField(ctx.chart, fields.trig_scalar(ctx, "v"))
