@@ -33,19 +33,9 @@ order) that only CHK-R1 uses; the order is ``solitons.JET_ORDER`` for every
 check, the most derivatives any identity reads. ``run_check`` builds that
 context, runs the runner and judges its parts inside the timed region, whose
 time is the report's ``millis``. Contexts are shared (``build_context`` is a
-cache) and keep by name what their first reader built (``geometry.Kept``).
-The chart keeps its curvature and every tensor of the chart alone that a
-second check reads: Rc's record (``geo.ricci_field``: R^{ij}, R^i_j, div Rc,
-div div Rc and |Rc|^2), R's record (``geo.r_field``: Hess R and Lap R), the
-curvature inputs, M's pieces and P in one build (``hk.chart_inputs``), the
-grad-Rc atom scale and its ``MagnitudeChart``. The context keeps the record
-of f (``ctx.potential``: grad f, Hess f, Lap f and |grad f|^2) and of each
-field evolved on it: the h of CHK-EQ1, L1 and L2 (h^{ij}, div h, div div h
-and <Rc, h>) and, per eps, the log u of CHK-B2 to B6 and B8 (Hess v, Lap v
-and |grad v|^2), so all their readers share one of each. A kept tensor has
-the bits of building it again, so a verdict does not depend on what ran
-before it, but its time does: a check's ``millis`` leaves out what an
-earlier check kept (ROADMAP item 11 splits that time out).
+cache), and what they and their charts keep follows ``geometry.Kept``: a
+verdict does not depend on what ran before it, but its ``millis`` leaves
+out what an earlier check kept (ROADMAP item 11 splits that time out).
 """
 
 import functools
@@ -115,7 +105,7 @@ def _nabla_ricci_atom_scale(chart) -> np.ndarray:
     the roundoff of any grad-Rc-built quantity is measured; it is kept on
     the chart."""
     def build():
-        dric = geo.covariant_derivative(geo.magnitude_chart(chart),
+        dric = geo.covariant_derivative(chart.magnitude_chart,
                                         geo.magnitudes(chart.ricci))
         return sum((c.values for c in dric.comps.flat), _FLOOR)
     return chart.kept("grad Rc atom scale", build)
@@ -223,10 +213,10 @@ def _run_s1(ctx):
         "and grad R = 2 Rc(grad f)",
         _any)
 def _run_s2(ctx):
-    ch, r, f = ctx.chart, geo.r_field(ctx.chart), ctx.potential
+    ch, r, f = ctx.chart, ctx.chart.r_field, ctx.potential
     dr = r.d
     grr = geo.inner_vec(ch, dr, f.d)
-    terms = [r.lap, 2.0 * geo.ricci_field(ch).rc, -grr,
+    terms = [r.lap, 2.0 * ch.ricci.rc, -grr,
              ch.scalar_curvature * -ctx.lam * 2.0]
     gf = f.grad
     return {
@@ -279,7 +269,7 @@ def _run_h3(ctx):
     ch = ctx.chart
     gf = ctx.potential.grad
     lap_gf = geo.rough_laplacian(ch, gf)
-    mixed = geo.ricci_field(ch).mixed
+    mixed = ch.ricci.mixed
     out = []
     for j in range(ch.n):
         out.append([ctx.dt(gf[j]), -lap_gf[j]]
@@ -292,7 +282,7 @@ def _run_h3(ctx):
 def _run_h4(ctx):
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
-    terms = hk.linear_trace_terms(geo.ricci_field(ch), x)
+    terms = hk.linear_trace_terms(ch.ricci, x)
     return {"trace_harnack_soliton":
             Identity([terms + [ch.scalar_curvature * -ctx.lam]])}
 
@@ -303,7 +293,7 @@ def _run_h4(ctx):
 def _run_h4t(ctx):
     ch = ctx.chart
     x = fields.trig_vector(ctx, "h4t.X")
-    zt = [2.0 * t for t in hk.linear_trace_terms(geo.ricci_field(ch), x)]
+    zt = [2.0 * t for t in hk.linear_trace_terms(ch.ricci, x)]
     return {"trace_form": _balance(hk.trace_harnack_terms(ch, x), zt)}
 
 
@@ -346,10 +336,10 @@ def _eq1_vanishing_brackets(ctx):
     ch = ctx.chart
     x = fields.neg_grad_potential(ctx)
     dxdt = geo.vector_from(lambda i: ctx.dt(x[i]), ch.n, con=True)
-    inputs = hk.chart_inputs(ch) | hk.field_inputs(geo.ricci_field(ch), x, dxdt)
+    inputs = hk.chart_inputs(ch) | hk.field_inputs(ch.ricci, x, dxdt)
     brackets = hk.evolution_rhs_groups(ch, **inputs)
     scales = hk.evolution_rhs_groups(
-        geo.magnitude_chart(ch), **{k: geo.magnitudes(v) for k, v in inputs.items()})
+        ch.magnitude_chart, **{k: geo.magnitudes(v) for k, v in inputs.items()})
     return {f"vanishing_bracket_{k + 1}": Identity([[b]], field_data(s))
             for k, (b, s) in enumerate(zip(brackets, scales))}
 
@@ -372,13 +362,13 @@ def _run_l2(ctx):
     ch = ctx.chart
     h = _evolved_h(ctx)
     zp = hk.linear_trace_terms(h, fields.neg_grad_potential(ctx))
-    bigh = geo.trace_sym2(ch, h.h)
+    bigh = geo.trace_sym2(ch, h)
     pieces = zp + [bigh * -ctx.lam]
     damped = _heat_terms(ctx, pieces) + [(-4.0 * ctx.lam) * z for z in pieces]
     t2 = ctx.t * ctx.t
     conserved = _heat_terms(ctx, [t2 * z for z in pieces])
     trace_ev = [ctx.dt(bigh), -geo.laplacian(ch, bigh),
-                -2.0 * geo.ricci_field(ch).pair(h.h)]
+                -2.0 * ch.ricci.pair(h)]
     return {
         "damped_heat": Identity([damped]),
         "conserved_form": Identity([conserved]),
@@ -529,8 +519,7 @@ def _run_b8(ctx):
     v = _log_solution(ctx, -1.0)
     lhs = hk.l_eps_terms(ctx.dt, v, hk.harnack_p_eps(v, -1.0), -1.0)
     diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, v.hess)
-    fv = ctx.f + v.s  # v.s itself where f is the number 0.0
-    hfv = (v if fv is v.s else geo.ScalarField(ch, fv)).hess
+    hfv = v.of(ctx.f + v.s).hess
     return {
         "energy_production": _balance(lhs, [-geo.inner_sym2(ch, diff, diff)]),
         "soliton_production": _balance(lhs, [-geo.inner_sym2(ch, hfv, hfv)]),

@@ -19,9 +19,8 @@ field,
 where d are the RHS's t-degree-0 coefficients. That is exact wherever the
 identities look: they read at most one time derivative. The result is a fresh
 jet whose validity order is at most (RHS validity + 1); the inputs are left
-as they were. The checks call these helpers through ``SolitonContext.kept``,
-so each evolved field is built once per context and kept as its record
-(``geometry.Sym2Field`` or ``ScalarField``), which all its readers share.
+as they were. The checks keep each evolved field's record on its context
+(``geometry.Kept``).
 """
 
 import numpy as np

@@ -54,14 +54,8 @@ the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
 :func:`divergence_vec` take vectors), so a caller raises or lowers once.
 
 A scalar s and a symmetric 2-tensor h are each read through one record
-(:class:`ScalarField`, :class:`Sym2Field`) that forms each derivative or
-contraction on its first read, and where a field is kept its record is, so
-its readers share one of each. :func:`gradient`, :func:`hessian`,
-:func:`laplacian` and :func:`inner_sym2` read a fresh record: a scalar's
-Laplacian has one rule, ``ScalarField.lap``. The chart keeps by name
-(:class:`Kept`) the records of R (:func:`r_field`) and Rc
-(:func:`ricci_field`), its :class:`MagnitudeChart` and what :mod:`.harnack`
-and :mod:`.checks` keep there; its curvature stays in cached properties.
+(:class:`ScalarField`, :class:`Sym2Field`); what keeps a record is the memo
+rule of :class:`Kept`.
 """
 
 import math
@@ -160,10 +154,20 @@ def flat_metric(n: int) -> list:
 
 
 class Kept:
-    """An owner of tensors kept by name: ``kept(name, build)`` is ``build()``
-    on the first request for ``name`` and the same object after. The name
-    says what the tensor is, never which object it was built from, so a
-    kept tensor has the bits of building it again."""
+    """The one memo rule. An owner memoizes its own tensors as cached
+    properties: a chart its curvature, Rc's record (``ricci``), R's record
+    (``r_field``) and its ``magnitude_chart``, a soliton context f's record
+    (``potential``), and a record each derivative and contraction it forms,
+    so all readers of one record share one of each. ``kept(name, build)`` is
+    how an upper layer keeps a tensor on a lower layer's owner: ``build()``
+    on the first request for ``name`` and the same object after.
+    :mod:`.harnack` keeps the curvature inputs and :mod:`.checks` the grad-Rc
+    atom scale on a chart; :mod:`.checks` keeps the evolved h and each eps's
+    log u on a context. The name says what the tensor is, never which object
+    it was built from, so a kept tensor has the bits of building it again.
+    A record its chart holds reaches the chart through a weak proxy, so the
+    two form no reference cycle and a chart is freed when its last reader
+    drops it, not at the next cyclic collection."""
 
     def kept(self, name, build):
         memo = self.__dict__.setdefault("_kept", {})
@@ -178,9 +182,8 @@ class MetricChart(Kept):
     ``g`` is an (n, n) nested sequence of field elements, symmetric in its
     indices. Coordinate i is the elements' variable i: jets list the
     coordinates first, grid fields carry nothing else. A component may be a
-    plain number, a constant whose partials are 0.0. Curvature data is
-    computed lazily and cached on the chart, and every other tensor of the
-    chart alone is kept by name (``kept``).
+    plain number, a constant whose partials are 0.0. The chart's own tensors
+    are cached properties (:class:`Kept`).
     """
 
     def __init__(self, g):
@@ -261,16 +264,27 @@ class MetricChart(Kept):
         return low
 
     @cached_property
-    def ricci(self) -> TensorValue:
+    def ricci(self) -> "Sym2Field":
+        """Rc's record: R^{ij}, R^i_j, div Rc, div div Rc and |Rc|^2 are
+        formed once per chart."""
         n = self.n
         low = self.riem_low
-        return sym2_from(lambda j, k: _acc(self.ginv[i, l] * low[i, j, k, l]
-                                           for i in range(n) for l in range(n)),
-                         n)
+        return Sym2Field(weakref.proxy(self), sym2_from(
+            lambda j, k: _acc(self.ginv[i, l] * low[i, j, k, l]
+                              for i in range(n) for l in range(n)), n))
 
     @cached_property
     def scalar_curvature(self):
         return trace_sym2(self, self.ricci)
+
+    @cached_property
+    def r_field(self) -> "ScalarField":
+        """R's record: Hess R and Lap R are formed once per chart."""
+        return ScalarField(weakref.proxy(self), self.scalar_curvature)
+
+    @cached_property
+    def magnitude_chart(self) -> "MagnitudeChart":
+        return MagnitudeChart(self)
 
     @cached_property
     def volume_density(self):
@@ -333,11 +347,6 @@ def magnitudes(t):
     if isinstance(t, TensorValue):
         return TensorValue(t.cov, t.con, magnitudes(t.comps))
     return np.frompyfunc(Magnitude.of, 1, 1)(t)
-
-
-def magnitude_chart(chart: MetricChart) -> "MagnitudeChart":
-    """The chart's MagnitudeChart, kept on it."""
-    return chart.kept("magnitudes", lambda: MagnitudeChart(chart))
 
 
 class MagnitudeChart:
@@ -462,14 +471,6 @@ def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
     return TensorValue(0, 1, _raise_first(chart, v.comps))
 
 
-def gradient(chart: MetricChart, s) -> TensorValue:
-    return ScalarField(chart, s).grad
-
-
-def hessian(chart: MetricChart, s) -> TensorValue:
-    return ScalarField(chart, s).hess
-
-
 def laplacian(chart: MetricChart, s):
     return ScalarField(chart, s).lap
 
@@ -478,13 +479,16 @@ class ScalarField:
     """A scalar ``s`` on ``chart`` and its derivatives: ``d`` ds, formed where
     it is read (partials, no product), and, each on its first read, ``norm2``
     |grad s|^2, ``grad``, ``hess`` and ``lap`` g^{ij} nabla_i nabla_j s, which
-    forms only the (i, j) of the Hessian that ``chart.traced`` lists. R's
-    record is kept on its chart (:func:`r_field`), those of f and of each
-    evolved log u on their soliton context."""
+    forms only the (i, j) of the Hessian that ``chart.traced`` lists."""
 
     def __init__(self, chart: MetricChart, s):
         self.chart = chart
         self.s = s
+
+    def of(self, s) -> "ScalarField":
+        """The record of ``s`` on this chart: this record itself where ``s``
+        is its scalar, as ``v.s - f`` is where f is the number 0.0."""
+        return self if s is self.s else ScalarField(self.chart, s)
 
     @property
     def d(self) -> TensorValue:
@@ -588,30 +592,29 @@ def divergence_vec(chart: MetricChart, v: TensorValue):
     return _acc(dv.comps[i, i] for i in range(n))
 
 
-class Sym2Field:
-    """A covariant symmetric 2-tensor ``h`` on ``chart`` and what Z(h, X) and
-    the evolution groups read of it, each formed on its first read: ``up``
-    h^{ij}, ``mixed`` h^i_j as an (n, n) object array, ``div`` div h,
-    ``div_div`` div div h and ``rc`` <Rc, h>. ``pair(a)`` is A_ij h^{ij},
-    the bits of ``inner_sym2(chart, a, h)``, and ``rc`` is ``pair(Rc)``. Rc's
-    record is kept on its chart (:func:`ricci_field`), an evolved h's on its
-    soliton context."""
+class Sym2Field(TensorValue):
+    """A covariant symmetric 2-tensor on ``chart``, with the components of
+    ``h``, and what Z(h, X) and the evolution groups read of it, each formed
+    on its first read: ``up`` h^{ij}, ``mixed`` h^i_j as an (n, n) object
+    array, ``div`` div h, ``div_div`` div div h and ``rc`` <Rc, h>.
+    ``pair(a)`` is A_ij h^{ij}, the bits of ``inner_sym2(chart, a, h)``, and
+    ``rc`` is ``pair(Rc)``."""
 
     def __init__(self, chart: MetricChart, h: TensorValue):
+        super().__init__(2, 0, h.comps)
         self.chart = chart
-        self.h = h
 
     @cached_property
     def up(self) -> TensorValue:
-        return raise_sym2(self.chart, self.h)
+        return raise_sym2(self.chart, self)
 
     @cached_property
     def mixed(self) -> np.ndarray:
-        return _raise_first(self.chart, self.h.comps)
+        return _raise_first(self.chart, self.comps)
 
     @cached_property
     def div(self) -> TensorValue:
-        return divergence_sym2(self.chart, self.h)
+        return divergence_sym2(self.chart, self)
 
     @cached_property
     def div_div(self):
@@ -627,21 +630,6 @@ class Sym2Field:
         return _acc(a[i, j] * up[i, j] for i in range(n) for j in range(n))
 
 
-def ricci_field(chart: MetricChart) -> Sym2Field:
-    """Rc's record, kept on the chart: R^{ij}, R^i_j, div Rc, div div Rc and
-    |Rc|^2 = <Rc, Rc> are formed once per chart. The record reaches its chart
-    through a weak proxy, so the two form no reference cycle and a chart is
-    freed when its last reader drops it, not at the next cyclic collection."""
-    return chart.kept("Rc", lambda: Sym2Field(weakref.proxy(chart), chart.ricci))
-
-
-def r_field(chart: MetricChart) -> ScalarField:
-    """R's record, kept on the chart as Rc's is: Hess R and Lap R are formed
-    once per chart."""
-    return chart.kept("R", lambda: ScalarField(weakref.proxy(chart),
-                                               chart.scalar_curvature))
-
-
 def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     """Delta_L h_pq = Delta h_pq + 2 riem_low[p,i,j,q] h^{ij}
                       - Ric_p^k h_kq - Ric_q^k h_pk.
@@ -651,7 +639,7 @@ def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     lap = rough_laplacian(chart, h)
     hup = raise_sym2(chart, h)
     low = chart.riem_low
-    mixed = ricci_field(chart).mixed  # mixed[k, p] = R^k_p = Ric_p^k
+    mixed = chart.ricci.mixed  # mixed[k, p] = R^k_p = Ric_p^k
     return sym2_from(
         lambda p, q: lap[p, q] + 2.0 * _acc(low[p, i, j, q] * hup[i, j]
                                             for i in range(n) for j in range(n))

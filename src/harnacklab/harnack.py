@@ -12,13 +12,9 @@ identity's right side is split into its inputs and the algebra over them, so
 the normalizer of each group is derived from that one algebra, run on the
 inputs' magnitudes, rather than written a second time.
 
-Z(h, X) and the groups read h through its record (``geometry.Sym2Field``),
-and the scalar builders read f or v = log u through its record
-(``geometry.ScalarField``): a caller that passes one record to several forms
-div h and h^{ij}, or Lap v, Hess v and |grad v|^2, once. Rc and R read the
-records their chart keeps (``geometry.ricci_field``, ``geometry.r_field``).
-The curvature inputs, M's pieces and P, are one build kept on the chart
-(:func:`chart_inputs`), which forms grad Rc once for both P and Lap Rc.
+Z(h, X) and the groups read h, Rc included, through its record
+(``geometry.Sym2Field``) and the scalar builders f, R or v = log u through
+theirs (``geometry.ScalarField``); what keeps a record is ``geometry.Kept``.
 """
 
 from . import geometry as geo
@@ -43,10 +39,9 @@ def chart_inputs(chart) -> dict:
         n = chart.n
         dric = geo.covariant_derivative(chart, chart.ricci)  # dric[i][p][q]
         return {"ric": chart.ricci, "low": chart.riem_low,
-                "mixed": geo.ricci_field(chart).mixed,
-                "ric_up": geo.ricci_field(chart).up,
+                "mixed": chart.ricci.mixed, "ric_up": chart.ricci.up,
                 "lap_ric": geo.rough_laplacian_from(chart, dric),
-                "hess_r": geo.r_field(chart).hess,
+                "hess_r": chart.r_field.hess,
                 "p": geo.TensorValue(3, 0, geo.comps_from(
                     lambda i, p, q: dric[i, p, q] - dric[p, q, i], (n, n, n)))}
     return chart.kept("curvature inputs", build)
@@ -67,16 +62,16 @@ def linear_trace_terms(h: geo.Sym2Field, x: geo.TensorValue) -> list:
     """The four summands of Z(h, X) = div div h + <Rc,h> + 2<div h, X> + h(X,X)."""
     chart = h.chart
     return [h.div_div, h.rc, 2.0 * _acc(h.div[i] * x[i] for i in range(chart.n)),
-            geo.sym2_apply(chart, h.h, x, x)]
+            geo.sym2_apply(chart, h, x, x)]
 
 
 def trace_harnack_terms(chart, x: geo.TensorValue) -> list:
     """Summands of 2 Z(Rc, X) = Lap R + 2|Rc|^2 + 2<grad R, X> + 2 Rc(X,X)."""
-    n, r = chart.n, geo.r_field(chart)
+    n, r = chart.n, chart.r_field
     dr = r.d
     return [
         r.lap,
-        2.0 * geo.ricci_field(chart).rc,
+        2.0 * chart.ricci.rc,
         2.0 * _acc(dr[i] * x[i] for i in range(n)),
         2.0 * geo.sym2_apply(chart, chart.ricci, x, x),
     ]
@@ -103,8 +98,8 @@ def field_inputs(h: geo.Sym2Field, x: geo.TensorValue, dxdt: geo.TensorValue) ->
     chart = h.chart
     n = chart.n
     return {
-        "h": h.h, "x": x, "dxdt": dxdt, "hup": h.up, "divh": h.div,
-        "hx": geo.vector_from(lambda i: _acc(h.h[i, k] * x[k] for k in range(n)), n),
+        "h": h, "x": x, "dxdt": dxdt, "hup": h.up, "divh": h.div,
+        "hx": geo.vector_from(lambda i: _acc(h[i, k] * x[k] for k in range(n)), n),
         # dx after h.div: formed before it, dx raised the grid route's peak RSS
         "dx": (dx := geo.covariant_derivative(chart, x)),  # dx[j][^i] = grad_j X^i
         "lap_x": geo.rough_laplacian_from(chart, dx),
@@ -189,20 +184,20 @@ def l_eps_terms(dt, v: geo.ScalarField, w, eps: float = 1.0) -> list:
 def lq_production_terms(v: geo.ScalarField, f) -> list:
     """|Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f))."""
     ch, hv = v.chart, geo.Sym2Field(v.chart, v.hess)
-    gvf = geo.gradient(ch, v.s - f)
-    return [hv.pair(hv.h), hv.rc, geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
+    gvf = v.of(v.s - f).grad
+    return [hv.pair(hv), hv.rc, geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
 def grad2r_production_terms(v: geo.ScalarField) -> list:
     """|Rc|^2 - |Hess v|^2, the production term for |grad v|^2 + R."""
-    return [geo.ricci_field(v.chart).rc, -geo.inner_sym2(v.chart, v.hess, v.hess)]
+    return [v.chart.ricci.rc, -geo.inner_sym2(v.chart, v.hess, v.hess)]
 
 
 def lp_production_terms(v: geo.ScalarField, f) -> list:
     """|Hess v + Rc|^2 + 2 Rc(grad(v-f), grad(v-f))."""
     ch = v.chart
     s = geo.tensor_map(lambda a, b: a + b, v.hess, ch.ricci)
-    gvf = geo.gradient(ch, v.s - f)
+    gvf = v.of(v.s - f).grad
     return [geo.inner_sym2(ch, s, s),
             2.0 * geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
@@ -215,11 +210,10 @@ def leps_production_terms(v: geo.ScalarField, f, eps: float) -> list:
       + (1 - eps^{-1}) Rc(grad(v + f), grad(v + f)).
     """
     ch, hv, ric = v.chart, geo.Sym2Field(v.chart, v.hess), v.chart.ricci
-    g1 = geo.gradient(ch, v.s - eps * f)
-    g2 = geo.gradient(ch, v.s + f)
+    g1 = v.of(v.s - eps * f).grad
+    g2 = v.of(v.s + f).grad
     ie = 1.0 / eps
-    return [ie * hv.pair(hv.h), 2.0 * hv.rc,
-            ie * geo.ricci_field(ch).rc,
+    return [ie * hv.pair(hv), 2.0 * hv.rc, ie * ric.rc,
             2.0 * ie * geo.sym2_apply(ch, ric, g1, g1),
             (1.0 - ie) * geo.sym2_apply(ch, ric, g2, g2)]
 
@@ -237,7 +231,7 @@ def ricci_terms_rewrite(chart, a: geo.TensorValue, v, f, eps_set) -> dict:
 
     def a_of(s):
         if id(s) not in formed:
-            g = geo.gradient(chart, s)
+            g = geo.ScalarField(chart, s).grad
             formed[id(s)] = (s, geo.sym2_apply(chart, a, g, g))
         return formed[id(s)][1]
     a_plus, a_minus, a_f = a_of(v + f), a_of(v - f), a_of(f)

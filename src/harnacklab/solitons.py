@@ -9,7 +9,7 @@ jet variable (so time derivatives are available) or a per-point constant.
 Conventions: a gradient soliton satisfies Ric + Hess f = lam * g with lam = 0
 (steady) or lam = -1/(2t), t < 0 (shrinking, so the metric g(t) = -2t * g_fixed
 cases solve Ricci flow exactly). The soliton constant lam is written here
-only, as ``SolitonContext.lam``, and f is read through one kept record, the
+only, as ``SolitonContext.lam``, and f is read through one record, the
 ``geometry.ScalarField`` ``SolitonContext.potential``. "Normalized steady"
 means R + |grad f|^2 = 1.
 """
@@ -17,7 +17,7 @@ means R + |grad f|^2 = 1.
 import math
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -225,10 +225,8 @@ class SolitonContext(geo.Kept):
     in both at 1: a second ``dt`` or ``ds`` raises ``JetCapError`` instead of
     reading rows the space does not carry.
 
-    The context keeps by name (``kept``, as the chart does) the records of f
-    (``potential``) and of each seeded field evolved on it, each built by the
-    first check that asks for it; a record holds the chart, which never
-    refers to its context, so the two form no reference cycle.
+    Memo: ``geometry.Kept``. A record holds the chart, which never refers
+    to its context, so the two form no reference cycle.
     """
 
     def __init__(self, spec: SolitonSpec, seed: int, n_points: int, order: int,
@@ -265,10 +263,10 @@ class SolitonContext(geo.Kept):
         g, self.f = spec.builder(*self.coords, self.t)
         self.chart = geo.MetricChart(g)
 
-    @property
+    @cached_property
     def potential(self) -> geo.ScalarField:
-        """f's record (``geometry.ScalarField``), kept on the context."""
-        return self.kept("f", lambda: geo.ScalarField(self.chart, self.f))
+        """f's record (``geometry.ScalarField``)."""
+        return geo.ScalarField(self.chart, self.f)
 
     def dt(self, elem):
         if self.time_index is None:

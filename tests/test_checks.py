@@ -449,14 +449,13 @@ def test_eq1_forms_div_h_of_its_evolved_h_once(monkeypatch):
     def run():
         run_check("CHK-EQ1", "cigar_flow", n_points=4)
         ctx = build_context("cigar_flow", 0, 4, JET_ORDER)
-        return ctx.kept("h", None).h
+        return ctx.kept("h", None)
     h = _fresh(run)
     assert sum(t is h for t in seen) == 1
 
 
-_KEPT_ON_A_CHART = {"Rc", "R", "curvature inputs", "magnitudes",
-                    "grad Rc atom scale"}
-_KEPT_ON_A_CONTEXT = {"f", "h"} | {("log u", eps) for eps in checks._EPS_SET}
+_KEPT_ON_A_CHART = {"curvature inputs", "grad Rc atom scale"}
+_KEPT_ON_A_CONTEXT = {"h"} | {("log u", eps) for eps in checks._EPS_SET}
 
 
 def test_div_h_is_formed_once_per_context(monkeypatch):
@@ -467,28 +466,52 @@ def test_div_h_is_formed_once_per_context(monkeypatch):
     monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
         seen.append(h), divergence(chart, h))[1])
     _fresh(lambda: run_suite(n_points=4))
-    hs = [ctx.kept("h", None).h for ctx, name in builds if name == "h"]
+    hs = [ctx.kept("h", None) for ctx, name in builds if name == "h"]
     assert len(hs) == len({s for c in ("CHK-EQ1", "CHK-L1", "CHK-L2")
                            for s in REGISTRY[c].applies_to})
     assert [sum(t is h for t in seen) for h in hs] == [1] * len(hs)
+
+
+def _formed(monkeypatch, prop) -> list:
+    """The scalar of each record whose cached ``prop`` is formed, from here
+    on."""
+    func, seen = getattr(geo.ScalarField, prop).func, []
+
+    def spy(record):
+        seen.append(record.s)
+        return func(record)
+    spied = functools.cached_property(spy)
+    spied.__set_name__(geo.ScalarField, prop)
+    monkeypatch.setattr(geo.ScalarField, prop, spied)
+    return seen
+
+
+def _kept_log_us(builds, solitons=None) -> list:
+    return [ctx.kept(name, None).s for ctx, name in builds
+            if isinstance(name, tuple) and name[0] == "log u"
+            and (solitons is None or ctx.spec.name in solitons)]
 
 
 def test_hess_of_each_kept_log_u_is_formed_once(monkeypatch):
     # B2 to B6 and B8 read the record of log u their context keeps per eps:
     # across the suite each Hessian of log u is formed once per (context, eps)
     builds = _kept_builds(monkeypatch)
-    hess, seen = geo.ScalarField.hess.func, []
-
-    def spy(record):
-        seen.append(record.s)
-        return hess(record)
-    spied = functools.cached_property(spy)
-    spied.__set_name__(geo.ScalarField, "hess")
-    monkeypatch.setattr(geo.ScalarField, "hess", spied)
+    seen = _formed(monkeypatch, "hess")
     _fresh(lambda: run_suite(n_points=4))
-    vs = [ctx.kept(name, None).s for ctx, name in builds
-          if isinstance(name, tuple) and name[0] == "log u"]
+    vs = _kept_log_us(builds)
     assert len(vs) == len(REGISTRY["CHK-B6"].applies_to) * len(checks._EPS_SET)
+    assert [sum(s is v for s in seen) for v in vs] == [1] * len(vs)
+
+
+def test_grad_of_each_kept_log_u_is_formed_once_where_f_vanishes(monkeypatch):
+    # on flat_torus f is the number 0.0, so grad(v - f), grad(v - eps f) and
+    # grad(v + f) in B2, B4 and B6 are all grad v, read from the record of
+    # log u the context keeps: each is formed once per (context, eps)
+    builds = _kept_builds(monkeypatch)
+    seen = _formed(monkeypatch, "grad")
+    _fresh(lambda: run_suite(n_points=4))
+    vs = _kept_log_us(builds, ("flat_torus",))
+    assert len(vs) == len(checks._EPS_SET)
     assert [sum(s is v for s in seen) for v in vs] == [1] * len(vs)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,7 +183,7 @@ def test_inner_vec_index_position_invariance():
     # each operation takes one index position and refuses the other
     ch, x, y = generic_chart()
     phi, psi = x.sin() + 0.3 * y, y.cos() + 0.1 * x * x
-    v, w = geo.gradient(ch, phi), geo.gradient(ch, psi)
+    v, w = geo.ScalarField(ch, phi).grad, geo.ScalarField(ch, psi).grad
     dv, dw = geo.differential(ch, phi), geo.differential(ch, psi)
     # g^{ij} dphi_i dpsi_j is g_ij v^i w^j on the gradients
     want = sum(ch.g[i, j] * v[i] * w[j] for i in range(2) for j in range(2))
@@ -198,16 +201,36 @@ def test_inner_vec_index_position_invariance():
 def test_hessian_is_symmetric_and_traces_to_laplacian():
     ch, x, y = generic_chart()
     u = (x + 2.0 * y).sin() * x
-    hess = geo.hessian(ch, u)
+    hess = geo.ScalarField(ch, u).hess
     assert _maxabs(hess[0, 1] - hess[1, 0]) == 0.0
     assert _maxabs(geo.trace_sym2(ch, hess) - geo.laplacian(ch, u)) < 1e-13
     rough = geo.rough_laplacian(ch, geo.scalar_tensor(u))
     assert _maxabs(rough.comps[()] - geo.laplacian(ch, u)) < 1e-11
 
 
+def test_ricci_is_its_charts_record():
+    ch = generic_chart()[0]
+    assert isinstance(ch.ricci, geo.Sym2Field)
+    assert (ch.ricci.cov, ch.ricci.con) == (2, 0)
+
+
+def test_a_grid_chart_is_freed_when_its_last_reader_drops_it():
+    # Rc's and R's records reach their chart through a weak proxy, so the
+    # chart is freed without a cyclic collection
+    gc.disable()
+    try:
+        ch = _grid_chart()
+        _ = ch.ricci.up, ch.r_field.hess
+        ref = weakref.ref(ch)
+        del ch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_mixed_ricci_and_sym2_apply():
     ch, x, y = generic_chart()
-    mixed = geo.ricci_field(ch).mixed
+    mixed = ch.ricci.mixed
     for i in range(2):
         for j in range(2):
             manual = sum(ch.ginv[i, k] * ch.ricci[k, j] for k in range(2))
@@ -434,7 +457,7 @@ def _test_tensors(ch, s=None):
     s = ch.det.log() if s is None else s
     covector = geo.differential(ch, s)
     vector = geo.raise_vector(ch, covector)
-    hess = geo.hessian(ch, s)
+    hess = geo.ScalarField(ch, s).hess
     shared = geo.sym2_from(lambda i, j: hess[i, j], n)
     unshared = geo.tensor_map(lambda c: 1.5 * c, shared)
     mixed = geo.covariant_derivative(ch, vector)
@@ -664,7 +687,7 @@ def _trace_cases():
             lambda i, j: [[1.0 + x * x, x * y], [x * y, y.cos()]][i][j], 2)),
         ("grid-flat", gl._flat_chart(), _flat_grid_scalar(grid), _grid_sym2(grid)),
         ("grid-curved", _grid_chart(), _flat_grid_scalar(grid), _grid_sym2(grid)),
-        ("sheared-3d", sheared, w, geo.hessian(sheared, w)),
+        ("sheared-3d", sheared, w, geo.ScalarField(sheared, w).hess),
     ]
 
 

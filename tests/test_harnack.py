@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -174,9 +176,14 @@ def test_ricci_rewrite_any_symmetric_tensor(eps, ricci_rewrite_sides):
 def test_ricci_rewrite_forms_one_gradient_per_distinct_scalar(monkeypatch):
     # on flat_torus f is the number 0.0, so v + f, v - f and each v - eps f
     # are v itself: the rewrite forms grad v and grad f alone
-    gradient, seen = geo.gradient, []
-    monkeypatch.setattr(geo, "gradient", lambda chart, s: (
-        seen.append(s), gradient(chart, s))[1])
+    grad, seen = geo.ScalarField.grad.func, []
+
+    def spy(record):
+        seen.append(record.s)
+        return grad(record)
+    spied = functools.cached_property(spy)
+    spied.__set_name__(geo.ScalarField, "grad")
+    monkeypatch.setattr(geo.ScalarField, "grad", spied)
     ctx = build_context("flat_torus", 0, 4)
     v, f = fields.trig_scalar(ctx, "b7.v", base=0.2), ctx.f
     scalars = [v + f, v - f, f] + [v - eps * f for eps in checks._EPS_SET]
@@ -227,7 +234,7 @@ def test_kept_tensors_have_the_bits_of_building_them(soliton):
     ctx = build_context(soliton, 0, 4, 6)
     ch = ctx.chart
     r, ric = ch.scalar_curvature, ch.ricci
-    rec, r_rec, f_rec = geo.ricci_field(ch), geo.r_field(ch), ctx.potential
+    rec, r_rec, f_rec = ric, ch.r_field, ctx.potential
     inputs = hk.chart_inputs(ch)
     dric = geo.covariant_derivative(ch, ric)
     hess_r = geo.covariant_derivative(ch, geo.differential(ch, r))

@@ -28,7 +28,7 @@ def test_catalog_names_frozen():
 @pytest.mark.parametrize("name", JET_NAMES)
 def test_soliton_equation_holds(name):
     ctx = build_context(name, n_points=8, order=4)
-    hess = geo.hessian(ctx.chart, ctx.f)
+    hess = geo.ScalarField(ctx.chart, ctx.f).hess
     for i in range(ctx.chart.n):
         for j in range(ctx.chart.n):
             gap = ctx.chart.ricci[i, j] + hess[i, j] - ctx.lam * ctx.chart.g[i, j]
@@ -232,5 +232,5 @@ def test_catalog_off_diagonal_metric_is_the_number_zero(name):
 def test_constant_potential_is_the_number_zero(name):
     ctx = build_context(name, n_points=4, order=4)
     assert type(ctx.f) is float and ctx.f == 0.0
-    grad = geo.gradient(ctx.chart, ctx.f)
+    grad = geo.ScalarField(ctx.chart, ctx.f).grad
     assert all(type(c) is float and c == 0.0 for c in grad.comps.flat)
