@@ -206,11 +206,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    check_ids = args.checks or list(gridlab.GRID_CHECKS)
     sizes = tuple(args.sizes)
     try:
-        reports = [gridlab.run_grid_check(c, seed=args.seed, grid_sizes=sizes)
-                   for c in check_ids]
+        reports = gridlab.run_grid_suite(args.checks or None, seed=args.seed,
+                                         grid_sizes=sizes)
     except (KeyError, ValueError) as e:
         return _usage_error(e.args[0])
     doc = {"seed": args.seed, "config": {"sizes": list(sizes)},

@@ -89,7 +89,7 @@ def rhs_conjugate_potential(ctx: SolitonContext, u: Jet) -> Jet:
 def rhs_linear_heat(eps: float):
     """d u/dt = eps^{-1} Lap u + R u; eps = 1 is the linearized-flow scalar case."""
     def rhs(ctx: SolitonContext, u: Jet) -> Jet:
-        return geo.laplacian(ctx.chart, u) / eps + ctx.chart.scalar_curvature * u
+        return geo.ScalarField(ctx.chart, u).lap / eps + ctx.chart.scalar_curvature * u
     return rhs
 
 

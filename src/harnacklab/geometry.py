@@ -50,12 +50,13 @@ that reads only some components of the result passes them as ``reads``, and
 only those are formed.
 
 Each operation takes a vector in one index position and raises TypeError on
-the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` and
-:func:`divergence_vec` take vectors), so a caller raises or lowers once.
+the other (:func:`inner_vec` pairs covectors; :func:`sym2_apply` takes
+vectors), so a caller raises or lowers once.
 
-A scalar s and a symmetric 2-tensor h are each read through one record
-(:class:`ScalarField`, :class:`Sym2Field`); what keeps a record is the memo
-rule of :class:`Kept`.
+A scalar's or a symmetric 2-tensor's derivatives and contractions are its
+record's members (:class:`ScalarField`, :class:`Sym2Field`), and a scalar's
+Hessian is itself a record; what keeps a record is the memo rule of
+:class:`Kept`.
 """
 
 import math
@@ -162,9 +163,10 @@ class Kept:
     how an upper layer keeps a tensor on a lower layer's owner: ``build()``
     on the first request for ``name`` and the same object after.
     :mod:`.harnack` keeps the curvature inputs and :mod:`.checks` the grad-Rc
-    atom scale on a chart; :mod:`.checks` keeps the evolved h and each eps's
-    log u on a context. The name says what the tensor is, never which object
-    it was built from, so a kept tensor has the bits of building it again.
+    atom scale on a chart; :mod:`.checks` keeps on a context only what a
+    second check reads: the evolved h and log u at eps = 1 and eps = -1.
+    The name says what the tensor is, never which object it was built from,
+    so a kept tensor has the bits of building it again.
     A record its chart holds reaches the chart through a weak proxy, so the
     two form no reference cycle and a chart is freed when its last reader
     drops it, not at the next cyclic collection."""
@@ -275,7 +277,7 @@ class MetricChart(Kept):
 
     @cached_property
     def scalar_curvature(self):
-        return trace_sym2(self, self.ricci)
+        return self.ricci.trace
 
     @cached_property
     def r_field(self) -> "ScalarField":
@@ -452,14 +454,6 @@ def covariant_derivative(chart: MetricChart, t: TensorValue, reads=None) -> Tens
     return TensorValue(t.cov + 1, t.con, comps)
 
 
-def scalar_tensor(s) -> TensorValue:
-    return TensorValue(0, 0, comps_from(lambda: s, ()))
-
-
-def differential(chart: MetricChart, s) -> TensorValue:
-    return covariant_derivative(chart, scalar_tensor(s))
-
-
 def _raise_first(chart: MetricChart, comps: np.ndarray) -> np.ndarray:
     """g^{il} comps[l, ...]: the first axis of a component array raised."""
     return comps_from(lambda i, *rest: _acc(chart.ginv[i, l] * comps[(l,) + rest]
@@ -471,15 +465,12 @@ def raise_vector(chart: MetricChart, v: TensorValue) -> TensorValue:
     return TensorValue(0, 1, _raise_first(chart, v.comps))
 
 
-def laplacian(chart: MetricChart, s):
-    return ScalarField(chart, s).lap
-
-
 class ScalarField:
     """A scalar ``s`` on ``chart`` and its derivatives: ``d`` ds, formed where
     it is read (partials, no product), and, each on its first read, ``norm2``
-    |grad s|^2, ``grad``, ``hess`` and ``lap`` g^{ij} nabla_i nabla_j s, which
-    forms only the (i, j) of the Hessian that ``chart.traced`` lists."""
+    |grad s|^2, ``grad``, ``hess`` Hess s as its own record
+    (:class:`Sym2Field`) and ``lap`` g^{ij} nabla_i nabla_j s, which forms
+    only the (i, j) of the Hessian that ``chart.traced`` lists."""
 
     def __init__(self, chart: MetricChart, s):
         self.chart = chart
@@ -492,7 +483,7 @@ class ScalarField:
 
     @property
     def d(self) -> TensorValue:
-        return differential(self.chart, self.s)
+        return vector_from(lambda i: partial(self.s, i), self.chart.n)
 
     @cached_property
     def norm2(self):
@@ -504,8 +495,8 @@ class ScalarField:
         return raise_vector(self.chart, self.d)
 
     @cached_property
-    def hess(self) -> TensorValue:
-        return covariant_derivative(self.chart, self.d)
+    def hess(self) -> "Sym2Field":
+        return Sym2Field(self.chart, covariant_derivative(self.chart, self.d))
 
     @cached_property
     def lap(self):
@@ -541,23 +532,6 @@ def rough_laplacian_from(chart: MetricChart, dt: TensorValue) -> TensorValue:
         lambda *idx: _trace_first_pair(chart, dd, idx), shape))
 
 
-def trace_sym2(chart: MetricChart, h: TensorValue):
-    return _trace_first_pair(chart, h, ())
-
-
-def raise_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
-    n = chart.n
-    return TensorValue(0, 2, comps_from(
-        lambda i, j: _acc(chart.ginv[i, p] * chart.ginv[j, q] * h[p, q]
-                          for p in range(n) for q in range(n)),
-        (n, n)))
-
-
-def inner_sym2(chart: MetricChart, a: TensorValue, b: TensorValue):
-    """<A, B> = g^{ip} g^{jq} A_ij B_pq for covariant symmetric 2-tensors."""
-    return Sym2Field(chart, b).pair(a)
-
-
 def inner_vec(chart: MetricChart, a: TensorValue, b: TensorValue):
     """<a, b> = g^{ij} a_i b_j for two covectors."""
     if (a.cov, a.con) != (1, 0) or (b.cov, b.con) != (1, 0):
@@ -575,38 +549,29 @@ def sym2_apply(chart: MetricChart, a: TensorValue, u: TensorValue, w: TensorValu
     return _acc(a[i, j] * u[i] * w[j] for i in range(n) for j in range(n))
 
 
-def divergence_sym2(chart: MetricChart, h: TensorValue) -> TensorValue:
-    """(div h)_i = g^{jk} (nabla_j h)_{ki}, a covariant vector."""
-    n = chart.n
-    dh = covariant_derivative(  # dh[j][k][i]
-        chart, h, [jk + (i,) for jk in chart.traced for i in range(n)])
-    return vector_from(lambda i: _trace_first_pair(chart, dh, (i,)), n)
-
-
-def divergence_vec(chart: MetricChart, v: TensorValue):
-    """div X = nabla_i X^i of a vector."""
-    if (v.cov, v.con) != (0, 1):
-        raise TypeError("divergence_vec takes a vector; raise a covector first")
-    n = chart.n
-    dv = covariant_derivative(chart, v, [(i, i) for i in range(n)])  # dv[i][^i]
-    return _acc(dv.comps[i, i] for i in range(n))
-
-
 class Sym2Field(TensorValue):
     """A covariant symmetric 2-tensor on ``chart``, with the components of
-    ``h``, and what Z(h, X) and the evolution groups read of it, each formed
-    on its first read: ``up`` h^{ij}, ``mixed`` h^i_j as an (n, n) object
-    array, ``div`` div h, ``div_div`` div div h and ``rc`` <Rc, h>.
-    ``pair(a)`` is A_ij h^{ij}, the bits of ``inner_sym2(chart, a, h)``, and
-    ``rc`` is ``pair(Rc)``."""
+    ``h``, and its contractions and derivatives: ``trace`` g^{ij} h_ij,
+    formed where it is read, and, each on its first read, ``up`` h^{ij},
+    ``mixed`` h^i_j as an (n, n) object array, ``div`` div h, ``div_div``
+    div div h and ``rc`` <Rc, h>. ``pair(a)`` is <A, h> = A_ij h^{ij}, read
+    through this record's ``up``, and ``rc`` is ``pair(Rc)``."""
 
     def __init__(self, chart: MetricChart, h: TensorValue):
         super().__init__(2, 0, h.comps)
         self.chart = chart
 
+    @property
+    def trace(self):
+        return _trace_first_pair(self.chart, self, ())
+
     @cached_property
     def up(self) -> TensorValue:
-        return raise_sym2(self.chart, self)
+        ginv, n = self.chart.ginv, self.chart.n
+        return TensorValue(0, 2, comps_from(
+            lambda i, j: _acc(ginv[i, p] * ginv[j, q] * self[p, q]
+                              for p in range(n) for q in range(n)),
+            (n, n)))
 
     @cached_property
     def mixed(self) -> np.ndarray:
@@ -614,11 +579,19 @@ class Sym2Field(TensorValue):
 
     @cached_property
     def div(self) -> TensorValue:
-        return divergence_sym2(self.chart, self)
+        """(div h)_i = g^{jk} (nabla_j h)_{ki}, a covariant vector."""
+        chart, n = self.chart, self.chart.n
+        dh = covariant_derivative(  # dh[j][k][i]
+            chart, self, [jk + (i,) for jk in chart.traced for i in range(n)])
+        return vector_from(lambda i: _trace_first_pair(chart, dh, (i,)), n)
 
     @cached_property
     def div_div(self):
-        return divergence_vec(self.chart, raise_vector(self.chart, self.div))
+        """div div h = nabla_i (div h)^i."""
+        chart, n = self.chart, self.chart.n
+        dv = covariant_derivative(  # dv[i][^i]
+            chart, raise_vector(chart, self.div), [(i, i) for i in range(n)])
+        return _acc(dv.comps[i, i] for i in range(n))
 
     @cached_property
     def rc(self):
@@ -637,7 +610,7 @@ def lichnerowicz_laplacian(chart: MetricChart, h: TensorValue) -> TensorValue:
     Only the components with q <= p are formed, the rough Laplacian's too."""
     n = chart.n
     lap = rough_laplacian(chart, h)
-    hup = raise_sym2(chart, h)
+    hup = Sym2Field(chart, h).up
     low = chart.riem_low
     mixed = chart.ricci.mixed  # mixed[k, p] = R^k_p = Ric_p^k
     return sym2_from(

@@ -351,7 +351,7 @@ def _evolution_identity(grid: TorusGrid, state0: dict, a, b,
     rhs = hk.evolution_rhs_terms(h, x, dxdt)
     zs[2] = _acc(hk.linear_trace_terms(h, x))
     dtz = time_derivative([zs[k].values for k in range(5)], tau)
-    lap = geo.laplacian(h.chart, zs[2]).values
+    lap = geo.ScalarField(h.chart, zs[2]).lap.values
     return _sup_residual([dtz, -lap], rhs)
 
 
@@ -371,7 +371,7 @@ def _scenario_b2(n: int, seed: int) -> float:
 
     def deriv(state):
         u = GridField(state["u"], grid.dx)
-        return {"u": geo.laplacian(chart, u).values}
+        return {"u": geo.ScalarField(chart, u).lap.values}
 
     u0 = eval_trig(grid, trig_params(seed, "grid:b2.u0", 2, 0.3))
     state0 = {"u": np.exp(u0.values)}

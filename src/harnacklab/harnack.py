@@ -154,13 +154,13 @@ def conjugate_density(f: geo.ScalarField):
 
 def box_star_terms(chart, dt, u) -> list:
     """Summands of the conjugate heat operator (-d/dt - Lap + R) u."""
-    return [-dt(u), -geo.laplacian(chart, u), chart.scalar_curvature * u]
+    return [-dt(u), -geo.ScalarField(chart, u).lap, chart.scalar_curvature * u]
 
 
 def soliton_defect_norm2(f: geo.ScalarField):
     """|Rc + Hess f|^2, the conjugate-density production term up to factors."""
     defect = geo.tensor_map(lambda a, b: a + b, f.chart.ricci, f.hess)
-    return geo.inner_sym2(f.chart, defect, defect)
+    return geo.Sym2Field(f.chart, defect).pair(defect)
 
 
 def log_q(v: geo.ScalarField):
@@ -183,14 +183,15 @@ def l_eps_terms(dt, v: geo.ScalarField, w, eps: float = 1.0) -> list:
 
 def lq_production_terms(v: geo.ScalarField, f) -> list:
     """|Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f))."""
-    ch, hv = v.chart, geo.Sym2Field(v.chart, v.hess)
+    ch, hv = v.chart, v.hess
     gvf = v.of(v.s - f).grad
     return [hv.pair(hv), hv.rc, geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
 def grad2r_production_terms(v: geo.ScalarField) -> list:
     """|Rc|^2 - |Hess v|^2, the production term for |grad v|^2 + R."""
-    return [v.chart.ricci.rc, -geo.inner_sym2(v.chart, v.hess, v.hess)]
+    hv = v.hess
+    return [v.chart.ricci.rc, -hv.pair(hv)]
 
 
 def lp_production_terms(v: geo.ScalarField, f) -> list:
@@ -198,7 +199,7 @@ def lp_production_terms(v: geo.ScalarField, f) -> list:
     ch = v.chart
     s = geo.tensor_map(lambda a, b: a + b, v.hess, ch.ricci)
     gvf = v.of(v.s - f).grad
-    return [geo.inner_sym2(ch, s, s),
+    return [geo.Sym2Field(ch, s).pair(s),
             2.0 * geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
@@ -209,7 +210,7 @@ def leps_production_terms(v: geo.ScalarField, f, eps: float) -> list:
       + 2 eps^{-1} Rc(grad(v - eps f), grad(v - eps f))
       + (1 - eps^{-1}) Rc(grad(v + f), grad(v + f)).
     """
-    ch, hv, ric = v.chart, geo.Sym2Field(v.chart, v.hess), v.chart.ricci
+    ch, hv, ric = v.chart, v.hess, v.chart.ricci
     g1 = v.of(v.s - eps * f).grad
     g2 = v.of(v.s + f).grad
     ie = 1.0 / eps

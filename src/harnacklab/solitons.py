@@ -211,11 +211,12 @@ def sample_points(spec: SolitonSpec, seed: int, n: int) -> dict:
 class SolitonContext(geo.Kept):
     """One soliton chart evaluated as jets at a pack of sample points.
 
-    The chart's dimension n is ``len(spec.sample_box)``, and ``coords`` holds
-    its n coordinate jets. ``time`` selects whether t enters the jet space as a
-    variable ("var") or as a per-point constant ("const"); ``deform`` appends
-    one extra variable s seeded at 0 for one-parameter deformations. Variable
-    layout: x1, ..., xn[, t][, s], so ``time_index`` is n when t is a variable.
+    The chart's dimension n is ``len(spec.sample_box)``; the builder takes
+    the n coordinate jets, which the context does not hold after it.
+    ``time`` selects whether t enters the jet space as a variable ("var") or
+    as a per-point constant ("const"); ``deform`` appends one extra variable
+    s seeded at 0 for one-parameter deformations. Variable layout: x1, ...,
+    xn[, t][, s], so ``time_index`` is n when t is a variable.
 
     ``lam`` is the soliton constant of Ric + Hess f = lam g: the number 0.0 on
     a steady chart, the jet -1/(2t) on a shrinking one. ``f`` is the
@@ -255,12 +256,11 @@ class SolitonContext(geo.Kept):
         if deform:
             seeds.append(np.zeros(n_points))
         jets = self.space.variables(np.array(seeds))
-        self.coords = tuple(jets[:n])
         self.t = jets[n] if time == "var" else self.space.constant(pack["t"])
         self.s = jets[self.deform_index] if deform else None
         self.lam = -0.5 * self.t.reciprocal() if spec.kind == "shrinking" else 0.0
 
-        g, self.f = spec.builder(*self.coords, self.t)
+        g, self.f = spec.builder(*jets[:n], self.t)
         self.chart = geo.MetricChart(g)
 
     @cached_property

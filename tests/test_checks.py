@@ -1,4 +1,6 @@
 import functools
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -9,10 +11,12 @@ from harnacklab.checks import (REGISTRY, TOLERANCE_CAP, Identity,
                                UnknownCheckError, rel_residual, run_check,
                                run_suite, tensor_residual)
 from harnacklab.geometry import field_data
-from harnacklab.jet import Jet, JetOrderError
+from harnacklab.jet import Jet, JetOrderError, JetSpace
 from harnacklab.solitons import (CATALOG, JET_ORDER, SolitonContext,
                                  SolitonSpec, UnknownSolitonError,
                                  build_context)
+
+from coordinates import coordinate_jets
 
 ALL_IDS = [
     "CHK-B1", "CHK-B2", "CHK-B3", "CHK-B4", "CHK-B5", "CHK-B6", "CHK-B7",
@@ -426,63 +430,62 @@ def test_nabla_ricci_is_formed_once_per_chart(monkeypatch):
     assert len(formed) == len({id(c) for c in formed}) == len(readers)
 
 
+def _ricci_of(h):
+    """Rc's record of h's chart where h has Rc's components, else None: a
+    record that wraps Rc's components again counts as Rc."""
+    ric = vars(h.chart).get("ricci")
+    return ric if ric is not None and h.comps is ric.comps else None
+
+
 def test_rc_is_raised_once_per_chart(monkeypatch):
     # every reader of R^{ij}, CHK-L2's trace evolution among them, reads it
     # from Rc's record: across the suite each chart raises Rc once
-    raise_sym2, raised = geo.raise_sym2, []
-
-    def spy(chart, h):
-        if h is vars(chart).get("ricci"):
-            raised.append(h)
-        return raise_sym2(chart, h)
-    monkeypatch.setattr(geo, "raise_sym2", spy)
+    seen = _formed(monkeypatch, geo.Sym2Field, "up", _ricci_of)
     _fresh(lambda: run_suite(n_points=4))
+    raised = [h for h in seen if h is not None]
     assert raised and len(raised) == len({id(h) for h in raised})
 
 
 def test_eq1_forms_div_h_of_its_evolved_h_once(monkeypatch):
     # Z(h, X) and the evolution groups read one record of the evolved h
-    divergence, seen = geo.divergence_sym2, []
-    monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
-        seen.append(h), divergence(chart, h))[1])
+    seen = _formed(monkeypatch, geo.Sym2Field, "div")
 
     def run():
         run_check("CHK-EQ1", "cigar_flow", n_points=4)
         ctx = build_context("cigar_flow", 0, 4, JET_ORDER)
         return ctx.kept("h", None)
     h = _fresh(run)
-    assert sum(t is h for t in seen) == 1
+    assert sum(t.comps is h.comps for t in seen) == 1
 
 
 _KEPT_ON_A_CHART = {"curvature inputs", "grad Rc atom scale"}
-_KEPT_ON_A_CONTEXT = {"h"} | {("log u", eps) for eps in checks._EPS_SET}
+_KEPT_ON_A_CONTEXT = {"h", ("log u", 1.0), ("log u", -1.0)}
 
 
 def test_div_h_is_formed_once_per_context(monkeypatch):
     # EQ1, L1 and L2 read the record of h their context keeps: across the
     # suite each context's evolved h is differentiated once
     builds = _kept_builds(monkeypatch)
-    divergence, seen = geo.divergence_sym2, []
-    monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
-        seen.append(h), divergence(chart, h))[1])
+    seen = _formed(monkeypatch, geo.Sym2Field, "div")
     _fresh(lambda: run_suite(n_points=4))
     hs = [ctx.kept("h", None) for ctx, name in builds if name == "h"]
     assert len(hs) == len({s for c in ("CHK-EQ1", "CHK-L1", "CHK-L2")
                            for s in REGISTRY[c].applies_to})
-    assert [sum(t is h for t in seen) for h in hs] == [1] * len(hs)
+    assert [sum(t.comps is h.comps for t in seen) for h in hs] == [1] * len(hs)
 
 
-def _formed(monkeypatch, prop) -> list:
-    """The scalar of each record whose cached ``prop`` is formed, from here
-    on."""
-    func, seen = getattr(geo.ScalarField, prop).func, []
+def _formed(monkeypatch, record_type, prop, seen_as=lambda record: record) -> list:
+    """``seen_as(record)`` for each record of ``record_type`` whose cached
+    ``prop`` is formed, from here on; the records are held, so no id is
+    reused."""
+    func, seen = getattr(record_type, prop).func, []
 
     def spy(record):
-        seen.append(record.s)
+        seen.append(seen_as(record))
         return func(record)
     spied = functools.cached_property(spy)
-    spied.__set_name__(geo.ScalarField, prop)
-    monkeypatch.setattr(geo.ScalarField, prop, spied)
+    spied.__set_name__(record_type, prop)
+    monkeypatch.setattr(record_type, prop, spied)
     return seen
 
 
@@ -493,14 +496,30 @@ def _kept_log_us(builds, solitons=None) -> list:
 
 
 def test_hess_of_each_kept_log_u_is_formed_once(monkeypatch):
-    # B2 to B6 and B8 read the record of log u their context keeps per eps:
-    # across the suite each Hessian of log u is formed once per (context, eps)
+    # B2 to B6 and B8 read the record of log u their context keeps at eps = 1
+    # and eps = -1: across the suite each such Hessian is formed once per
+    # (context, eps)
     builds = _kept_builds(monkeypatch)
-    seen = _formed(monkeypatch, "hess")
+    seen = _formed(monkeypatch, geo.ScalarField, "hess")
     _fresh(lambda: run_suite(n_points=4))
     vs = _kept_log_us(builds)
-    assert len(vs) == len(REGISTRY["CHK-B6"].applies_to) * len(checks._EPS_SET)
-    assert [sum(s is v for s in seen) for v in vs] == [1] * len(vs)
+    assert len(vs) == len(REGISTRY["CHK-B6"].applies_to) * 2
+    assert [sum(r.s is v for r in seen) for v in vs] == [1] * len(vs)
+
+
+def test_hess_of_each_kept_log_u_is_a_record_raised_once(monkeypatch):
+    # Hess v is a Sym2Field, so B2, B3 and B6 read one Hess v^{ij} of the
+    # context's log u at eps = 1, and B6 and B8 one at eps = -1: no builder
+    # wraps the Hessian's components in a record of its own
+    builds = _kept_builds(monkeypatch)
+    seen = _formed(monkeypatch, geo.Sym2Field, "up")
+    _fresh(lambda: run_suite(n_points=4))
+    records = [ctx.kept(name, None) for ctx, name in builds
+               if isinstance(name, tuple) and name[0] == "log u"]
+    assert len(records) == len(REGISTRY["CHK-B6"].applies_to) * 2
+    for v in records:
+        assert isinstance(v.hess, geo.Sym2Field)
+        assert sum(h.comps is v.hess.comps for h in seen) == 1
 
 
 def test_grad_of_each_kept_log_u_is_formed_once_where_f_vanishes(monkeypatch):
@@ -508,20 +527,75 @@ def test_grad_of_each_kept_log_u_is_formed_once_where_f_vanishes(monkeypatch):
     # grad(v + f) in B2, B4 and B6 are all grad v, read from the record of
     # log u the context keeps: each is formed once per (context, eps)
     builds = _kept_builds(monkeypatch)
-    seen = _formed(monkeypatch, "grad")
+    seen = _formed(monkeypatch, geo.ScalarField, "grad")
     _fresh(lambda: run_suite(n_points=4))
     vs = _kept_log_us(builds, ("flat_torus",))
-    assert len(vs) == len(checks._EPS_SET)
-    assert [sum(s is v for s in seen) for v in vs] == [1] * len(vs)
+    assert len(vs) == 2
+    assert [sum(r.s is v for r in seen) for v in vs] == [1] * len(vs)
+
+
+def test_a_context_keeps_the_log_u_that_a_second_check_reads(monkeypatch):
+    # a grad2 context keeps the evolved h and log u at eps = 1 and eps = -1,
+    # and those are exactly the eps that two or more checks read on it: B6
+    # alone reads the other four, which it builds and drops
+    builds = _kept_builds(monkeypatch)
+    run, log_solution = checks.run_check, checks._log_solution
+    readers, current = {}, []  # {(id(ctx), eps): check ids}, the running check
+
+    def run_spy(check_id, soliton, *args, **kwargs):
+        current[:] = [check_id]
+        return run(check_id, soliton, *args, **kwargs)
+
+    def log_spy(ctx, eps):
+        readers.setdefault((id(ctx), eps), set()).update(current)
+        return log_solution(ctx, eps)
+    monkeypatch.setattr(checks, "run_check", run_spy)
+    monkeypatch.setattr(checks, "_log_solution", log_spy)
+    _fresh(lambda: run_suite(n_points=4))
+    grad2 = {id(o): o for o, _ in builds if isinstance(o, SolitonContext)
+             and o.spec.name in REGISTRY["CHK-B6"].applies_to}
+    assert sorted(c.spec.name for c in grad2.values()) \
+        == sorted(REGISTRY["CHK-B6"].applies_to)
+    for key, ctx in grad2.items():
+        kept = {n for o, n in builds if o is ctx}
+        assert kept == {"h", ("log u", 1.0), ("log u", -1.0)}, ctx.spec.name
+        shared = {eps for (c, eps), ids in readers.items()
+                  if c == key and len(ids) >= 2}
+        assert shared == {1.0, -1.0}, ctx.spec.name
+        assert {eps for c, eps in readers if c == key} == set(checks._EPS_SET)
+
+
+def test_a_context_holds_no_coordinate_jet(monkeypatch):
+    # the builder takes the coordinate jets as locals: once build_context
+    # returns, reference counting alone has freed every one of them
+    variables, refs = JetSpace.variables, []
+
+    def spy(space, point):
+        jets = variables(space, point)
+        refs.append([weakref.ref(j) for j in jets])
+        return jets
+    monkeypatch.setattr(JetSpace, "variables", spy)
+    gc.disable()
+    try:
+        for name, spec in CATALOG.items():
+            if spec.grid_only:
+                continue
+            refs.clear()
+            ctx = _fresh(lambda: build_context(name, 0, 4, JET_ORDER))
+            assert len(refs) == 1, name
+            coords = refs[0][:ctx.chart.n]
+            assert len(coords) == ctx.chart.n >= 2
+            assert all(ref() is None for ref in coords), name
+    finally:
+        gc.enable()
 
 
 def test_each_kept_tensor_is_built_once_per_chart_and_context(monkeypatch):
     builds = _kept_builds(monkeypatch)
     # div Rc's own builder, which every reader once called again
-    divergence, div_ricci = geo.divergence_sym2, []
-    monkeypatch.setattr(geo, "divergence_sym2", lambda chart, h: (
-        h is chart.ricci and div_ricci.append(chart), divergence(chart, h))[1])
+    seen = _formed(monkeypatch, geo.Sym2Field, "div", _ricci_of)
     _fresh(lambda: run_suite(seed=1000, n_points=4))
+    div_ricci = [h for h in seen if h is not None]
     per_owner = {}
     for owner, name in builds:
         per_owner.setdefault((id(owner), name), []).append(owner)
@@ -601,7 +675,7 @@ def test_three_dimensional_context_runs_the_shrinker_checks():
     ctx = SolitonContext(_GAUSSIAN_3D, 0, 8, 6, time="var", deform=False)
     assert ctx.var_names == ("x", "y", "z", "t")
     assert ctx.time_index == 3 and ctx.space.n_vars == 4
-    assert ctx.chart.n == 3 and len(ctx.coords) == 3
+    assert ctx.chart.n == 3 and len(coordinate_jets(ctx)) == 3
     assert ctx.points["x"].shape == (3, 8)
     ran = []
     for cid, spec in sorted(REGISTRY.items()):

@@ -8,20 +8,23 @@ from harnacklab.geometry import field_data
 from harnacklab.jet import JetOrderError, strip
 from harnacklab.solitons import build_context
 
+from coordinates import coordinate_jets
+
 
 def _maxabs(elem):
     return float(np.max(np.abs(field_data(elem))))
 
 
 def _rhs_heat(ctx, u):
-    return geo.laplacian(ctx.chart, u)
+    return geo.ScalarField(ctx.chart, u).lap
 
 
 def test_heat_propagation_matches_closed_form():
     ctx = build_context("flat_torus", n_points=6, order=6)
-    u0 = ctx.coords[0].sin()
+    x = coordinate_jets(ctx)[0]
+    u0 = x.sin()
     u = fields.propagate_scalar(ctx, u0, _rhs_heat)
-    exact = ctx.coords[0].sin() * (-ctx.t).exp()
+    exact = x.sin() * (-ctx.t).exp()
     # every derivative with total degree inside the validity order (the
     # space carries at most one time differentiation) must be exact
     assert u.order == 5
@@ -38,7 +41,7 @@ def test_propagation_solves_its_equation():
     ctx = build_context("cigar_flow", n_points=6, order=5)
     u0 = fields.trig_scalar(ctx, "u")
     u = fields.propagate_scalar(ctx, u0, _rhs_heat)
-    gap = ctx.dt(u) - geo.laplacian(ctx.chart, u)
+    gap = ctx.dt(u) - geo.ScalarField(ctx.chart, u).lap
     # pointwise defect: the value of dt(u) is a t-degree-1 row the step set,
     # and the Laplacian's value reads only t-degree-0 rows, so the equation
     # holds exactly at the points
@@ -65,7 +68,7 @@ def test_conjugate_potential_rule_recovers_gauge_shift():
 
 def test_strip_time():
     ctx = build_context("cigar_flow", n_points=4, order=4)
-    u = ctx.coords[0].sin() * (-ctx.t).exp()
+    u = coordinate_jets(ctx)[0].sin() * (-ctx.t).exp()
     s = strip(u, ctx.time_index)
     assert _maxabs(ctx.dt(s)) == 0.0
     # the stripped jet agrees with u on the t-degree-zero slice
@@ -131,7 +134,7 @@ def test_rhs_linear_heat_reduces_to_heat_plus_reaction():
 
 def test_propagation_requires_time_variable():
     ctx = build_context("cigar_static", n_points=4, order=4, time="const")
-    u0 = ctx.coords[0].sin()
+    u0 = coordinate_jets(ctx)[0].sin()
     with pytest.raises(ValueError):
         fields.propagate_scalar(ctx, u0, _rhs_heat)
     with pytest.raises(ValueError):
@@ -141,7 +144,8 @@ def test_propagation_requires_time_variable():
 def test_neg_grad_potential_is_contravariant_negative_gradient():
     ctx = build_context("cigar_static", n_points=5, order=4)
     x = fields.neg_grad_potential(ctx)
-    grad = geo.raise_vector(ctx.chart, geo.differential(ctx.chart, ctx.f))
+    df = geo.vector_from(lambda i: ctx.f.partial(i), ctx.chart.n)
+    grad = geo.raise_vector(ctx.chart, df)
     for i in range(2):
         assert _maxabs(x[i] + grad[i]) < 1e-13
 

@@ -11,6 +11,11 @@ from harnacklab.gridlab import TorusGrid, eval_trig
 from harnacklab.jet import Jet, jet_space
 
 
+def _rank0(s) -> geo.TensorValue:
+    """A scalar as a tensor of rank 0."""
+    return geo.TensorValue(0, 0, geo.comps_from(lambda: s, ()))
+
+
 def _coords(order=5, pts=None):
     sp = jet_space(2, order)
     if pts is None:
@@ -121,8 +126,8 @@ def test_riemann_symmetries_and_first_bianchi():
 
 def test_contracted_bianchi():
     ch, _, _ = generic_chart()
-    div_ric = geo.divergence_sym2(ch, ch.ricci)
-    dr = geo.differential(ch, ch.scalar_curvature)
+    div_ric = ch.ricci.div
+    dr = ch.r_field.d
     for i in range(2):
         assert _maxabs(div_ric[i] - 0.5 * dr[i]) < 1e-11
 
@@ -154,29 +159,30 @@ def test_volume_density_cigar_origin():
 def test_flat_divergence_examples():
     ch, x, y = flat_chart()
     h = geo.sym2_from(lambda i, j: x.cos() if i == j else 0.0 * x, 2)
-    div = geo.divergence_sym2(ch, h)
+    rec = geo.Sym2Field(ch, h)
+    div = rec.div
     assert _maxabs(div[0] + x.sin()) < 1e-13
     assert _maxabs(div[1]) < 1e-13
     # on a flat chart a covector has its vector's components, so a position
     # slip passes here; test_inner_vec_index_position_invariance catches it
-    assert _maxabs(geo.divergence_vec(ch, geo.raise_vector(ch, div))
-                   + x.cos()) < 1e-12
-    assert _maxabs(geo.laplacian(ch, x.sin()) + x.sin()) < 1e-12
+    assert _maxabs(rec.div_div + x.cos()) < 1e-12
+    assert _maxabs(geo.ScalarField(ch, x.sin()).lap + x.sin()) < 1e-12
 
 
 def test_raise_sym2_roundtrip():
     ch, x, y = generic_chart()
-    h = geo.sym2_from(lambda i, j: [[1.0 + x * x, x * y], [x * y, y.cos()]][i][j], 2)
-    hup = geo.raise_sym2(ch, h)
+    h = geo.Sym2Field(ch, geo.sym2_from(
+        lambda i, j: [[1.0 + x * x, x * y], [x * y, y.cos()]][i][j], 2))
+    hup = h.up
     for i in range(2):
         for j in range(2):
             lowered = sum(ch.g[i, k] * ch.g[j, l] * hup[k, l]
                           for k in range(2) for l in range(2))
             assert _maxabs(lowered - h[i, j]) < 1e-12
-    assert _maxabs(geo.trace_sym2(ch, geo.TensorValue(2, 0, ch.g)) - 2.0) < 1e-13
+    g = geo.Sym2Field(ch, geo.TensorValue(2, 0, ch.g))
+    assert _maxabs(g.trace - 2.0) < 1e-13
     # <h, g> = tr h
-    assert _maxabs(geo.inner_sym2(ch, h, geo.TensorValue(2, 0, ch.g))
-                   - geo.trace_sym2(ch, h)) < 1e-12
+    assert _maxabs(g.pair(h) - h.trace) < 1e-12
 
 
 def test_inner_vec_index_position_invariance():
@@ -184,7 +190,7 @@ def test_inner_vec_index_position_invariance():
     ch, x, y = generic_chart()
     phi, psi = x.sin() + 0.3 * y, y.cos() + 0.1 * x * x
     v, w = geo.ScalarField(ch, phi).grad, geo.ScalarField(ch, psi).grad
-    dv, dw = geo.differential(ch, phi), geo.differential(ch, psi)
+    dv, dw = geo.ScalarField(ch, phi).d, geo.ScalarField(ch, psi).d
     # g^{ij} dphi_i dpsi_j is g_ij v^i w^j on the gradients
     want = sum(ch.g[i, j] * v[i] * w[j] for i in range(2) for j in range(2))
     assert _maxabs(geo.inner_vec(ch, dv, dw) - want) < 1e-13
@@ -192,8 +198,7 @@ def test_inner_vec_index_position_invariance():
     for refused in (lambda: geo.inner_vec(ch, v, dw),
                     lambda: geo.inner_vec(ch, dv, w),
                     lambda: geo.sym2_apply(ch, ch.ricci, dv, w),
-                    lambda: geo.sym2_apply(ch, ch.ricci, v, dw),
-                    lambda: geo.divergence_vec(ch, dv)):
+                    lambda: geo.sym2_apply(ch, ch.ricci, v, dw)):
         with pytest.raises(TypeError):
             refused()
 
@@ -201,11 +206,12 @@ def test_inner_vec_index_position_invariance():
 def test_hessian_is_symmetric_and_traces_to_laplacian():
     ch, x, y = generic_chart()
     u = (x + 2.0 * y).sin() * x
-    hess = geo.ScalarField(ch, u).hess
+    rec = geo.ScalarField(ch, u)
+    hess = rec.hess
     assert _maxabs(hess[0, 1] - hess[1, 0]) == 0.0
-    assert _maxabs(geo.trace_sym2(ch, hess) - geo.laplacian(ch, u)) < 1e-13
-    rough = geo.rough_laplacian(ch, geo.scalar_tensor(u))
-    assert _maxabs(rough.comps[()] - geo.laplacian(ch, u)) < 1e-11
+    assert _maxabs(hess.trace - rec.lap) < 1e-13
+    rough = geo.rough_laplacian(ch, _rank0(u))
+    assert _maxabs(rough.comps[()] - rec.lap) < 1e-11
 
 
 def test_ricci_is_its_charts_record():
@@ -455,7 +461,7 @@ def _test_tensors(ch, s=None):
     the scalar ``s`` (log det g by default)."""
     n = ch.n
     s = ch.det.log() if s is None else s
-    covector = geo.differential(ch, s)
+    covector = geo.ScalarField(ch, s).d
     vector = geo.raise_vector(ch, covector)
     hess = geo.ScalarField(ch, s).hess
     shared = geo.sym2_from(lambda i, j: hess[i, j], n)
@@ -463,7 +469,7 @@ def _test_tensors(ch, s=None):
     mixed = geo.covariant_derivative(ch, vector)
     assert unshared[0, 1] is not unshared[1, 0] and shared[0, 1] is shared[1, 0]
     return {"covector": covector, "vector": vector, "sym2": shared,
-            "unshared2": unshared, "raised2": geo.raise_sym2(ch, shared),
+            "unshared2": unshared, "raised2": geo.Sym2Field(ch, shared).up,
             "mixed11": mixed, "cov3": geo.covariant_derivative(ch, shared),
             "mixed21": geo.covariant_derivative(ch, mixed),
             "n": n}
@@ -647,7 +653,7 @@ def test_grid_laplacians_take_only_the_traced_partials(flat, want_lich, want_lap
     geo.lichnerowicz_laplacian(ch, h)
     assert len(calls) == want_lich
     calls.clear()
-    geo.laplacian(ch, s)
+    geo.ScalarField(ch, s).lap
     assert len(calls) == want_lap
     assert ch.traced == (((0, 0), (1, 1)) if flat
                          else ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -694,10 +700,10 @@ def _trace_cases():
 def test_traced_contractions_keep_the_full_formulas_bits():
     for name, ch, s, h in _trace_cases():
         n = ch.n
-        ds = _reference_covariant_derivative(ch, geo.scalar_tensor(s))
+        ds = _reference_covariant_derivative(ch, _rank0(s))
         vec = geo.raise_vector(ch, ds)
         pairs = [
-            (geo.laplacian(ch, s),
+            (geo.ScalarField(ch, s).hess.trace,
              _old_trace(ch, _reference_covariant_derivative(ch, ds), ())),
             (geo.ScalarField(ch, s).lap,
              _old_trace(ch, _reference_covariant_derivative(ch, ds), ())),
@@ -707,9 +713,9 @@ def test_traced_contractions_keep_the_full_formulas_bits():
                  _old_rough_laplacian(ch, vec).comps.flat),
         ]
         div, divdiv = _old_divergences(ch, h)
-        got = geo.divergence_sym2(ch, h)
-        pairs += list(zip(got.comps.flat, div.comps.flat))
-        pairs.append((geo.divergence_vec(ch, geo.raise_vector(ch, got)), divdiv))
+        rec = geo.Sym2Field(ch, h)
+        pairs += list(zip(rec.div.comps.flat, div.comps.flat))
+        pairs.append((rec.div_div, divdiv))
         assert len(pairs) == 2 + n * n + n + n + 1
         for k, (a, b) in enumerate(pairs):
             _assert_same_elements(a, b, (name, k))

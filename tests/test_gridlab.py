@@ -14,6 +14,8 @@ from harnacklab.gridlab import (GridField, GridStabilityError, TorusGrid,
 from harnacklab.jet import jet_space
 from harnacklab.solitons import JET_ORDER, build_context
 
+from coordinates import coordinate_jets
+
 
 def test_partial_fourth_order():
     errs = []
@@ -62,8 +64,8 @@ def test_trig_params_grid_independent():
 
 def _flat_heat(grid):
     chart = gl._flat_chart()
-    return lambda state: {"u": geo.laplacian(
-        chart, GridField(state["u"], grid.dx)).values}
+    return lambda state: {"u": geo.ScalarField(
+        chart, GridField(state["u"], grid.dx)).lap.values}
 
 
 def test_heat_evolution_matches_separable_solution():
@@ -326,10 +328,10 @@ def test_jet_registry_keeps_its_bits_above_jet_order():
 def _composed_trig_scalar(ctx, tag, amplitude=0.4, base=0.0):
     """The seeded trig field with each term composed as a jet, a sin of the
     argument w . x + phase, through ``Jet.sin``'s Horner loop."""
-    out = base
-    for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(ctx.coords),
+    out, coords = base, coordinate_jets(ctx)
+    for a, w, phase in trig_params(ctx.seed, "scalar:" + tag, len(coords),
                                    amplitude):
-        terms = [wk * c for wk, c in zip(w, ctx.coords)]
+        terms = [wk * c for wk, c in zip(w, coords)]
         out = out + a * (sum(terms[1:], terms[0]) + phase).sin()
     return out
 

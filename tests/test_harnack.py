@@ -8,6 +8,8 @@ from harnacklab.geometry import field_data
 from harnacklab.jet import jet_space
 from harnacklab.solitons import build_context
 
+from coordinates import coordinate_jets
+
 
 def _maxabs(elem):
     return float(np.max(np.abs(field_data(elem))))
@@ -27,9 +29,8 @@ def test_matrix_harnack_trace():
     # g^{pq} M_pq = (1/2) Lap R + |Rc|^2 on any metric
     ch, _, _ = generic_chart()
     m = hk.matrix_harnack(ch)
-    tr = geo.trace_sym2(ch, m)
-    want = 0.5 * geo.laplacian(ch, ch.scalar_curvature) \
-        + geo.inner_sym2(ch, ch.ricci, ch.ricci)
+    tr = geo.Sym2Field(ch, m).trace
+    want = 0.5 * ch.r_field.lap + ch.ricci.pair(ch.ricci)
     assert _maxabs(tr - want) < 1e-10
 
 
@@ -41,7 +42,7 @@ def test_p_tensor_antisymmetry_and_trace():
             for q in range(2):
                 assert _maxabs(p[i, pp, q] + p[pp, i, q]) < 1e-12
     # g^{pq} P_ipq = (1/2) grad_i R by the contracted Bianchi identity
-    dr = geo.differential(ch, ch.scalar_curvature)
+    dr = ch.r_field.d
     for i in range(2):
         tr = sum(ch.ginv[pp, q] * p[i, pp, q] for pp in range(2)
                  for q in range(2))
@@ -133,8 +134,8 @@ def test_harnack_p_eps_flat_frozen():
 
 def test_l_eps_operator_terms():
     ctx = build_context("flat_torus", n_points=6, order=5)
-    w = fields.propagate_scalar(ctx, ctx.coords[0].sin(),
-                                lambda c, u: geo.laplacian(c.chart, u))
+    w = fields.propagate_scalar(ctx, coordinate_jets(ctx)[0].sin(),
+                                lambda c, u: geo.ScalarField(c.chart, u).lap)
     v = geo.ScalarField(ctx.chart, ctx.space.constant(np.zeros(6)))
     terms = hk.l_eps_terms(ctx.dt, v, w, eps=1.0)
     got = field_data(sum(terms))
@@ -143,7 +144,7 @@ def test_l_eps_operator_terms():
     # eps rescales only the spatial part
     terms2 = hk.l_eps_terms(ctx.dt, v, w, eps=2.0)
     gap = field_data(sum(terms2)) - field_data(
-        0.5 * ctx.dt(w) - 0.25 * geo.laplacian(ctx.chart, w))
+        0.5 * ctx.dt(w) - 0.25 * geo.ScalarField(ctx.chart, w).lap)
     assert np.max(np.abs(gap)) < 1e-13
 
 
@@ -151,7 +152,7 @@ def test_box_star_terms_sum():
     ctx = build_context("cigar_flow", n_points=5, order=5)
     u = fields.trig_scalar(ctx, "u") * (-0.3 * ctx.t).exp()
     total = sum(hk.box_star_terms(ctx.chart, ctx.dt, u))
-    manual = -ctx.dt(u) - geo.laplacian(ctx.chart, u) \
+    manual = -ctx.dt(u) - geo.ScalarField(ctx.chart, u).lap \
         + ctx.chart.scalar_curvature * u
     assert _maxabs(total - manual) < 1e-12
 
@@ -224,35 +225,53 @@ def _bits(value) -> list:
     return [field_data(value).tobytes()]
 
 
+def _trace(ch, t, idx=()):
+    """g^{ij} t_{ij idx}, written out over every (i, j)."""
+    return geo._acc(ch.ginv[i, j] * t[(i, j) + idx]
+                    for i in range(ch.n) for j in range(ch.n))
+
+
+def _raised_sym2(ch, h):
+    """g^{ip} g^{jq} h_pq, written out."""
+    n = ch.n
+    return geo.comps_from(lambda i, j: geo._acc(
+        ch.ginv[i, p] * ch.ginv[j, q] * h[p, q]
+        for p in range(n) for q in range(n)), (n, n))
+
+
 @pytest.mark.parametrize("soliton", ["cigar_flow", "sphere_shrinker",
                                      "gaussian_shrinker"])
 def test_kept_tensors_have_the_bits_of_building_them(soliton):
     # what a chart or a context keeps, the records of R, f and Rc and the
     # one curvature inputs build among it, equal the builders written out
-    # bit for bit: a Hessian is the covariant derivative of ds, and a
-    # Laplacian traces that Hessian
+    # bit for bit: ds is the partials of s, a Hessian is the covariant
+    # derivative of ds, and a Laplacian traces that Hessian
     ctx = build_context(soliton, 0, 4, 6)
     ch = ctx.chart
-    r, ric = ch.scalar_curvature, ch.ricci
+    n, r, ric = ch.n, ch.scalar_curvature, ch.ricci
     rec, r_rec, f_rec = ric, ch.r_field, ctx.potential
     inputs = hk.chart_inputs(ch)
     dric = geo.covariant_derivative(ch, ric)
-    hess_r = geo.covariant_derivative(ch, geo.differential(ch, r))
-    df = geo.differential(ch, ctx.f)
+    hess_r = geo.covariant_derivative(
+        ch, geo.vector_from(lambda i: geo.partial(r, i), n))
+    df = geo.vector_from(lambda i: geo.partial(ctx.f, i), n)
     hess_f = geo.covariant_derivative(ch, df)
+    up = _raised_sym2(ch, ric)
+    div = geo.vector_from(lambda i: _trace(ch, dric, (i,)), n)
+    ddiv = geo.covariant_derivative(ch, geo.raise_vector(ch, div))
     pairs = [
         (r_rec.hess, hess_r),
-        (r_rec.lap, geo.trace_sym2(ch, hess_r)),
+        (r_rec.lap, _trace(ch, hess_r)),
         (f_rec.grad, geo.raise_vector(ch, df)),
         (f_rec.hess, hess_f),
-        (f_rec.lap, geo.trace_sym2(ch, hess_f)),
+        (f_rec.lap, _trace(ch, hess_f)),
         (f_rec.norm2, geo.inner_vec(ch, df, df)),
         (list(rec.mixed.flat), list(geo._raise_first(ch, ric.comps).flat)),
-        (rec.up, geo.raise_sym2(ch, ric)),
-        (rec.div, geo.divergence_sym2(ch, ric)),
-        (rec.div_div, geo.divergence_vec(
-            ch, geo.raise_vector(ch, geo.divergence_sym2(ch, ric)))),
-        (rec.rc, geo.inner_sym2(ch, ric, ric)),
+        (rec.up, list(up.flat)),
+        (rec.trace, _trace(ch, ric)),
+        (rec.div, div),
+        (rec.div_div, geo._acc(ddiv[i, i] for i in range(n))),
+        (rec.rc, geo._acc(ric[i, j] * up[i, j] for i in range(n) for j in range(n))),
         (inputs["lap_ric"], geo.rough_laplacian(ch, ric)),
         (inputs["p"], [dric[i, p, q] - dric[p, q, i]
                        for i, p, q in np.ndindex(dric.comps.shape)]),
