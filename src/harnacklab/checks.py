@@ -524,8 +524,8 @@ def _run_b8(ctx):
     diff = geo.tensor_map(lambda a, b: a - b, ch.ricci, v.hess)
     hfv = v.of(ctx.f + v.s).hess
     return {
-        "energy_production": _balance(lhs, [-geo.Sym2Field(ch, diff).pair(diff)]),
-        "soliton_production": _balance(lhs, [-hfv.pair(hfv)]),
+        "energy_production": _balance(lhs, [-geo.Sym2Field(ch, diff).norm2]),
+        "soliton_production": _balance(lhs, [-hfv.norm2]),
     }
 
 

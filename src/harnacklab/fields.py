@@ -7,26 +7,26 @@ route they are written from their derivatives: the Taylor coefficients of a
 term a sin(w . x + phase) are known in closed form (``JetSpace.sinusoid``),
 so building a field forms no jet product.
 
-The propagation helpers turn a time-independent jet into the jet of the
-solution of an evolution equation d(field)/dt = RHS(field) by one first-order
-step (``jet.strip``, then ``jet.first_order_step`` in t). A context carries
-t to degree 1 only, so a jet is its t-degree-0 slice plus the t-degree-1
-rows; the equation pins the latter to the RHS evaluated on the time-stripped
-field,
+The propagation helpers turn an initial jet into the jet of the solution of
+an evolution equation d(field)/dt = RHS(field) by one first-order step in t
+(``jet.first_order_step``). A context carries t to degree 1 only, so a jet
+is its t-degree-0 slice plus the t-degree-1 rows; the step writes the latter
+from the RHS's t-degree-0 coefficients d,
 
-    c_{beta + e_t} = d_{beta},        |beta| <= order - 1,
+    c_{beta + e_t} = d_{beta},        |beta| <= order - 1.
 
-where d are the RHS's t-degree-0 coefficients. That is exact wherever the
-identities look: they read at most one time derivative. The result is a fresh
-jet whose validity order is at most (RHS validity + 1); the inputs are left
-as they were. The checks keep each evolved field's record on its context
-(``geometry.Kept``).
+The RHS is evaluated on the initial jet itself: a product or an x-partial
+never lowers a row's t-degree, so d reads only the initial t-degree-0 slice.
+That is exact wherever the identities look: they read at most one time
+derivative. The result is a fresh jet, valid to at most (RHS validity + 1);
+the inputs are left as they were. The checks keep each evolved field's
+record on its context (``geometry.Kept``).
 """
 
 import numpy as np
 
 from . import geometry as geo
-from .jet import Jet, first_order_step, strip
+from .jet import Jet, first_order_step
 from .solitons import SolitonContext, stream
 
 
@@ -102,9 +102,8 @@ def _time_index(ctx: SolitonContext) -> int:
 def propagate_scalar(ctx: SolitonContext, u0: Jet, rhs_fn) -> Jet:
     """Jet of the solution of d u/dt = rhs_fn(u) with initial slice u0."""
     ti = _time_index(ctx)
-    u = strip(u0, ti)
-    rhs = rhs_fn(ctx, u)
-    return first_order_step(u, ti, rhs, min(u.order, rhs.order + 1))
+    rhs = rhs_fn(ctx, u0)
+    return first_order_step(u0, ti, rhs, min(u0.order, rhs.order + 1))
 
 
 def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
@@ -114,13 +113,12 @@ def propagate_sym2(ctx: SolitonContext, h0: geo.TensorValue) -> geo.TensorValue:
     """
     ti = _time_index(ctx)
     n = ctx.chart.n
-    h = geo.sym2_from(lambda i, j: strip(h0[i, j], ti), n)
-    rhs = geo.lichnerowicz_laplacian(ctx.chart, h)
+    rhs = geo.lichnerowicz_laplacian(ctx.chart, h0)
     lower = geo.sym2_indices(n)
     order = min(min(rhs[ij].order for ij in lower) + 1,
-                min(h[ij].order for ij in lower))
+                min(h0[ij].order for ij in lower))
     return geo.sym2_from(
-        lambda i, j: first_order_step(h[i, j], ti, rhs[i, j], order), n)
+        lambda i, j: first_order_step(h0[i, j], ti, rhs[i, j], order), n)
 
 
 def neg_grad_potential(ctx: SolitonContext) -> geo.TensorValue:

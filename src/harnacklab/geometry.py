@@ -12,16 +12,14 @@ criterion); ``MetricChart.require_positive_definite`` is that one test, for
 
 A constant is a plain number (``jet.NUMBER``) on both routes, never an
 element: its :func:`partial` is 0.0 and its :func:`exp` a number, the one
-place a number meets an analytic function. Every element type folds the
-same five scalar identities, with the operands of a sum or a product in
-either order: ``x * 0.0`` is the number 0.0, and ``x + 0.0``, ``x - 0.0``,
-``x * 1.0`` and ``x / 1.0`` are ``x`` itself. A diagonal metric's
-off-diagonal entries, a flat chart's curvature and a vanishing potential
-are therefore numbers through every formula here. :func:`covariant_derivative`
-forms no product with a Christoffel symbol that is the number 0.0, and a
-trace against g^{ij} reads only the (i, j) of ``MetricChart.traced``, whose
-g^{ij} is not the number 0.0, so a diagonal chart's Laplacian forms no mixed
-second derivative.
+place a number meets an analytic function. Jets and grid fields fold a
+number by the one rule of their base class, :class:`jet.Element`, so a
+diagonal metric's off-diagonal entries, a flat chart's curvature and a
+vanishing potential are numbers through every formula here.
+:func:`covariant_derivative` forms no product with a Christoffel symbol
+that is the number 0.0, and a trace against g^{ij} reads only the (i, j)
+of ``MetricChart.traced``, whose g^{ij} is not the number 0.0, so a
+diagonal chart's Laplacian forms no mixed second derivative.
 
 Conventions, fixed once and verified by the unit-sphere anchor test:
 
@@ -554,8 +552,9 @@ class Sym2Field(TensorValue):
     ``h``, and its contractions and derivatives: ``trace`` g^{ij} h_ij,
     formed where it is read, and, each on its first read, ``up`` h^{ij},
     ``mixed`` h^i_j as an (n, n) object array, ``div`` div h, ``div_div``
-    div div h and ``rc`` <Rc, h>. ``pair(a)`` is <A, h> = A_ij h^{ij}, read
-    through this record's ``up``, and ``rc`` is ``pair(Rc)``."""
+    div div h, ``rc`` <Rc, h> and ``norm2`` |h|^2. ``pair(a)`` is <A, h> =
+    A_ij h^{ij}, read through this record's ``up``; ``rc`` is ``pair(Rc)``
+    and ``norm2`` is ``pair(h)``."""
 
     def __init__(self, chart: MetricChart, h: TensorValue):
         super().__init__(2, 0, h.comps)
@@ -596,6 +595,10 @@ class Sym2Field(TensorValue):
     @cached_property
     def rc(self):
         return self.pair(self.chart.ricci)
+
+    @cached_property
+    def norm2(self):
+        return self.pair(self)
 
     def pair(self, a: TensorValue):
         up = self.up

@@ -29,14 +29,12 @@ every group of the identity's right side folds to 0.0. Every scenario's
 residual follows one rule (``_sup_residual``), and the march's metric guard
 is the chart's own definiteness test.
 
-Constants are numbers, not fields, under the rule ``geometry`` states: the
-flat chart's metric is ``geo.flat_metric``, so its Christoffel symbols and
-curvature come out as exact 0.0, and ``GridField`` folds the scalar
-identities. The folds are exact up to the sign of a zero (and a non-finite
-``x * 0.0``, which IEEE makes NaN, folds to 0.0), so residuals keep every
-bit. Folding returns shared objects: a field's ``values`` is never modified
-in place. The stencil reads its four shifted
-operands as slices of one wrap-padded copy, in the order of the formula.
+Constants are numbers, not fields: the flat chart's metric is
+``geo.flat_metric``, so its Christoffel symbols and curvature come out as
+exact 0.0, and ``GridField`` folds them by :class:`jet.Element`'s rule.
+Folding returns shared objects: a field's ``values`` is never modified in
+place. The stencil reads its four shifted operands as slices of one
+wrap-padded copy, in the order of the formula.
 """
 
 import functools
@@ -49,7 +47,7 @@ import numpy as np
 from . import geometry as geo, harnack as hk
 from .fields import trig_params
 from .geometry import _acc
-from .jet import NUMBER
+from .jet import Element
 
 DT_SAFETY = 0.8
 SLICE_SPACING_FACTOR = 0.1
@@ -61,10 +59,8 @@ class GridStabilityError(RuntimeError):
     pass
 
 
-class GridField:
+class GridField(Element):
     """Scalar field sampled on an N x N periodic grid; 4th-order derivatives."""
-
-    __array_ufunc__ = None
 
     def __init__(self, values: np.ndarray, dx: float):
         self.values = values
@@ -86,66 +82,32 @@ class GridField:
         d /= 12.0 * self.dx
         return GridField(d, self.dx)
 
-    def _coerce(self, other):
-        if isinstance(other, GridField):
-            return other.values
-        if isinstance(other, NUMBER):
-            return float(other)
-        return None
+    def _shift(self, c: float) -> "GridField":
+        return GridField(self.values + c, self.dx)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float and o == 0.0:
-            return self
-        return GridField(self.values + o, self.dx)
+    def _rsub(self, c: float) -> "GridField":
+        return GridField(c - self.values, self.dx)
 
-    __radd__ = __add__
+    def _scale(self, c: float) -> "GridField":
+        return GridField(self.values * c, self.dx)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float and o == 0.0:
-            return self
-        return GridField(self.values - o, self.dx)
+    def _unscale(self, c: float) -> "GridField":
+        return GridField(self.values / c, self.dx)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GridField(o - self.values, self.dx)
+    def _rdiv(self, c: float) -> "GridField":
+        return GridField(c / self.values, self.dx)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float:
-            if o == 0.0:
-                return 0.0
-            if o == 1.0:
-                return self
-        return GridField(self.values * o, self.dx)
+    def _add(self, o: "GridField") -> "GridField":
+        return GridField(self.values + o.values, self.dx)
 
-    __rmul__ = __mul__
+    def _sub(self, o: "GridField") -> "GridField":
+        return GridField(self.values - o.values, self.dx)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float:
-            if o == 0.0:
-                raise ZeroDivisionError("grid field divided by zero")
-            if o == 1.0:
-                return self
-        return GridField(self.values / o, self.dx)
+    def _mul(self, o: "GridField") -> "GridField":
+        return GridField(self.values * o.values, self.dx)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GridField(o / self.values, self.dx)
+    def _div(self, o: "GridField") -> "GridField":
+        return GridField(self.values / o.values, self.dx)
 
     def __neg__(self):
         return GridField(-self.values, self.dx)
@@ -164,10 +126,10 @@ class TorusGrid:
         self.x, self.y = np.meshgrid(ticks, ticks, indexing="ij")
 
 
-def eval_trig(grid: TorusGrid, params: list, base: float = 0.0) -> GridField:
+def eval_trig(grid: TorusGrid, params: list) -> GridField:
     """Sample ``fields.trig_params`` terms on the grid. The scenarios draw
     them under ``"grid:" + tag``; every resolution sees the same function."""
-    vals = np.full((grid.n, grid.n), base)
+    vals = np.zeros((grid.n, grid.n))
     for a, (wx, wy), phase in params:
         vals = vals + a * np.sin(wx * grid.x + wy * grid.y + phase)
     return GridField(vals, grid.dx)

@@ -160,7 +160,7 @@ def box_star_terms(chart, dt, u) -> list:
 def soliton_defect_norm2(f: geo.ScalarField):
     """|Rc + Hess f|^2, the conjugate-density production term up to factors."""
     defect = geo.tensor_map(lambda a, b: a + b, f.chart.ricci, f.hess)
-    return geo.Sym2Field(f.chart, defect).pair(defect)
+    return geo.Sym2Field(f.chart, defect).norm2
 
 
 def log_q(v: geo.ScalarField):
@@ -185,13 +185,13 @@ def lq_production_terms(v: geo.ScalarField, f) -> list:
     """|Hess v|^2 + <Rc, Hess v> + Rc(grad(v-f), grad(v-f))."""
     ch, hv = v.chart, v.hess
     gvf = v.of(v.s - f).grad
-    return [hv.pair(hv), hv.rc, geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
+    return [hv.norm2, hv.rc, geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
 def grad2r_production_terms(v: geo.ScalarField) -> list:
     """|Rc|^2 - |Hess v|^2, the production term for |grad v|^2 + R."""
     hv = v.hess
-    return [v.chart.ricci.rc, -hv.pair(hv)]
+    return [v.chart.ricci.rc, -hv.norm2]
 
 
 def lp_production_terms(v: geo.ScalarField, f) -> list:
@@ -199,7 +199,7 @@ def lp_production_terms(v: geo.ScalarField, f) -> list:
     ch = v.chart
     s = geo.tensor_map(lambda a, b: a + b, v.hess, ch.ricci)
     gvf = v.of(v.s - f).grad
-    return [geo.Sym2Field(ch, s).pair(s),
+    return [geo.Sym2Field(ch, s).norm2,
             2.0 * geo.sym2_apply(ch, ch.ricci, gvf, gvf)]
 
 
@@ -214,7 +214,7 @@ def leps_production_terms(v: geo.ScalarField, f, eps: float) -> list:
     g1 = v.of(v.s - eps * f).grad
     g2 = v.of(v.s + f).grad
     ie = 1.0 / eps
-    return [ie * hv.pair(hv), 2.0 * hv.rc, ie * ric.rc,
+    return [ie * hv.norm2, 2.0 * hv.rc, ie * ric.rc,
             2.0 * ie * geo.sym2_apply(ch, ric, g1, g1),
             (1.0 - ie) * geo.sym2_apply(ch, ric, g2, g2)]
 

@@ -20,16 +20,12 @@ of returning a number that merely looks plausible.
 
 Jets are values: nothing writes into a jet's coefficients or rebinds its
 attributes once it is built, so an operation returns a new jet or, where it
-folds, an existing value. A plain number (:data:`NUMBER`) is a constant and
-folds the scalar identities as ``gridlab``'s fields do, with the operands of
-a sum or a product in either order: ``x * 0.0`` is the number 0.0, and
-``x + 0.0``, ``x - 0.0``, ``x * 1.0`` and ``x / 1.0`` are ``x`` itself. Any
-other number moves the value row only (``x + c``, ``x - c``, ``c - x``) or
-scales every row (``x * c``, ``x / c``); ``x / 0.0`` raises
-ZeroDivisionError, as it does for a float. ``c / x`` is c times
-``x.reciprocal()``, so ``0.0 / x`` is 0.0 once x is found nonzero. A jet
-that has been read can be read again, or shared between tensors, without
-going stale.
+folds, an existing value. A jet and a plain number (:data:`NUMBER`) combine
+under :class:`Element`'s rule, which ``gridlab``'s fields share: a number
+moves the value row only (``x + c``, ``x - c``, ``c - x``) or scales every
+row (``x * c``, ``x / c``), and ``c / x`` is c times ``x.reciprocal()``, so
+``0.0 / x`` is 0.0 once x is found nonzero. A jet that has been read can be
+read again, or shared between tensors, without going stale.
 
 Products and the analytic functions are truncated at the validity order
 (Griewank & Walther, *Evaluating Derivatives*, ch. 13): a product of jets
@@ -59,6 +55,71 @@ import numpy as np
 
 # A plain number: what arithmetic on a field element treats as a constant.
 NUMBER = (int, float, np.floating, np.integer)
+
+
+class Element:
+    """A field element's arithmetic, with itself and with plain numbers.
+
+    A number is a constant, taken as a float, and folds the scalar
+    identities with the operands of a sum or a product in either order:
+    ``x * 0.0`` is the number 0.0, and ``x + 0.0``, ``x - 0.0``, ``x * 1.0``
+    and ``x / 1.0`` are ``x`` itself; ``x / 0.0`` raises ZeroDivisionError,
+    as for a float. The folds are exact up to the sign of a zero (and a
+    non-finite ``x * 0.0``, which IEEE makes NaN, folds to 0.0). Any other
+    operand goes to one data operation of the subclass: ``_shift`` (x + c,
+    and x - c as x + (-c), which IEEE makes the same), ``_scale``,
+    ``_unscale``, ``_rsub`` (c - x), ``_rdiv`` (c / x), or ``_add``,
+    ``_sub``, ``_mul`` and ``_div`` of two elements. ``_coerce`` takes an
+    operand to a float, an element of the same kind, or None, for which an
+    operator returns NotImplemented.
+    """
+
+    __array_ufunc__ = None  # keep numpy scalars from hijacking binary ops
+
+    def _coerce(self, other):
+        if isinstance(other, self.__class__):
+            return other
+        return float(other) if isinstance(other, NUMBER) else None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o.__class__ is float:
+            return self if o == 0.0 else self._shift(o)
+        return NotImplemented if o is None else self._add(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o.__class__ is float:
+            return self if o == 0.0 else self._shift(-o)
+        return NotImplemented if o is None else self._sub(o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._rsub(o)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o.__class__ is float:
+            if o == 0.0:
+                return 0.0
+            return self if o == 1.0 else self._scale(o)
+        return NotImplemented if o is None else self._mul(o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o.__class__ is float:
+            if o == 0.0:
+                raise ZeroDivisionError(f"{type(self).__name__} divided by zero")
+            return self if o == 1.0 else self._unscale(o)
+        return NotImplemented if o is None else self._div(o)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._rdiv(o)
 
 
 class JetError(ValueError):
@@ -280,12 +341,14 @@ def _meet(a: tuple, b: tuple) -> tuple:
     return a if a == b else tuple(map(min, a, b))
 
 
-class Jet:
+class Jet(Element):
     """A batch of truncated Taylor expansions: ``coeffs`` is (size, batch),
     valid to total degree ``order`` and, in each capped variable v, to degree
     ``left[v]`` (``left`` defaults to the space's caps)."""
 
-    __array_ufunc__ = None  # keep numpy scalars from hijacking binary ops
+    # Bound in this class's own dict, not only inherited: the benchmark's
+    # tracer reads Jet.__dict__["__mul__"] and "__rmul__" to count products.
+    __mul__ = __rmul__ = Element.__mul__
 
     def __init__(self, space: JetSpace, coeffs: np.ndarray, order: int,
                  left: tuple | None = None):
@@ -330,85 +393,50 @@ class Jet:
         return Jet(sp, out, self.order - 1, left)
 
     def _coerce(self, other):
-        """A plain number as a float, a jet of this space as itself; None for
-        anything else."""
         if isinstance(other, Jet):
             if other.space is not self.space:
                 raise JetError("jets from different spaces")
             return other
-        if isinstance(other, NUMBER):
-            return float(other)
-        return None
+        return float(other) if isinstance(other, NUMBER) else None
 
-    def _shifted(self, coeffs: np.ndarray, c: float) -> "Jet":
-        """A jet like this one with coefficients ``coeffs`` (a fresh array)
-        and ``c`` added to its value row."""
+    def _shift(self, c: float) -> "Jet":
+        coeffs = self.coeffs.copy()
         coeffs[0] += c
         return Jet(self.space, coeffs, self.order, self.left)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float:
-            return self if o == 0.0 else self._shifted(self.coeffs.copy(), o)
+    def _rsub(self, c: float) -> "Jet":
+        coeffs = -self.coeffs
+        coeffs[0] += c
+        return Jet(self.space, coeffs, self.order, self.left)
+
+    def _scale(self, c: float) -> "Jet":
+        return Jet(self.space, self.coeffs * c, self.order, self.left)
+
+    def _unscale(self, c: float) -> "Jet":
+        return Jet(self.space, self.coeffs / c, self.order, self.left)
+
+    def _rdiv(self, c: float):
+        return c * self.reciprocal()
+
+    def _add(self, o: "Jet") -> "Jet":
         return Jet(self.space, self.coeffs + o.coeffs, min(self.order, o.order),
                    _meet(self.left, o.left))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float:
-            return self if o == 0.0 else self._shifted(self.coeffs.copy(), -o)
+    def _sub(self, o: "Jet") -> "Jet":
         return Jet(self.space, self.coeffs - o.coeffs, min(self.order, o.order),
                    _meet(self.left, o.left))
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._shifted(-self.coeffs, o)
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.order, self.left)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float:
-            if o == 0.0:
-                return 0.0
-            if o == 1.0:
-                return self
-            return Jet(self.space, self.coeffs * o, self.order, self.left)
+    def _mul(self, o: "Jet") -> "Jet":
         d = min(self.order, o.order)
         n = self.space.n_upto[d]
         return Jet(self.space, self.space.mul_raw(self.coeffs[:n], o.coeffs[:n]), d,
                    _meet(self.left, o.left))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.__class__ is float:
-            if o == 0.0:
-                raise ZeroDivisionError("jet divided by zero")
-            if o == 1.0:
-                return self
-            return Jet(self.space, self.coeffs / o, self.order, self.left)
+    def _div(self, o: "Jet") -> "Jet":
         return self * o.reciprocal()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.reciprocal()
+    def __neg__(self):
+        return Jet(self.space, -self.coeffs, self.order, self.left)
 
     def __pow__(self, n):
         if isinstance(n, (int, np.integer)):
@@ -489,14 +517,6 @@ class Jet:
     def __repr__(self):
         return (f"Jet(vars={self.space.n_vars}, order={self.order}, "
                 f"batch={self.batch}, value~{np.mean(self.coeffs[0]):.6g})")
-
-
-def strip(u: Jet, v: int) -> Jet:
-    """u frozen at its base point in variable v: a copy with every row of
-    degree >= 1 in v zeroed."""
-    coeffs = u.coeffs.copy()
-    coeffs[u.space._d_src[v]] = 0.0
-    return Jet(u.space, coeffs, u.order, u.left)
 
 
 def first_order_step(u: Jet, v: int, rhs: Jet, order: int) -> Jet:

@@ -522,6 +522,26 @@ def test_hess_of_each_kept_log_u_is_a_record_raised_once(monkeypatch):
         assert sum(h.comps is v.hess.comps for h in seen) == 1
 
 
+def test_norm2_of_each_kept_hess_v_is_formed_once(monkeypatch):
+    # |Hess v|^2 is the record's norm2, so B2, B3 and B6 read one of the
+    # context's log u at eps = 1, and B6 one at eps = -1: across the suite
+    # each kept Hess v is paired with itself once per (context, eps)
+    builds = _kept_builds(monkeypatch)
+    pair, seen = geo.Sym2Field.pair, []
+
+    def spy(h, a):
+        if a.comps is h.comps:
+            seen.append(h)
+        return pair(h, a)
+    monkeypatch.setattr(geo.Sym2Field, "pair", spy)
+    _fresh(lambda: run_suite(n_points=4))
+    records = [ctx.kept(name, None) for ctx, name in builds
+               if isinstance(name, tuple) and name[0] == "log u"]
+    assert len(records) == len(REGISTRY["CHK-B6"].applies_to) * 2
+    assert [sum(h.comps is v.hess.comps for h in seen)
+            for v in records] == [1] * len(records)
+
+
 def test_grad_of_each_kept_log_u_is_formed_once_where_f_vanishes(monkeypatch):
     # on flat_torus f is the number 0.0, so grad(v - f), grad(v - eps f) and
     # grad(v + f) in B2, B4 and B6 are all grad v, read from the record of

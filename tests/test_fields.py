@@ -5,7 +5,7 @@ import pytest
 
 from harnacklab import fields, geometry as geo
 from harnacklab.geometry import field_data
-from harnacklab.jet import JetOrderError, strip
+from harnacklab.jet import Jet, JetOrderError
 from harnacklab.solitons import build_context
 
 from coordinates import coordinate_jets
@@ -66,14 +66,30 @@ def test_conjugate_potential_rule_recovers_gauge_shift():
     assert _maxabs(lhs - rhs) < 1e-11
 
 
-def test_strip_time():
-    ctx = build_context("cigar_flow", n_points=4, order=4)
-    u = coordinate_jets(ctx)[0].sin() * (-ctx.t).exp()
-    s = strip(u, ctx.time_index)
-    assert _maxabs(ctx.dt(s)) == 0.0
-    # the stripped jet agrees with u on the t-degree-zero slice
-    et = ctx.space.exponents[:, ctx.time_index]
-    assert np.max(np.abs((s.coeffs - u.coeffs)[et == 0])) == 0.0
+def _with_t_rows(ctx, u, seed):
+    """u with seeded nonzero values in every row of t-degree >= 1."""
+    coeffs = u.coeffs.copy()
+    rows = ctx.space.exponents[:, ctx.time_index] > 0
+    coeffs[rows] = np.random.default_rng(seed).standard_normal(
+        (np.count_nonzero(rows), u.batch))
+    return Jet(ctx.space, coeffs, u.order, u.left)
+
+
+def test_propagation_reads_only_the_initial_t_free_slice():
+    # the right side is evaluated on the initial jet itself: its t-rows
+    # reach neither the right side's t-degree-0 rows nor the step
+    ctx = build_context("cigar_flow", n_points=4, order=5)
+    u0 = fields.trig_scalar(ctx, "u")
+    got = fields.propagate_scalar(ctx, _with_t_rows(ctx, u0, 0), _rhs_heat)
+    want = fields.propagate_scalar(ctx, u0, _rhs_heat)
+    assert (got.order, got.left) == (want.order, want.left)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    h0 = fields.trig_sym2(ctx, "h")
+    noisy = geo.sym2_from(lambda i, j: _with_t_rows(ctx, h0[i, j], 3 * i + j), 2)
+    got, want = (fields.propagate_sym2(ctx, h) for h in (noisy, h0))
+    for i, j in geo.sym2_indices(2):
+        assert got[i, j].order == want[i, j].order
+        assert np.array_equal(got[i, j].coeffs, want[i, j].coeffs)
 
 
 def test_trig_fields_deterministic_and_nonconstant():

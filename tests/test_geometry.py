@@ -392,7 +392,7 @@ def _bits(elem, zero_sign=True):
 
 def _grid_metric():
     grid = TorusGrid(16)
-    g00, g11 = (eval_trig(grid, trig_params(5, tag, 2, 0.2), 1.0)
+    g00, g11 = (1.0 + eval_trig(grid, trig_params(5, tag, 2, 0.2))
                 for tag in ("g00", "g11"))
     g01 = eval_trig(grid, trig_params(5, "g01", 2, 0.1))
     return [[g00, g01], [g01, g11]]
@@ -574,7 +574,7 @@ def test_covariant_derivative_forms_each_pair_once_on_every_chart(make_case,
 
 def _flat_grid_scalar(grid=None):
     grid = TorusGrid(32) if grid is None else grid
-    return eval_trig(grid, trig_params(3, "s", 2, 0.3), 1.0)
+    return 1.0 + eval_trig(grid, trig_params(3, "s", 2, 0.3))
 
 
 def _read_case(ch, elem_type, scalar=None, magnitudes=False):

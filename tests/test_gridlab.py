@@ -408,13 +408,16 @@ def test_scalar_identities_fold():
     grid = TorusGrid(8)
     a, b = jet_space(2, 3).variables([[0.3, 1.1], [0.7, -0.4]])
     for x in (eval_trig(grid, trig_params(0, "fold", 2)), (a * b).sin()):
-        for zero in (x * 0.0, 0.0 * x, x * 0):
+        for zero in (x * 0.0, 0.0 * x, x * 0, np.float64(0.0) * x):
             assert type(zero) is float and zero == 0.0
-        for same in (x + 0.0, 0.0 + x, x - 0.0, x * 1.0, 1.0 * x, x / 1.0):
+        for same in (x + 0.0, 0.0 + x, x - 0.0, x * 1.0, 1.0 * x, x / 1.0,
+                     x * np.int64(1)):
             assert same is x
         # other scalars still compute
         assert np.array_equal(field_data(x * 2.0), field_data(x) * 2.0)
         assert np.array_equal(field_data(1.0 - x), 1.0 - field_data(x))
+        assert np.array_equal(field_data(np.float32(2.5) - x),
+                              2.5 - field_data(x))
         assert np.array_equal(field_data(0.0 - x), 0.0 - field_data(x))
         assert np.array_equal(field_data(2.0 / x), 2.0 / field_data(x))
         with pytest.raises(ZeroDivisionError):
@@ -437,7 +440,7 @@ def test_flat_chart_curvature_is_numbers():
 def test_covariant_derivative_one_partial_per_distinct_component(monkeypatch):
     grid = TorusGrid(32)
     g01 = eval_trig(grid, trig_params(1, "g01", 2, amplitude=0.1))
-    g00, g11 = (eval_trig(grid, trig_params(1, tag, 2), 1.0) for tag in ("g00", "g11"))
+    g00, g11 = (1.0 + eval_trig(grid, trig_params(1, tag, 2)) for tag in ("g00", "g11"))
     chart = geo.MetricChart([[g00, g01], [g01, g11]])
     chart.christoffels  # built before counting
     h = geo.sym2_from(lambda i, j: eval_trig(grid, trig_params(2, f"h{i}{j}", 2)), 2)
